@@ -17,7 +17,6 @@ __all__ = [
     "sym_grad_stiffness",
     "full_grad_stiffness",
     "div_coupling",
-    "velocity_mass",
     "transport_matrix",
     "p1_mass",
     "velocity_load",
@@ -94,15 +93,6 @@ def full_grad_stiffness(space, weight=None):
     loc = np.zeros((space.n_cells, 12, 12))
     for c in range(2):
         loc[:, c * 6:(c + 1) * 6, c * 6:(c + 1) * 6] = t1.transpose(0, 2, 1)
-    return _scatter_vel(space, loc)
-
-
-def velocity_mass(space, weight=None):
-    w = _weighted(space, weight)
-    t = np.einsum("cq,qm,qi->cim", w, space.p2_vals, space.p2_vals)
-    loc = np.zeros((space.n_cells, 12, 12))
-    for c in range(2):
-        loc[:, c * 6:(c + 1) * 6, c * 6:(c + 1) * 6] = t
     return _scatter_vel(space, loc)
 
 
@@ -207,39 +197,32 @@ def solve_saddle(space, a_mat, rhs_vel, div_rhs, fixed_vals=None):
 
     Dirichlet velocity values are supplied on the boundary dofs through
     ``fixed_vals`` (full-length array; only boundary entries are read).
-    The pressure mean is pinned by a scalar multiplier, so the multiplier
-    comes back mean-zero; the compatibility defect of the constraint ends
-    up in that multiplier and is returned as ``alpha``.
+    The multiplier is fixed up to the constant pressure mode, which is
+    pinned by dropping pressure dof 0: its constraint row and multiplier
+    column leave the system and ``lam[0] = 0``.  Since C^T of a constant
+    vanishes on the free velocity dofs, the velocity is unaffected and
+    ``space.pressure_field(lam)`` gives the mean-zero multiplier.  The
+    dropped row absorbs the compatibility defect of ``div_rhs``.
+    Returns ``(u, lam)``.
     """
     free = space.free_vel_dofs
     fixed = space.boundary_vel_dofs
     c_mat = div_coupling(space)
-    m = space.pressure_mean_vector()
 
     u_fix = np.zeros(space.n_vel)
     if fixed_vals is not None:
         u_fix[fixed] = fixed_vals[fixed]
     r_vel = rhs_vel[free] - a_mat[free][:, fixed] @ u_fix[fixed]
-    r_div = div_rhs - c_mat[:, fixed] @ u_fix[fixed]
+    r_div = div_rhs[1:] - c_mat[1:, fixed] @ u_fix[fixed]
 
-    a_ff = a_mat[free][:, free]
-    c_f = c_mat[:, free]
-    z = sp.coo_matrix((free.size, 1))
-    sys = sp.bmat(
-        [
-            [a_ff, c_f.T, z],
-            [c_f, None, m[:, None]],
-            [z.T, m[None, :], None],
-        ],
-        format="csc",
-    )
-    rhs = np.concatenate([r_vel, r_div, [0.0]])
-    sol = spla.spsolve(sys, rhs)
+    c_f = c_mat[1:, free]
+    sys = sp.bmat([[a_mat[free][:, free], c_f.T], [c_f, None]], format="csc")
+    sol = spla.spsolve(sys, np.concatenate([r_vel, r_div]))
     u = u_fix.copy()
     u[free] = sol[: free.size]
-    lam = sol[free.size: free.size + space.n_p1]
-    alpha = float(sol[-1])
-    return u, lam, alpha
+    lam = np.zeros(space.n_p1)
+    lam[1:] = sol[free.size:]
+    return u, lam
 
 
 def infsup_proxy(space):

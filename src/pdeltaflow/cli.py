@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -56,16 +58,16 @@ DEFAULT_CONFIG = {
     },
     "characteristics": {"samples": 100000, "dim": 2},
     "embedding": {"iters": 120},
+    # q and n_schedule are derived from s and levels unless set
     "solver": {
         "q": None,
-        "levels": 7,
+        "levels": inspect.signature(solver.default_config).parameters["levels"].default,
         "n_schedule": None,
-        "picard_tol": 1e-9,
-        "picard_max": 50,
-        "linear_tol": 1e-12,
-        "damping": 1.0,
-        "include_convective": True,
-        "penalty": True,
+        **{
+            f.name: f.default
+            for f in dataclasses.fields(solver.SolverConfig)
+            if f.default is not dataclasses.MISSING
+        },
     },
     "certify": {"sweep_lambdas": None},
     "counterexample": {
@@ -106,6 +108,9 @@ class RunConfig:
 
     def _validate(self):
         m = self.data["model"]
+        for key, val in m.items():
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"model.{key} must be a number, got {val!r}")
         if not (1.0 < m["p"] <= 2.0):
             raise ConfigError(f"model.p must lie in (1, 2], got {m['p']}")
         if m["delta"] < 0 or m["mu0"] < 0 or m["mu"] <= 0:
@@ -130,6 +135,10 @@ class RunConfig:
         ce = self.data["counterexample"]
         if ce["q"] <= ce["p"]:
             raise ConfigError("counterexample needs q > p")
+        try:
+            _solver_config(self.data, certifier.compute_s(m["p"], 2))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad solver section: {exc}") from exc
 
     def serialize(self):
         return json.dumps(self.data, sort_keys=True, indent=2)
@@ -231,22 +240,10 @@ def build_certificate(cfg):
 
 
 def _solver_config(cfg, s):
-    sc = cfg["solver"]
-    if sc["n_schedule"] is not None:
-        schedule = tuple(sc["n_schedule"])
-    else:
-        schedule = tuple(10 * 4**k for k in range(sc["levels"]))
-    q = sc["q"] if sc["q"] is not None else max(2.0, s) + 1.0
-    return solver.SolverConfig(
-        q=q,
-        n_schedule=schedule,
-        picard_tol=sc["picard_tol"],
-        picard_max=sc["picard_max"],
-        linear_tol=sc["linear_tol"],
-        damping=sc["damping"],
-        include_convective=sc["include_convective"],
-        penalty=sc["penalty"],
-    )
+    """solver.default_config with the solver keys the user changed."""
+    defaults = DEFAULT_CONFIG["solver"]
+    sc = {k: v for k, v in cfg["solver"].items() if v != defaults[k]}
+    return solver.default_config(s, **sc)
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -120,9 +120,7 @@ def _p2_basis(pts):
 
 def _p1_basis(pts):
     xi, eta = pts[:, 0], pts[:, 1]
-    vals = np.column_stack([1.0 - xi - eta, xi, eta])
-    grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    return vals, grads
+    return np.column_stack([1.0 - xi - eta, xi, eta])
 
 
 @dataclass
@@ -245,7 +243,7 @@ class DiscreteSpace:
         ref_pts, ref_w = _triangle_rule(self.quad_degree)
         self.nq = ref_pts.shape[0]
         self.p2_vals, p2_ref_grads = _p2_basis(ref_pts)
-        self.p1_vals, p1_ref_grads = _p1_basis(ref_pts)
+        self.p1_vals = _p1_basis(ref_pts)
 
         v1 = self.verts[self.cells[:, 0]]
         v2 = self.verts[self.cells[:, 1]]
@@ -263,7 +261,6 @@ class DiscreteSpace:
         self.qw = np.abs(det)[:, None] * ref_w[None, :]
         # physical gradients: dN/dx = J^{-T} dN/dxi
         self.p2_grads = np.einsum("qma,cab->cqmb", p2_ref_grads, inv[:, :, :])
-        self.p1_grads = np.einsum("ma,cab->cmb", p1_ref_grads, inv[:, :, :])
 
         g1d, w1d = _gauss01(4)
         self._bq_pts, self._bq_w = g1d, w1d
@@ -314,9 +311,6 @@ class DiscreteSpace:
 
     def p1_values(self, coeffs):
         return np.einsum("qm,cm->cq", self.p1_vals, coeffs[self.cell_p1])
-
-    def p1_gradients(self, coeffs):
-        return np.einsum("cma,cm->ca", self.p1_grads, coeffs[self.cell_p1])
 
     def integrate(self, vals):
         return float(np.sum(self.qw * vals))

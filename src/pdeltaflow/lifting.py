@@ -147,7 +147,7 @@ def lift(data, space, p, s):
     k = assembly.full_grad_stiffness(space)
     b = assembly.p1_load(space, g1_vals)
     try:
-        g_coeffs, _, _ = assembly.solve_saddle(space, k, np.zeros(space.n_vel), b, fixed_vals=ghat)
+        g_coeffs, _ = assembly.solve_saddle(space, k, np.zeros(space.n_vel), b, fixed_vals=ghat)
     except RuntimeError as exc:  # singular coupling
         raise LiftingError(f"saddle-point solve failed (inf-sup {space.inf_sup:.3e}): {exc}") from exc
 

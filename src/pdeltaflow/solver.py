@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly
-from .constitutive import eval_stress
+from .constitutive import eval_stress, symmetrize
 from .discretization import Field, norm_sym_grad_p
 
 __all__ = [
@@ -70,14 +70,20 @@ class SolverConfig:
     n_schedule: tuple
     picard_tol: float = 1e-9
     picard_max: int = 50
-    linear_tol: float = 1e-12  # direct sparse solves; kept for iterative backends
     damping: float = 1.0
     include_convective: bool = True
     penalty: bool = True
 
     def __post_init__(self):
-        if self.picard_tol <= 0 or self.linear_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        self.n_schedule = tuple(self.n_schedule)
+        if not self.q >= 2:  # the frozen penalty weight |Du|^(q-2) must stay finite
+            raise ValueError("q must be at least 2")
+        if self.picard_tol <= 0:
+            raise ValueError("picard_tol must be positive")
+        if self.picard_max < 1:
+            raise ValueError("picard_max must be at least 1")
+        if not self.n_schedule or min(self.n_schedule) <= 0:
+            raise ValueError("n_schedule must be non-empty with positive entries")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise ValueError("n_schedule must be strictly increasing")
         if not (0 < self.damping <= 1):
@@ -85,10 +91,14 @@ class SolverConfig:
 
 
 def default_config(s, levels=7, **kw):
-    """q = max{2, s} + 1 and the geometric schedule n = 10 * 4^k."""
-    q = max(2.0, s) + 1.0
-    schedule = tuple(10 * 4**k for k in range(levels))
-    return SolverConfig(q=q, n_schedule=schedule, **kw)
+    """q = max{2, s} + 1 and the geometric schedule n = 10 * 4^k, k < levels.
+
+    Any other SolverConfig field, or q and n_schedule themselves, may be
+    given in ``kw``.
+    """
+    kw.setdefault("q", max(2.0, s) + 1.0)
+    kw.setdefault("n_schedule", tuple(10 * 4**k for k in range(levels)))
+    return SolverConfig(**kw)
 
 
 @dataclass
@@ -137,17 +147,13 @@ def make_instance(model, space, lift_field=None, f=None, report=None):
     )
 
 
-def _sym(t):
-    return 0.5 * (t + np.swapaxes(t, -1, -2))
-
-
 def _du(inst, coeffs):
-    return _sym(inst.space.velocity_gradients(coeffs))
+    return symmetrize(inst.space.velocity_gradients(coeffs))
 
 
 def apply_S(inst, u, phi):
     """<S(Du + Dg), D phi> by quadrature."""
-    s_vals = eval_stress(inst.model, _du(inst, u.coeffs) + _sym(inst.g_grads))
+    s_vals = eval_stress(inst.model, _du(inst, u.coeffs) + symmetrize(inst.g_grads))
     dphi = _du(inst, phi.coeffs)
     return inst.space.integrate(np.sum(s_vals * dphi, axis=(-1, -2)))
 
@@ -240,11 +246,11 @@ def _stress_weight(model, base_mag):
 
 def _data_scale(inst, cfg):
     space = inst.space
-    dg = _sym(inst.g_grads)
+    dg = symmetrize(inst.g_grads)
     s0 = assembly.stress_load(space, eval_stress(inst.model, dg))
     scale = np.linalg.norm(inst.f_vec[space.free_vel_dofs]) + np.linalg.norm(s0[space.free_vel_dofs])
     if cfg.include_convective:
-        gog = _sym(inst.g_vals[..., :, None] * inst.g_vals[..., None, :])
+        gog = symmetrize(inst.g_vals[..., :, None] * inst.g_vals[..., None, :])
         t0 = assembly.stress_load(space, gog) + assembly.velocity_load(
             space, inst.g1_vals[..., None] * inst.g_vals
         )
@@ -256,19 +262,45 @@ def _residual(inst, cfg, n, u_coeffs, lam):
     """Nonlinear momentum residual (free dofs) plus the divergence defect."""
     space = inst.space
     du = _du(inst, u_coeffs)
-    s_vals = eval_stress(inst.model, du + _sym(inst.g_grads))
+    s_vals = eval_stress(inst.model, du + symmetrize(inst.g_grads))
     res = assembly.stress_load(space, s_vals) - inst.f_vec
     if cfg.penalty and np.isfinite(n):
         mag = np.sqrt(np.sum(du**2, axis=(-1, -2)))
         res += assembly.stress_load(space, (mag ** (cfg.q - 2.0) / n)[..., None, None] * du)
     if cfg.include_convective:
         v = space.velocity_values(u_coeffs) + inst.g_vals
-        outer = _sym(v[..., :, None] * v[..., None, :])
+        outer = symmetrize(v[..., :, None] * v[..., None, :])
         res -= assembly.stress_load(space, outer)
         res -= assembly.velocity_load(space, inst.g1_vals[..., None] * v)
     res += assembly.div_coupling(space).T @ lam
     div_res = assembly.div_coupling(space) @ u_coeffs
     return np.sqrt(np.linalg.norm(res[space.free_vel_dofs]) ** 2 + np.linalg.norm(div_res) ** 2)
+
+
+def _linearize(inst, cfg, n, u):
+    """Frozen-coefficient system (a_mat, rhs) at the velocity coefficients u.
+
+    The stress weight, the penalty weight and the transport field are
+    frozen at u; the lift enters the right-hand side.
+    """
+    space = inst.space
+    du = _du(inst, u)
+    dg_sym = symmetrize(inst.g_grads)
+    nu = _stress_weight(inst.model, np.sqrt(np.sum((du + dg_sym) ** 2, axis=(-1, -2))))
+    weight = nu
+    if cfg.penalty and np.isfinite(n):
+        mag = np.sqrt(np.sum(du**2, axis=(-1, -2)))
+        weight = nu + mag ** (cfg.q - 2.0) / n  # penalty weights Du only
+    a_mat = assembly.sym_grad_stiffness(space, weight)
+    rhs = inst.f_vec - assembly.stress_load(space, nu[..., None, None] * dg_sym)
+    if cfg.include_convective:
+        b_vals = space.velocity_values(u) + inst.g_vals
+        a_mat = a_mat + assembly.transport_matrix(space, b_vals, inst.g1_vals)
+        gob = symmetrize(inst.g_vals[..., :, None] * b_vals[..., None, :])
+        rhs += assembly.stress_load(space, gob) + assembly.velocity_load(
+            space, inst.g1_vals[..., None] * inst.g_vals
+        )
+    return a_mat, rhs
 
 
 def solve_regularized(inst, cfg, n, warm_start=None):
@@ -282,26 +314,11 @@ def solve_regularized(inst, cfg, n, warm_start=None):
     converged = False
     rel = np.inf
     it = 0
-    dg_sym = _sym(inst.g_grads)
 
     for it in range(1, cfg.picard_max + 1):
-        du = _du(inst, u)
-        nu = _stress_weight(model, np.sqrt(np.sum((du + dg_sym) ** 2, axis=(-1, -2))))
-        weight = nu
-        if cfg.penalty and np.isfinite(n):
-            mag = np.sqrt(np.sum(du**2, axis=(-1, -2)))
-            weight = nu + mag ** (cfg.q - 2.0) / n  # penalty weights Du only
-        a_mat = assembly.sym_grad_stiffness(space, weight)
-        rhs = inst.f_vec - assembly.stress_load(space, nu[..., None, None] * dg_sym)
-        if cfg.include_convective:
-            b_vals = space.velocity_values(u) + inst.g_vals
-            a_mat = a_mat + assembly.transport_matrix(space, b_vals, inst.g1_vals)
-            gob = _sym(inst.g_vals[..., :, None] * b_vals[..., None, :])
-            rhs += assembly.stress_load(space, gob) + assembly.velocity_load(
-                space, inst.g1_vals[..., None] * inst.g_vals
-            )
+        a_mat, rhs = _linearize(inst, cfg, n, u)
         try:
-            u_new, lam, _ = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1))
+            u_new, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1))
         except RuntimeError as exc:
             raise SolverError(f"linear saddle solve broke down at level n={n}: {exc}") from exc
         if not np.all(np.isfinite(u_new)):
@@ -370,12 +387,11 @@ def continuation_solve(inst, cfg, override=False):
                 penalty_ok = False
 
     final = records[-1]
-    pi, _ = recover_pressure(inst, final.u, cfg=cfg, n=final.n)
     v = inst.space.velocity_field(final.u.coeffs + inst.g_coeffs)
     return SolveResult(
         u=final.u,
         v=v,
-        pi=pi,
+        pi=final.pi,
         records=records,
         diffs=diffs,
         R=radius,
@@ -394,25 +410,10 @@ def recover_pressure(inst, u, cfg=None, n=np.inf):
     functions, relative to the data scale.
     """
     if cfg is None:
-        cfg = SolverConfig(q=max(2.0, inst.model.p) + 1.0, n_schedule=(1,), penalty=False)
+        cfg = default_config(inst.model.p, penalty=False)
     space = inst.space
-    du = _du(inst, u.coeffs)
-    dg_sym = _sym(inst.g_grads)
-    nu = _stress_weight(inst.model, np.sqrt(np.sum((du + dg_sym) ** 2, axis=(-1, -2))))
-    weight = nu
-    if cfg.penalty and np.isfinite(n):
-        mag = np.sqrt(np.sum(du**2, axis=(-1, -2)))
-        weight = nu + mag ** (cfg.q - 2.0) / n
-    a_mat = assembly.sym_grad_stiffness(space, weight)
-    rhs = inst.f_vec - assembly.stress_load(space, nu[..., None, None] * dg_sym)
-    if cfg.include_convective:
-        b_vals = space.velocity_values(u.coeffs) + inst.g_vals
-        a_mat = a_mat + assembly.transport_matrix(space, b_vals, inst.g1_vals)
-        gob = _sym(inst.g_vals[..., :, None] * b_vals[..., None, :])
-        rhs += assembly.stress_load(space, gob) + assembly.velocity_load(
-            space, inst.g1_vals[..., None] * inst.g_vals
-        )
-    _, lam, _ = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1))
+    a_mat, rhs = _linearize(inst, cfg, n, u.coeffs)
+    _, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1))
     rel = _residual(inst, cfg, n, u.coeffs, lam) / max(_data_scale(inst, cfg), 1e-300)
     return space.pressure_field(-lam), float(rel)
 
@@ -432,9 +433,9 @@ def convective_identity_diagnostics(inst, u):
         gu = space.velocity_gradients(u.coeffs)
     else:
         uv, gu = u
-    du = _sym(gu)
+    du = symmetrize(gu)
     gv = inst.g_vals
-    dg = _sym(inst.g_grads)
+    dg = symmetrize(inst.g_grads)
     g1 = inst.g1_vals
 
     uu = uv[..., :, None] * uv[..., None, :]
@@ -448,14 +449,14 @@ def convective_identity_diagnostics(inst, u):
     rhs3 = -space.integrate(np.sum(uu * dg, axis=(-1, -2)))
 
     v = uv + gv
-    vout = _sym(v[..., :, None] * v[..., None, :])
+    vout = symmetrize(v[..., :, None] * v[..., None, :])
     direct = -space.integrate(np.sum(vout * du, axis=(-1, -2))) - space.integrate(
         g1 * np.sum(v * uv, axis=-1)
     )
     regroup = (
         space.integrate(np.sum(uu * dg, axis=(-1, -2)))
         - 0.5 * space.integrate(g1 * np.sum(uv * uv, axis=-1))
-        - space.integrate(np.sum(_sym(gv[..., :, None] * gv[..., None, :]) * du, axis=(-1, -2)))
+        - space.integrate(np.sum(symmetrize(gv[..., :, None] * gv[..., None, :]) * du, axis=(-1, -2)))
         - space.integrate(g1 * np.sum(gv * uv, axis=-1))
     )
     mag = abs(direct) + abs(regroup) + 1e-300

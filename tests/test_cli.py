@@ -53,6 +53,24 @@ class TestRunConfig:
         RunConfig()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"solver": {"levels": 0}},
+        {"solver": {"n_schedule": [-10, 0]}},
+        {"solver": {"damping": 0}},
+        {"model": {"p": "1.8"}},
+        {"solver": {"q": "3"}},
+    ],
+)
+def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
+    path = _write_cfg(tmp_path, "bad.json", dict(bad, out=str(tmp_path / "t")))
+    with pytest.raises(ConfigError):
+        RunConfig.load(path)
+    assert main(["solve", "--config", path]) == EXIT_INVALID_CONFIG
+    assert not (tmp_path / "t").exists()  # rejected before any work
+
+
 class TestExitCodes:
     def test_invalid_config_file(self, tmp_path):
         path = _write_cfg(tmp_path, "bad.json", {"model": {"p": 0.5}})

@@ -214,8 +214,44 @@ class TestSolveRegularized:
         rec = solve_regularized(inst, cfg, np.inf)
         assert rec.iters == 1
         k = assembly.sym_grad_stiffness(space8)
-        u_ref, _, _ = assembly.solve_saddle(space8, k, f_vec, np.zeros(space8.n_p1))
+        u_ref, _ = assembly.solve_saddle(space8, k, f_vec, np.zeros(space8.n_p1))
         assert np.abs(rec.u.coeffs - u_ref).max() < 1e-10
+
+
+def test_solve_saddle_matches_dense_mean_row_oracle(space4):
+    # nonsymmetric matrix, nonzero Dirichlet values and compatible divergence
+    # data, against the system bordered by the pressure-mean row
+    s = space4
+    rng = np.random.default_rng(3)
+    b_vals = s.velocity_values(rng.standard_normal(s.n_vel))
+    g1_vals = rng.standard_normal((s.n_cells, s.nq))
+    a = assembly.sym_grad_stiffness(s) + assembly.transport_matrix(s, b_vals, g1_vals)
+    rhs = rng.standard_normal(s.n_vel)
+    u_data = rng.standard_normal(s.n_vel)
+    div_rhs = assembly.div_coupling(s) @ u_data
+    u, lam = assembly.solve_saddle(s, a, rhs, div_rhs, fixed_vals=u_data)
+
+    free, fixed = s.free_vel_dofs, s.boundary_vel_dofs
+    ad, c = a.toarray(), assembly.div_coupling(s).toarray()
+    mean = s.pressure_mean_vector()
+    nf, npr = free.size, s.n_p1
+    sys = np.zeros((nf + npr + 1, nf + npr + 1))
+    sys[:nf, :nf] = ad[np.ix_(free, free)]
+    sys[:nf, nf:nf + npr] = c[:, free].T
+    sys[nf:nf + npr, :nf] = c[:, free]
+    sys[nf:nf + npr, -1] = mean
+    sys[-1, nf:nf + npr] = mean
+    r = np.concatenate([
+        rhs[free] - ad[np.ix_(free, fixed)] @ u_data[fixed],
+        div_rhs - c[:, fixed] @ u_data[fixed],
+        [0.0],
+    ])
+    sol = np.linalg.solve(sys, r)
+    u_ref = u_data.copy()
+    u_ref[free] = sol[:nf]
+    assert np.abs(sol[-1]) < 1e-10  # compatible data: no defect in the mean row
+    assert np.abs(u - u_ref).max() < 1e-10
+    assert np.abs(s.pressure_field(lam).coeffs - s.pressure_field(sol[nf:nf + npr]).coeffs).max() < 1e-10
 
 
 class TestContinuation:
@@ -238,6 +274,27 @@ class TestContinuation:
         assert res.converged and res.bound_ok and res.penalty_ok
         assert all(r.norm_Du_p <= rep.R * 1.05 for r in res.records)
         assert all(a > b for a, b in zip(res.diffs[:-1], res.diffs[1:]))  # Cauchy-decreasing
+
+    def test_one_saddle_solve_per_picard_step(self, pipeline8, monkeypatch):
+        m, lf = pipeline8["model"], pipeline8["lift"]
+        g1c, g2c, g3c = compute_constants(
+            pipeline8["chars"], pipeline8["emb"], lf, 0.0, m.p, pipeline8["s"], m.delta
+        )
+        rep = check_smallness(g1c, g2c, g3c, m.p, s=pipeline8["s"])
+        inst = make_instance(m, pipeline8["space"], lift_field=lf, report=rep)
+        cfg = default_config(pipeline8["s"], levels=4, picard_tol=1e-9)
+        calls = []
+        solve = assembly.solve_saddle
+
+        def counting_solve(*args, **kw):
+            calls.append(1)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(assembly, "solve_saddle", counting_solve)
+        res = continuation_solve(inst, cfg)
+        assert len(calls) == sum(r.iters for r in res.records)
+        pi, _ = recover_pressure(inst, res.u, cfg=cfg, n=res.records[-1].n)
+        assert np.abs(res.pi.coeffs - pi.coeffs).max() <= 1e-8 * np.abs(pi.coeffs).max()
 
     def test_zero_schedule_zero_data(self, space8):
         m = PDeltaModel(p=1.8, delta=0.1)
