@@ -1,10 +1,13 @@
-"""Cell-wise sparse assembly for the mixed Taylor-Hood pairing.
+"""Sparse assembly for the mixed Taylor-Hood pairing.
 
 Every routine takes a built space and optional quadrature-point data and
 returns scipy sparse matrices / dense load vectors.  Velocity dofs use the
-block layout [all x-dofs, all y-dofs]; local blocks are scattered through
-index arrays cached on the space, so re-assembly with new coefficient
-weights (the Picard loop) only recomputes values.
+block layout [all x-dofs, all y-dofs].  The mesh has two triangle shapes,
+so local matrices are GEMMs of per-cell quadrature weights against the
+shape's integrand table, and loads are GEMMs of the point values against
+the shape's basis table.  The CSR pattern of each matrix and the map from
+local entries to its data are cached on the space, so re-assembly with new
+coefficient weights (the Picard loop) only recomputes values.
 """
 
 from __future__ import annotations
@@ -30,82 +33,70 @@ __all__ = [
 ]
 
 
-def _vel_indices(space):
-    cache = space._cache
-    if "vel_idx" not in cache:
-        loc = np.hstack([space.cell_p2, space.cell_p2 + space.n_p2])  # (C, 12)
-        rows = np.repeat(loc, 12, axis=1)
-        cols = np.tile(loc, (1, 12))
-        cache["vel_idx"] = (rows.ravel(), cols.ravel())
-    return cache["vel_idx"]
+def _assemble(space, loc, rows, cols):
+    """CSR matrix of local entries loc (C, R*S), in cell order, on cell_<rows> x cell_<cols>.
+
+    The pattern and the map from local entries to CSR data are built once per space.
+    """
+    key = ("pattern", rows, cols)
+    if key not in space._cache:
+        r_dofs, c_dofs = getattr(space, "cell_" + rows), getattr(space, "cell_" + cols)
+        shape = (getattr(space, "n_" + rows), getattr(space, "n_" + cols))
+        r_idx = np.repeat(r_dofs, c_dofs.shape[1], axis=1).ravel()
+        c_idx = np.tile(c_dofs, (1, r_dofs.shape[1])).ravel()
+        pat = sp.csr_matrix((np.ones(r_idx.size), (r_idx, c_idx)), shape=shape)
+        pat.sum_duplicates()  # sorted column indices, so the keys below increase
+        keys = np.repeat(np.arange(shape[0]) * shape[1], np.diff(pat.indptr)) + pat.indices
+        space._cache[key] = (pat.indptr, pat.indices, np.searchsorted(keys, r_idx * shape[1] + c_idx), shape)
+    indptr, indices, perm, shape = space._cache[key]
+    data = np.bincount(perm, weights=loc.ravel(), minlength=indices.size)
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
 
 
-def _div_indices(space):
-    cache = space._cache
-    if "div_idx" not in cache:
-        loc = np.hstack([space.cell_p2, space.cell_p2 + space.n_p2])
-        rows = np.repeat(space.cell_p1, 12, axis=1)
-        cols = np.tile(loc, (1, 3))
-        cache["div_idx"] = (rows.ravel(), cols.ravel())
-    return cache["div_idx"]
+def _table(space, name):
+    """Per-shape integrand table (2, K, R*S) of one form, built once per space.
 
-
-def _p1_indices(space):
-    cache = space._cache
-    if "p1_idx" not in cache:
-        rows = np.repeat(space.cell_p1, 3, axis=1)
-        cols = np.tile(space.cell_p1, (1, 3))
-        cache["p1_idx"] = (rows.ravel(), cols.ravel())
-    return cache["p1_idx"]
+    Rows are the points for sym/full/div and (point, b_0 | b_1 | g1) for transport.
+    """
+    key = ("table", name)
+    if key not in space._cache:
+        nq = space.nq
+        g = space.grad_table.reshape(2, 12, nq, 2, 2)
+        d = 0.5 * (g + np.swapaxes(g, -1, -2))
+        v = space.value_table.reshape(12, nq, 2)
+        if name == "transport":
+            # -(phi_s x b) : D phi_r = -sum_j b_j phi_s . (D phi_r)_{:, j};  -g1 phi_s . phi_r
+            conv = -np.einsum("sqi,krqij->kqjrs", v, d)
+            mass = np.broadcast_to(-np.einsum("sqi,rqi->qrs", v, v)[:, None], (2, nq, 1, 12, 12))
+            table = np.concatenate([conv, mass], axis=2).reshape(2, 3 * nq, 144)
+        elif name == "div":
+            table = np.einsum("qa,ksqii->kqas", space.p1_vals, g).reshape(2, nq, 36)
+        else:
+            a = {"sym": d, "full": g}[name]
+            table = np.einsum("krqij,ksqij->kqrs", a, a).reshape(2, nq, 144)
+        space._cache[key] = table
+    return space._cache[key]
 
 
 def _weighted(space, weight):
     return space.qw if weight is None else space.qw * weight
 
 
-def _scatter_vel(space, loc):
-    rows, cols = _vel_indices(space)
-    n = space.n_vel
-    return sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def sym_grad_stiffness(space, weight=None):
     """int w Du : Dphi over velocity dofs."""
-    w = _weighted(space, weight)
-    g = space.p2_grads
-    t1 = np.einsum("cq,cqma,cqia->cmi", w, g, g)
-    x = np.einsum("cq,cqma,cqib->cmaib", w, g, g)
-    loc = np.zeros((space.n_cells, 12, 12))
-    for e in range(2):  # test component
-        for c in range(2):  # trial component
-            blk = 0.5 * x[:, :, e, :, c].transpose(0, 2, 1)  # (C, i, m)
-            if e == c:
-                blk = blk + 0.5 * t1.transpose(0, 2, 1)
-            loc[:, e * 6:(e + 1) * 6, c * 6:(c + 1) * 6] = blk
-    return _scatter_vel(space, loc)
+    return _assemble(space, space.shape_gemm(_weighted(space, weight), _table(space, "sym")), "vel", "vel")
 
 
 def full_grad_stiffness(space, weight=None):
     """int w grad u : grad phi (component-wise Laplacian)."""
-    w = _weighted(space, weight)
-    g = space.p2_grads
-    t1 = np.einsum("cq,cqma,cqia->cmi", w, g, g)
-    loc = np.zeros((space.n_cells, 12, 12))
-    for c in range(2):
-        loc[:, c * 6:(c + 1) * 6, c * 6:(c + 1) * 6] = t1.transpose(0, 2, 1)
-    return _scatter_vel(space, loc)
+    return _assemble(space, space.shape_gemm(_weighted(space, weight), _table(space, "full")), "vel", "vel")
 
 
 def div_coupling(space):
     """D[q, u] = int q div(u) coupling pressure tests with velocity trials."""
     cache = space._cache
     if "div_mat" not in cache:
-        loc = np.einsum("cq,qr,cqmb->crmb", space.qw, space.p1_vals, space.p2_grads)
-        full = np.concatenate([loc[..., 0], loc[..., 1]], axis=2)  # (C, 3, 12)
-        rows, cols = _div_indices(space)
-        cache["div_mat"] = sp.coo_matrix(
-            (full.ravel(), (rows, cols)), shape=(space.n_p1, space.n_vel)
-        ).tocsr()
+        cache["div_mat"] = _assemble(space, space.shape_gemm(space.qw, _table(space, "div")), "p1", "vel")
     return cache["div_mat"]
 
 
@@ -116,50 +107,35 @@ def transport_matrix(space, b_vals, g1_vals):
     which is the frozen-coefficient form of
     -<(u+g) x b, D phi> - <g1 (u+g), phi> restricted to the unknown u.
     """
-    g = space.p2_grads
-    v = space.p2_vals
-    bdot = np.einsum("cqia,cqa->cqi", g, b_vals)
-    a1 = np.einsum("cq,qm,cqi->cim", space.qw, v, bdot)
-    y = np.einsum("cq,qm,cqe,cqid->cimed", space.qw, v, b_vals, g)
-    mg = np.einsum("cq,cq,qm,qi->cim", space.qw, g1_vals, v, v)
-    loc = np.zeros((space.n_cells, 12, 12))
-    for e in range(2):
-        for c in range(2):
-            loc[:, e * 6:(e + 1) * 6, c * 6:(c + 1) * 6] = -0.5 * y[:, :, :, e, c]
-            if e == c:
-                loc[:, e * 6:(e + 1) * 6, c * 6:(c + 1) * 6] -= 0.5 * a1 + mg
-    return _scatter_vel(space, loc)
+    w = np.empty((space.n_cells, space.nq, 3))
+    w[..., :2] = space.qw[..., None] * b_vals
+    w[..., 2] = space.qw * g1_vals
+    loc = space.shape_gemm(w.reshape(space.n_cells, -1), _table(space, "transport"))
+    return _assemble(space, loc, "vel", "vel")
 
 
 def p1_mass(space):
-    t = np.einsum("cq,qr,qs->crs", space.qw, space.p1_vals, space.p1_vals)
-    rows, cols = _p1_indices(space)
-    return sp.coo_matrix((t.ravel(), (rows, cols)), shape=(space.n_p1, space.n_p1)).tocsr()
+    table = (space.p1_vals[:, :, None] * space.p1_vals[:, None, :]).reshape(space.nq, 9)
+    return _assemble(space, space.qw @ table, "p1", "p1")
 
 
 def velocity_load(space, f_vals):
     """<f, phi> for pointwise values f_vals of shape (C, Q, 2)."""
-    loc = np.einsum("cq,cqe,qi->cei", space.qw, f_vals, space.p2_vals)
-    out = np.zeros(space.n_vel)
-    for e in range(2):
-        np.add.at(out, space.cell_p2 + e * space.n_p2, loc[:, e, :])
-    return out
+    table = space.value_table * np.repeat(space.cell_qw, 2)
+    loc = f_vals.reshape(space.n_cells, -1) @ table.T
+    return np.bincount(space.cell_vel.ravel(), weights=loc.ravel(), minlength=space.n_vel)
 
 
 def stress_load(space, s_vals):
-    """<S, D phi> for a symmetric matrix field S of shape (C, Q, 2, 2)."""
-    loc = np.einsum("cq,cqea,cqia->cei", space.qw, s_vals, space.p2_grads)
-    out = np.zeros(space.n_vel)
-    for e in range(2):
-        np.add.at(out, space.cell_p2 + e * space.n_p2, loc[:, e, :])
-    return out
+    """<S, grad phi> for a matrix field S of shape (C, Q, 2, 2); <S, D phi> if S is symmetric."""
+    table = space.grad_table * np.repeat(space.cell_qw, 4)
+    loc = space.shape_gemm(s_vals.reshape(space.n_cells, -1), table.transpose(0, 2, 1))
+    return np.bincount(space.cell_vel.ravel(), weights=loc.ravel(), minlength=space.n_vel)
 
 
 def p1_load(space, vals):
-    loc = np.einsum("cq,cq,qr->cr", space.qw, vals, space.p1_vals)
-    out = np.zeros(space.n_p1)
-    np.add.at(out, space.cell_p1, loc)
-    return out
+    loc = vals @ (space.p1_vals * space.cell_qw[:, None])
+    return np.bincount(space.cell_p1.ravel(), weights=loc.ravel(), minlength=space.n_p1)
 
 
 def _power_weight(mag, expo):

@@ -85,6 +85,10 @@ DEFAULT_CONFIG = {
 }
 
 
+# count-valued keys of the numeric sections; their other keys take any number
+_INT_KEYS = {"nx", "ny", "quad_degree", "samples", "dim", "iters", "levels", "base_n"}
+
+
 def _merge(defaults, user, path=""):
     if not isinstance(user, dict):
         raise ConfigError(f"section {path or '<root>'} must be an object")
@@ -107,10 +111,16 @@ class RunConfig:
         self._validate()
 
     def _validate(self):
+        if not isinstance(self.data["counterexample"]["n_values"], list):
+            raise ConfigError("counterexample.n_values must be a list of numbers")
+        for section in ("model", "domain", "characteristics", "embedding", "counterexample"):
+            for key, val in self.data[section].items():
+                kind = int if key in _INT_KEYS else (int, float)
+                for v in val if key == "n_values" else [val]:
+                    if isinstance(v, bool) or not isinstance(v, kind):
+                        what = "an integer" if kind is int else "a number"
+                        raise ConfigError(f"{section}.{key} must be {what}, got {v!r}")
         m = self.data["model"]
-        for key, val in m.items():
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"model.{key} must be a number, got {val!r}")
         if not (1.0 < m["p"] <= 2.0):
             raise ConfigError(f"model.p must lie in (1, 2], got {m['p']}")
         if m["delta"] < 0 or m["mu0"] < 0 or m["mu"] <= 0:
@@ -242,7 +252,8 @@ def build_certificate(cfg):
 def _solver_config(cfg, s):
     """solver.default_config with the solver keys the user changed."""
     defaults = DEFAULT_CONFIG["solver"]
-    sc = {k: v for k, v in cfg["solver"].items() if v != defaults[k]}
+    # a type change counts: `"penalty": 1` must reach SolverConfig's bool check
+    sc = {k: v for k, v in cfg["solver"].items() if type(v) is not type(defaults[k]) or v != defaults[k]}
     return solver.default_config(s, **sc)
 
 

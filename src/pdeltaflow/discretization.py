@@ -212,6 +212,7 @@ class DiscreteSpace:
         self.n_p1 = self.n_verts
         self.n_vel = 2 * self.n_p2
         self.cell_p2 = np.hstack([self.cells, self.n_verts + cell_edges])
+        self.cell_vel = np.hstack([self.cell_p2, self.cell_p2 + self.n_p2])  # local velocity dofs
         self.cell_p1 = self.cells
         mids = 0.5 * (self.verts[self.edge_verts[:, 0]] + self.verts[self.edge_verts[:, 1]])
         self.p2_coords = np.vstack([self.verts, mids])
@@ -241,26 +242,28 @@ class DiscreteSpace:
 
     def _build_quadrature(self):
         ref_pts, ref_w = _triangle_rule(self.quad_degree)
-        self.nq = ref_pts.shape[0]
+        nq = self.nq = ref_pts.shape[0]
         self.p2_vals, p2_ref_grads = _p2_basis(ref_pts)
         self.p1_vals = _p1_basis(ref_pts)
 
-        v1 = self.verts[self.cells[:, 0]]
-        v2 = self.verts[self.cells[:, 1]]
-        v3 = self.verts[self.cells[:, 2]]
-        jac = np.stack([v2 - v1, v3 - v1], axis=-1)  # (C, 2, 2) columns are edge vectors
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
-
-        self.qpts = v1[:, None, :] + np.einsum("qr,crx->cqx", ref_pts, jac.transpose(0, 2, 1))
-        self.qw = np.abs(det)[:, None] * ref_w[None, :]
-        # physical gradients: dN/dx = J^{-T} dN/dxi
-        self.p2_grads = np.einsum("qma,cab->cqmb", p2_ref_grads, inv[:, :, :])
+        # The mesh has two triangle shapes: even cells (v00, v10, v11) and odd
+        # cells (v00, v11, v01).  Jacobian columns are the edge vectors from v00.
+        jacs = np.array([[[self.hx, self.hx], [0.0, self.hy]], [[self.hx, 0.0], [self.hy, self.hy]]])
+        v00 = self.verts[self.cells[::2, 0]]
+        self.qpts = (v00[:, None, None, :] + np.einsum("qr,kxr->kqx", ref_pts, jacs)).reshape(self.n_cells, nq, 2)
+        # det J = hx * hy for both shapes, so every cell has the same weights
+        det = self.hx * self.hy
+        self.cell_qw = det * ref_w
+        self.qw = np.tile(self.cell_qw, (self.n_cells, 1))
+        # physical gradients dN/dx = J^{-T} dN/dxi, per shape: (2, Q, 6, 2)
+        inv = np.stack([jacs[:, 1, 1], -jacs[:, 0, 1], -jacs[:, 1, 0], jacs[:, 0, 0]], axis=-1) / det
+        p2_grads = np.einsum("qma,kab->kqmb", p2_ref_grads, inv.reshape(2, 2, 2))
+        # Vector-basis tables over the 12 local velocity dofs [x-dofs, y-dofs]:
+        # value_table[r] is phi_r at every point, as (Q, 2); grad_table[k, r]
+        # is grad phi_r on shape k, as (Q, 2, 2) with [..., i, j] = d phi_i / dx_j.
+        eye = np.eye(2)
+        self.value_table = np.einsum("qm,ci->cmqi", self.p2_vals, eye).reshape(12, 2 * nq)
+        self.grad_table = np.einsum("kqmj,ci->kcmqij", p2_grads, eye).reshape(2, 12, 4 * nq)
 
         g1d, w1d = _gauss01(4)
         self._bq_pts, self._bq_w = g1d, w1d
@@ -295,22 +298,24 @@ class DiscreteSpace:
     # -- evaluation at quadrature points ---------------------------------------
 
     def velocity_values(self, coeffs):
-        cx = coeffs[: self.n_p2][self.cell_p2]
-        cy = coeffs[self.n_p2:][self.cell_p2]
-        vx = np.einsum("qm,cm->cq", self.p2_vals, cx)
-        vy = np.einsum("qm,cm->cq", self.p2_vals, cy)
-        return np.stack([vx, vy], axis=-1)
+        return (coeffs[self.cell_vel] @ self.value_table).reshape(self.n_cells, self.nq, 2)
 
     def velocity_gradients(self, coeffs):
         """(C, Q, 2, 2) array of du_i/dx_j at quadrature points."""
-        cx = coeffs[: self.n_p2][self.cell_p2]
-        cy = coeffs[self.n_p2:][self.cell_p2]
-        gx = np.einsum("cqma,cm->cqa", self.p2_grads, cx)
-        gy = np.einsum("cqma,cm->cqa", self.p2_grads, cy)
-        return np.stack([gx, gy], axis=-2)
+        return self.shape_gemm(coeffs[self.cell_vel], self.grad_table).reshape(self.n_cells, self.nq, 2, 2)
+
+    def shape_gemm(self, rows, tables):
+        """(C, W) products of per-cell rows (C, K) with their shape's table in tables (2, K, W).
+
+        Even cells have shape 0 and odd cells shape 1: one GEMM per shape.
+        """
+        out = np.empty((self.n_cells // 2, 2, tables.shape[-1]))
+        for k in range(2):
+            np.matmul(rows[k::2], tables[k], out=out[:, k])
+        return out.reshape(self.n_cells, -1)
 
     def p1_values(self, coeffs):
-        return np.einsum("qm,cm->cq", self.p1_vals, coeffs[self.cell_p1])
+        return coeffs[self.cell_p1] @ self.p1_vals.T
 
     def integrate(self, vals):
         return float(np.sum(self.qw * vals))
@@ -722,10 +727,15 @@ def save_field(path, field):
             fh.write(repr(float(c)) + "\n")
 
 
-def load_field(path, space):
+def load_field(path, space, role=None):
+    """Read a saved field; ValueError if its mesh, domain, quad_degree or role (if given) differ."""
     with open(path) as fh:
         head = json.loads(fh.readline())
         coeffs = np.array([float(line) for line in fh])
-    if head["nx"] != space.nx or head["ny"] != space.ny:
-        raise ValueError("field header does not match the space")
-    return Field(space, head["role"], coeffs)
+    own = space.header()
+    for key in ("nx", "ny", "domain", "quad_degree"):
+        if head.get(key) != own[key]:
+            raise ValueError(f"field header {key} {head.get(key)!r} does not match the space's {own[key]!r}")
+    if role is not None and head.get("role") != role:
+        raise ValueError(f"field header role {head.get('role')!r} is not {role!r}")
+    return Field(space, head.get("role"), coeffs)

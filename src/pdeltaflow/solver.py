@@ -88,6 +88,9 @@ class SolverConfig:
             raise ValueError("n_schedule must be strictly increasing")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
+        for key in ("include_convective", "penalty"):
+            if not isinstance(getattr(self, key), (bool, np.bool_)):
+                raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
 
 
 def default_config(s, levels=7, **kw):

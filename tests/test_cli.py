@@ -61,6 +61,16 @@ class TestRunConfig:
         {"solver": {"damping": 0}},
         {"model": {"p": "1.8"}},
         {"solver": {"q": "3"}},
+        {"solver": {"include_convective": "no"}},
+        {"solver": {"penalty": 1}},
+        {"domain": {"nx": "8"}},
+        {"domain": {"x1": True}},
+        {"domain": {"quad_degree": 8.5}},
+        {"characteristics": {"samples": "100000"}},
+        {"embedding": {"iters": None}},
+        {"counterexample": {"R": "1"}},
+        {"counterexample": {"n_values": [4, "8"]}},
+        {"counterexample": {"n_values": 8}},
     ],
 )
 def test_bad_solver_and_model_values_exit_4(tmp_path, bad):

@@ -73,6 +73,31 @@ class TestBuildSpace:
         assert np.array_equal(f.coeffs, g.coeffs)
         assert g.role == "velocity"
 
+    def test_header_roundtrip_translated(self, tmp_path):
+        s = build_space(RectDomain(0.3, -0.2, 1.7, 0.4), 5, 3, quad_degree=6)
+        p = s.scalar_field(np.arange(s.n_p1, dtype=float))
+        path = tmp_path / "p.txt"
+        save_field(path, p)
+        q = load_field(path, s, role="scalar")
+        assert np.array_equal(p.coeffs, q.coeffs)
+        assert q.role == "scalar"
+
+    @pytest.mark.parametrize(
+        "domain, nx, ny, quad_degree",
+        [((0.0, 0.0, 2.0, 1.0), 4, 4, 8), ((0.0, 0.0, 1.0, 1.0), 4, 4, 6), ((0.0, 0.0, 1.0, 1.0), 4, 2, 8)],
+    )
+    def test_header_mismatch_rejected(self, space4, tmp_path, domain, nx, ny, quad_degree):
+        path = tmp_path / "field.txt"
+        save_field(path, space4.zero_velocity())
+        with pytest.raises(ValueError):
+            load_field(path, build_space(RectDomain(*domain), nx, ny, quad_degree=quad_degree))
+
+    def test_header_role_mismatch_rejected(self, space4, tmp_path):
+        path = tmp_path / "field.txt"
+        save_field(path, space4.zero_velocity())
+        with pytest.raises(ValueError):
+            load_field(path, space4, role="pressure")
+
 
 class TestField:
     def test_role_validation(self, space4):
@@ -258,6 +283,104 @@ class TestEvaluation:
         c = rng.standard_normal(space4.n_vel)
         vals = space4.eval_velocity(c, space4.p2_coords)
         assert np.abs(np.concatenate([vals[:, 0], vals[:, 1]]) - c).max() < 1e-12
+
+
+class TestTwoShapeEvaluation:
+    """Oracle: dense per-cell formulas from each cell's own vertex Jacobian.
+
+    A translated, non-square rectangle with hx != hy guards the analytic
+    shape Jacobians and the even/odd cell convention of the tables.
+    """
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        from pdeltaflow.discretization import _p2_basis, _triangle_rule
+
+        s = build_space(RectDomain(0.3, -0.2, 1.7, 0.4), 5, 3)
+        ref_pts, ref_w = _triangle_rule(s.quad_degree)
+        _, ref_grads = _p2_basis(ref_pts)
+        v = s.verts[s.cells]  # (C, 3, 2)
+        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        grads = np.einsum("qma,cab->cqmb", ref_grads, np.linalg.inv(jac))  # (C, Q, 6, 2)
+        qw = np.abs(np.linalg.det(jac))[:, None] * ref_w
+        rng = np.random.default_rng(11)
+        data = {
+            "x": rng.standard_normal(s.n_vel),
+            "w": rng.uniform(0.5, 2.0, s.qw.shape),
+            "b": rng.standard_normal(s.qw.shape + (2,)),
+            "g1": rng.standard_normal(s.qw.shape),
+            "S": rng.standard_normal(s.qw.shape + (2, 2)),
+        }
+        return s, grads, qw, data
+
+    @staticmethod
+    def _close(a, b):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @staticmethod
+    def _dense(s, loc):
+        out = np.zeros((s.n_vel, s.n_vel))
+        np.add.at(out, (s.cell_vel[:, :, None], s.cell_vel[:, None, :]), loc)
+        return out
+
+    @staticmethod
+    def _vec_load(s, loc):
+        out = np.zeros(s.n_vel)
+        np.add.at(out, s.cell_vel, loc.reshape(s.n_cells, 12))
+        return out
+
+    def test_weights_and_points(self, case):
+        s, _, qw, _ = case
+        self._close(s.qw, qw)
+        assert abs(s.integrate(np.ones_like(s.qw)) - s.domain.measure) < 1e-14
+        self._close(s.integrate(s.qpts[..., 0] * s.qpts[..., 1]), 0.5 * (1.7**2 - 0.3**2) * 0.5 * (0.4**2 - 0.2**2))
+
+    def test_values_and_gradients(self, case):
+        s, grads, _, d = case
+        c = d["x"].reshape(2, s.n_p2)[:, s.cell_p2]  # (2, C, 6)
+        self._close(s.velocity_values(d["x"]), np.einsum("qm,icm->cqi", s.p2_vals, c))
+        self._close(s.velocity_gradients(d["x"]), np.einsum("cqma,icm->cqia", grads, c))
+
+    def test_loads(self, case):
+        s, grads, qw, d = case
+        sl = np.einsum("cq,cqea,cqia->cei", qw, d["S"], grads)
+        self._close(assembly.stress_load(s, d["S"]), self._vec_load(s, sl))
+        vl = np.einsum("cq,cqe,qi->cei", qw, d["b"], s.p2_vals)
+        self._close(assembly.velocity_load(s, d["b"]), self._vec_load(s, vl))
+
+    def test_stiffnesses(self, case):
+        s, grads, qw, d = case
+        w = qw * d["w"]
+        t1 = np.einsum("cq,cqma,cqia->cim", w, grads, grads)
+        x = np.einsum("cq,cqma,cqib->cmaib", w, grads, grads)
+        full = np.zeros((s.n_cells, 12, 12))
+        sym = np.zeros((s.n_cells, 12, 12))
+        for e in range(2):
+            full[:, e * 6:(e + 1) * 6, e * 6:(e + 1) * 6] = t1
+            for c in range(2):
+                sym[:, e * 6:(e + 1) * 6, c * 6:(c + 1) * 6] = 0.5 * x[:, :, e, :, c].transpose(0, 2, 1) + 0.5 * (e == c) * t1
+        self._close(assembly.full_grad_stiffness(s, d["w"]).toarray(), self._dense(s, full))
+        self._close(assembly.sym_grad_stiffness(s, d["w"]).toarray(), self._dense(s, sym))
+
+    def test_transport(self, case):
+        s, grads, qw, d = case
+        v, b = s.p2_vals, d["b"]
+        bdot = np.einsum("cqia,cqa->cqi", grads, b)
+        a1 = np.einsum("cq,qm,cqi->cim", qw, v, bdot)
+        y = np.einsum("cq,qm,cqe,cqid->cimed", qw, v, b, grads)
+        mg = np.einsum("cq,cq,qm,qi->cim", qw, d["g1"], v, v)
+        loc = np.zeros((s.n_cells, 12, 12))
+        for e in range(2):
+            for c in range(2):
+                loc[:, e * 6:(e + 1) * 6, c * 6:(c + 1) * 6] = -0.5 * y[:, :, :, e, c] - (e == c) * (0.5 * a1 + mg)
+        self._close(assembly.transport_matrix(s, b, d["g1"]).toarray(), self._dense(s, loc))
+
+    def test_div_coupling(self, case):
+        s, grads, qw, _ = case
+        loc = np.einsum("cq,qr,cqmb->crbm", qw, s.p1_vals, grads).reshape(s.n_cells, 3, 12)
+        ref = np.zeros((s.n_p1, s.n_vel))
+        np.add.at(ref, (s.cell_p1[:, :, None], s.cell_vel[:, None, :]), loc)
+        self._close(assembly.div_coupling(s).toarray(), ref)
 
 
 class TestStabilityGuard:
