@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .constitutive import frobenius, symmetrize
+
 __all__ = [
     "sym_grad_stiffness",
     "full_grad_stiffness",
@@ -26,7 +28,6 @@ __all__ = [
     "stress_load",
     "p1_load",
     "grad_seminorm_gradient",
-    "seminorm_pth_power",
     "value_norm_gradient",
     "solve_saddle",
     "infsup_proxy",
@@ -62,7 +63,7 @@ def _table(space, name):
     if key not in space._cache:
         nq = space.nq
         g = space.grad_table.reshape(2, 12, nq, 2, 2)
-        d = 0.5 * (g + np.swapaxes(g, -1, -2))
+        d = symmetrize(g)
         v = space.value_table.reshape(12, nq, 2)
         if name == "transport":
             # -(phi_s x b) : D phi_r = -sum_j b_j phi_s . (D phi_r)_{:, j};  -g1 phi_s . phi_r
@@ -148,17 +149,9 @@ def grad_seminorm_gradient(space, coeffs, p, kind):
     """d/dcoeffs of int |G(u)|^p with G the full or symmetric gradient."""
     g = space.velocity_gradients(coeffs)
     if kind == "sym":
-        g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    mag = np.sqrt(np.sum(g**2, axis=(-1, -2)))
-    r = _power_weight(mag, p - 2.0)[..., None, None] * g
+        g = symmetrize(g)
+    r = _power_weight(frobenius(g), p - 2.0)[..., None, None] * g
     return p * stress_load(space, r)
-
-
-def seminorm_pth_power(space, coeffs, p, kind):
-    g = space.velocity_gradients(coeffs)
-    if kind == "sym":
-        g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    return space.integrate(np.sqrt(np.sum(g**2, axis=(-1, -2))) ** p)
 
 
 def value_norm_gradient(space, coeffs, r):

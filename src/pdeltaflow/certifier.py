@@ -21,9 +21,11 @@ radius, is evaluated on a grid to exhibit its unboundedness below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .constitutive import frobenius, symmetrize
 
 __all__ = [
     "CoercivityReport",
@@ -120,9 +122,7 @@ class AlternativeBound:
 def weighted_shear_norm(lift_field, p, delta):
     """|| |Dg| + delta ||_p evaluated by quadrature on the lift's space."""
     space = lift_field.g.space
-    g = space.velocity_gradients(lift_field.g.coeffs)
-    d = 0.5 * (g + np.swapaxes(g, -1, -2))
-    mag = np.sqrt(np.sum(d**2, axis=(-1, -2)))
+    mag = frobenius(symmetrize(space.velocity_gradients(lift_field.g.coeffs)))
     return space.integrate((mag + delta) ** p) ** (1.0 / p)
 
 
@@ -241,23 +241,18 @@ def alternative_bound_scan(F1, F2, G1, p, q, R_grid, k_grid=(1.0, 2.0, 5.0, 10.0
 def scaling_sweep(chars, emb, lift_field, f_norm, p, s, delta, lambdas):
     """Smallness verdicts for the data family lambda * (g1, g2).
 
-    Lifting is linear, so the scaled lift norms are known in closed form;
-    only the delta-weighted shear norm needs fresh quadrature per lambda.
+    Lifting is linear and the lift norms are absolutely homogeneous, so the
+    lift of lambda * (g1, g2) is lambda * g with its norms scaled by |lambda|.
     """
     space = lift_field.g.space
-    g = space.velocity_gradients(lift_field.g.coeffs)
-    dmag = np.sqrt(np.sum((0.5 * (g + np.swapaxes(g, -1, -2))) ** 2, axis=(-1, -2)))
     rows = []
     for lam in lambdas:
-        shear = space.integrate((lam * dmag + delta) ** p) ** (1.0 / p)
-        g2c = lam * emb.sob_p_to_pstar * emb.korn_p**2 * (lift_field.norms["Dg_s"] + 0.5 * lift_field.norms["div_s"])
-        g3c = (
-            (chars.C2 + chars.C3) * shear ** (p - 1.0)
-            + emb.sob_s_to_2pprime * (lam * lift_field.norms["W1s"]) ** 2
-            + emb.sob_s_to_2pprime * emb.korn_p * (lam * lift_field.norms["div_s"]) * (lam * lift_field.norms["W1s"])
-            + emb.korn_p * f_norm
+        scaled = replace(
+            lift_field,
+            g=space.velocity_field(lam * lift_field.g.coeffs),
+            norms={k: abs(lam) * v for k, v in lift_field.norms.items()},
         )
-        rep = check_smallness(chars.C3 / p, g2c, g3c, p, s=s)
+        rep = check_smallness(*compute_constants(chars, emb, scaled, f_norm, p, s, delta), p, s=s)
         rows.append({
             "lambda": float(lam),
             "G1": rep.G1,

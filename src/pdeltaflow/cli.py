@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -99,6 +100,9 @@ def _merge(defaults, user, path=""):
         if isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], val, path + key + ".")
         else:
+            # json.load accepts NaN and +-Infinity
+            if any(isinstance(v, float) and not math.isfinite(v) for v in (val if isinstance(val, list) else [val])):
+                raise ConfigError(f"{path + key} must be finite, got {val!r}")
             out[key] = copy.deepcopy(val)
     return out
 
@@ -111,6 +115,10 @@ class RunConfig:
         self._validate()
 
     def _validate(self):
+        if type(self.data["seed"]) is not int or self.data["seed"] < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.data['seed']!r}")
+        if not isinstance(self.data["out"], str):
+            raise ConfigError(f"out must be a path string, got {self.data['out']!r}")
         if not isinstance(self.data["counterexample"]["n_values"], list):
             raise ConfigError("counterexample.n_values must be a list of numbers")
         for section in ("model", "domain", "characteristics", "embedding", "counterexample"):
@@ -140,11 +148,26 @@ class RunConfig:
                     compile_expression(c)
         except ExpressionError as exc:
             raise ConfigError(f"bad data expression: {exc}") from exc
-        if self.data["characteristics"]["samples"] < 10000:
+        ch = self.data["characteristics"]
+        if ch["samples"] < 10000:
             raise ConfigError("characteristics.samples must be at least 10000")
+        if ch["dim"] not in (2, 3):
+            raise ConfigError(f"characteristics.dim must be 2 or 3, got {ch['dim']}")
+        if self.data["embedding"]["iters"] < 1:
+            raise ConfigError("embedding.iters must be at least 1")
         ce = self.data["counterexample"]
         if ce["q"] <= ce["p"]:
             raise ConfigError("counterexample needs q > p")
+        if ce["levels"] < 3 or ce["base_n"] < 2:
+            raise ConfigError("counterexample needs levels >= 3 and base_n >= 2")
+        # F1 = 0 would divide by zero in the scan's step-1 threshold
+        if not (ce["width0"] > 0 and ce["R"] > 0 and ce["F1"] > 0 and ce["c2"] > 1):
+            raise ConfigError("counterexample needs width0, R, F1 > 0 and c2 > 1")
+        if not ce["n_values"] or min(ce["n_values"]) <= 0:
+            raise ConfigError("counterexample.n_values must be a non-empty list of positive numbers")
+        lam = self.data["certify"]["sweep_lambdas"]
+        if lam is not None and not (isinstance(lam, list) and all(type(v) in (int, float) for v in lam)):
+            raise ConfigError("certify.sweep_lambdas must be null or a list of numbers")
         try:
             _solver_config(self.data, certifier.compute_s(m["p"], 2))
         except (TypeError, ValueError) as exc:
@@ -465,6 +488,7 @@ def main(argv=None):
             cfg.data["seed"] = args.seed
         if args.out is not None:
             cfg.data["out"] = args.out
+        cfg._validate()
     except (ConfigError, ExpressionError, json.JSONDecodeError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

@@ -116,7 +116,7 @@ def symmetrize(a):
 
 def frobenius(a):
     """Frobenius norm over the two trailing axes."""
-    return np.sqrt(np.sum(np.asarray(a) ** 2, axis=(-1, -2)))
+    return np.sqrt(np.einsum("...ij,...ij->...", a, a))
 
 
 def random_sym(rng, n, dim=2):
@@ -218,6 +218,10 @@ def _sample_pairs(rng, n_random, dim, decades=(-4.0, 4.0)):
     on a log-magnitude grid (and pairs with B = 0 or B ~ A), which pins
     the extremal ratios far more reliably than blind sampling.
     """
+    if n_random < 10_000:
+        raise ValueError(f"need at least 1e4 samples, got {n_random}")
+    if dim not in (2, 3):
+        raise ValueError(f"matrix dimension must be 2 or 3, got {dim}")
     da = random_sym(rng, n_random, dim)
     db = random_sym(rng, n_random, dim)
     ma = 10.0 ** rng.uniform(*decades, n_random)
@@ -278,10 +282,6 @@ def estimate_characteristics(model, samples=100_000, seed=0, dim=2):
     pair is recorded for each.  The result is an empirical bound for the
     drawn sample, not a proof.
     """
-    if samples < 10_000:
-        raise ValueError(f"need at least 1e4 samples, got {samples}")
-    if dim not in (2, 3):
-        raise ValueError(f"matrix dimension must be 2 or 3, got {dim}")
     rng = np.random.default_rng(seed)
     a, b = _sample_pairs(rng, samples, dim)
     r = _growth_ratios(model, a, b)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import RectDomain, build_space, norm_sym_grad_p, prolong_velocity
+from .discretization import RectDomain, build_space, level_norm, norm_sym_grad_p, prolong_velocity
 
 __all__ = [
     "TwoNormFamily",
@@ -138,10 +138,6 @@ def find_y_n(n, c2, F1, q):
     if c2 <= 0 or F1 < 0 or q <= 1 or n <= 0:
         raise ValueError("need positive c2, n, F1 >= 0 and q > 1")
     return (n * F1 / c2) ** (1.0 / (q - 1.0))
-
-
-def level_norm(field, p, q, n):
-    return max(n ** (-2.0 / (2.0 * q - 1.0)) * norm_sym_grad_p(field, q), norm_sym_grad_p(field, p))
 
 
 def _on_sphere(family, coeffs, n, R):

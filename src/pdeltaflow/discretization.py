@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly
+from .constitutive import frobenius, symmetrize
 
 __all__ = [
     "RectDomain",
@@ -35,6 +36,7 @@ __all__ = [
     "norm_Lp",
     "norm_grad_p",
     "norm_sym_grad_p",
+    "level_norm",
     "norm_W1p",
     "divergence_values",
     "prolong_velocity",
@@ -437,23 +439,28 @@ def norm_Lp(field, p):
 def norm_grad_p(field, p):
     s = field.space
     g = s.velocity_gradients(field.coeffs)
-    return s.integrate(np.sqrt(np.sum(g**2, axis=(-1, -2))) ** p) ** (1.0 / p)
+    return s.integrate(frobenius(g) ** p) ** (1.0 / p)
 
 
 def norm_sym_grad_p(field, p):
     """Symmetric-gradient norm ||Dv||_p (Frobenius modulus pointwise)."""
     s = field.space
     g = s.velocity_gradients(field.coeffs)
-    d = 0.5 * (g + np.swapaxes(g, -1, -2))
-    return s.integrate(np.sqrt(np.sum(d**2, axis=(-1, -2))) ** p) ** (1.0 / p)
+    return s.integrate(frobenius(symmetrize(g)) ** p) ** (1.0 / p)
+
+
+def level_norm(field, p, q, n):
+    """Level norm max{n^(-2/(2q-1)) ||Dv||_q, ||Dv||_p}; ||Dv||_p at n = inf."""
+    if not np.isfinite(n):
+        return norm_sym_grad_p(field, p)
+    return max(n ** (-2.0 / (2.0 * q - 1.0)) * norm_sym_grad_p(field, q), norm_sym_grad_p(field, p))
 
 
 def norm_W1p(field, p):
     s = field.space
     vals = np.linalg.norm(s.velocity_values(field.coeffs), axis=-1)
     g = s.velocity_gradients(field.coeffs)
-    gn = np.sqrt(np.sum(g**2, axis=(-1, -2)))
-    return s.integrate(vals**p + gn**p) ** (1.0 / p)
+    return s.integrate(vals**p + frobenius(g) ** p) ** (1.0 / p)
 
 
 def divergence_values(space, coeffs):
@@ -555,20 +562,20 @@ def estimate_korn(space, p, iters=200, seed=0, starts=None):
     if p == 2.0:
         return ConstantEstimate(np.sqrt(lam), space.velocity_field(witness2), converged2, k + 1)
 
-    def logratio(xf):
-        c = _masked(xf, free, space.n_vel)
+    def pth_powers(c):
+        """(int |grad u|^p, int |Du|^p) from one gradient evaluation."""
         g = space.velocity_gradients(c)
-        gn = np.sqrt(np.sum(g**2, axis=(-1, -2)))
-        d = 0.5 * (g + np.swapaxes(g, -1, -2))
-        dn = np.sqrt(np.sum(d**2, axis=(-1, -2)))
-        return (np.log(space.integrate(gn**p)) - np.log(space.integrate(dn**p))) / p
+        return space.integrate(frobenius(g) ** p), space.integrate(frobenius(symmetrize(g)) ** p)
+
+    def logratio(xf):
+        nf, ns = pth_powers(_masked(xf, free, space.n_vel))
+        return (np.log(nf) - np.log(ns)) / p
 
     def grad(xf):
         c = _masked(xf, free, space.n_vel)
         gf = assembly.grad_seminorm_gradient(space, c, p, kind="full")
         gs = assembly.grad_seminorm_gradient(space, c, p, kind="sym")
-        nf = assembly.seminorm_pth_power(space, c, p, kind="full")
-        ns = assembly.seminorm_pth_power(space, c, p, kind="sym")
+        nf, ns = pth_powers(c)
         return (gf / nf - gs / ns)[free] / p
 
     cands = [x]
@@ -602,8 +609,7 @@ def estimate_sobolev(space, from_p, to_r, iters=150, seed=0, starts=None):
 
     def logratio(x):
         vals = np.linalg.norm(space.velocity_values(x), axis=-1)
-        g = space.velocity_gradients(x)
-        gn = np.sqrt(np.sum(g**2, axis=(-1, -2)))
+        gn = frobenius(space.velocity_gradients(x))
         num = np.log(space.integrate(vals**r)) / r
         den = np.log(space.integrate(vals**s + gn**s)) / s
         return num - den
@@ -613,8 +619,7 @@ def estimate_sobolev(space, from_p, to_r, iters=150, seed=0, starts=None):
         vals = np.linalg.norm(space.velocity_values(x), axis=-1)
         nr = space.integrate(vals**r)
         gden = assembly.value_norm_gradient(space, x, s) + assembly.grad_seminorm_gradient(space, x, s, kind="full")
-        g = space.velocity_gradients(x)
-        gn = np.sqrt(np.sum(g**2, axis=(-1, -2)))
+        gn = frobenius(space.velocity_gradients(x))
         nd = space.integrate(vals**s + gn**s)
         return gnum / (r * nr) - gden / (s * nd)
 
@@ -660,9 +665,7 @@ def estimate_dual_norm(space, load, p, iters=15):
             best, xbest = val, c
         if p == 2.0:
             break
-        g = space.velocity_gradients(c)
-        d = 0.5 * (g + np.swapaxes(g, -1, -2))
-        dn_pt = np.sqrt(np.sum(d**2, axis=(-1, -2)))
+        dn_pt = frobenius(symmetrize(space.velocity_gradients(c)))
         floor = 1e-10 * max(dn_pt.max(), 1e-300)
         weight = np.maximum(dn_pt, floor) ** (p - 2.0)
     wit = space.velocity_field(xbest if xbest is not None else np.zeros(space.n_vel))

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly
-from .constitutive import eval_stress, symmetrize
-from .discretization import Field, norm_sym_grad_p
+from .constitutive import eval_stress, frobenius, symmetrize
+from .discretization import Field, level_norm, norm_sym_grad_p
 
 __all__ = [
     "ProblemInstance",
@@ -41,7 +41,6 @@ __all__ = [
     "continuation_solve",
     "recover_pressure",
     "convective_identity_diagnostics",
-    "norm_level",
     "penalty_norm",
 ]
 
@@ -80,8 +79,8 @@ class SolverConfig:
             raise ValueError("q must be at least 2")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.picard_max < 1:
-            raise ValueError("picard_max must be at least 1")
+        if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, (int, np.integer)) or self.picard_max < 1:
+            raise ValueError(f"picard_max must be an integer of at least 1, got {self.picard_max!r}")
         if not self.n_schedule or min(self.n_schedule) <= 0:
             raise ValueError("n_schedule must be non-empty with positive entries")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
@@ -114,7 +113,7 @@ class ProblemInstance:
     f_vec: np.ndarray
     report: object = None
     g_vals: np.ndarray = field(repr=False, default=None)
-    g_grads: np.ndarray = field(repr=False, default=None)
+    g_sym: np.ndarray = field(repr=False, default=None)
     g1_vals: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -127,11 +126,11 @@ def make_instance(model, space, lift_field=None, f=None, report=None):
     if lift_field is not None:
         gc = lift_field.g.coeffs
         g_vals = space.velocity_values(gc)
-        g_grads = space.velocity_gradients(gc)
+        g_sym = symmetrize(space.velocity_gradients(gc))
     else:
         g_vals = np.zeros((space.n_cells, space.nq, 2))
-        g_grads = np.zeros((space.n_cells, space.nq, 2, 2))
-    g1_vals = g_grads[..., 0, 0] + g_grads[..., 1, 1]
+        g_sym = np.zeros((space.n_cells, space.nq, 2, 2))
+    g1_vals = g_sym[..., 0, 0] + g_sym[..., 1, 1]
 
     if f is None:
         f_vec = np.zeros(space.n_vel)
@@ -146,7 +145,7 @@ def make_instance(model, space, lift_field=None, f=None, report=None):
         f_vec = assembly.velocity_load(space, f_vals)
     return ProblemInstance(
         model=model, space=space, lift=lift_field, f_vec=f_vec, report=report,
-        g_vals=g_vals, g_grads=g_grads, g1_vals=g1_vals,
+        g_vals=g_vals, g_sym=g_sym, g1_vals=g1_vals,
     )
 
 
@@ -154,30 +153,37 @@ def _du(inst, coeffs):
     return symmetrize(inst.space.velocity_gradients(coeffs))
 
 
+def _stress_term(inst, du):
+    """Load vector <S(Du + Dg), D phi_i> at the symmetric gradient du."""
+    return assembly.stress_load(inst.space, eval_stress(inst.model, du + inst.g_sym))
+
+
+def _penalty_term(inst, du, q, n):
+    """Load vector (1/n) <|Du|^(q-2) Du, D phi_i>."""
+    return assembly.stress_load(inst.space, (frobenius(du) ** (q - 2.0) / n)[..., None, None] * du)
+
+
+def _transport_term(inst, v):
+    """Load vector -<v x v, D phi_i> - <(div g) v, phi_i> at the total velocity values v."""
+    space = inst.space
+    outer = symmetrize(v[..., :, None] * v[..., None, :])
+    return -assembly.stress_load(space, outer) - assembly.velocity_load(space, inst.g1_vals[..., None] * v)
+
+
 def apply_S(inst, u, phi):
-    """<S(Du + Dg), D phi> by quadrature."""
-    s_vals = eval_stress(inst.model, _du(inst, u.coeffs) + symmetrize(inst.g_grads))
-    dphi = _du(inst, phi.coeffs)
-    return inst.space.integrate(np.sum(s_vals * dphi, axis=(-1, -2)))
+    """<S(Du + Dg), D phi>."""
+    return float(_stress_term(inst, _du(inst, u.coeffs)) @ phi.coeffs)
 
 
 def apply_T(inst, u, phi):
     """-<(u+g) x (u+g), D phi> - <(div g)(u+g), phi>."""
-    space = inst.space
-    v = space.velocity_values(u.coeffs) + inst.g_vals
-    dphi = _du(inst, phi.coeffs)
-    phiv = space.velocity_values(phi.coeffs)
-    outer = v[..., :, None] * v[..., None, :]
-    return -space.integrate(np.sum(outer * dphi, axis=(-1, -2))) - space.integrate(
-        inst.g1_vals * np.sum(v * phiv, axis=-1)
-    )
+    v = inst.space.velocity_values(u.coeffs) + inst.g_vals
+    return float(_transport_term(inst, v) @ phi.coeffs)
 
 
 def apply_penalty(inst, u, phi, q, n):
-    du = _du(inst, u.coeffs)
-    mag = np.sqrt(np.sum(du**2, axis=(-1, -2)))
-    dphi = _du(inst, phi.coeffs)
-    return inst.space.integrate(mag ** (q - 2.0) * np.sum(du * dphi, axis=(-1, -2))) / n
+    """(1/n) <|Du|^(q-2) Du, D phi>."""
+    return float(_penalty_term(inst, _du(inst, u.coeffs), q, n) @ phi.coeffs)
 
 
 def apply_P(inst, u, phi, include_convective=True):
@@ -186,13 +192,6 @@ def apply_P(inst, u, phi, include_convective=True):
     if include_convective:
         val += apply_T(inst, u, phi)
     return val
-
-
-def norm_level(u, p, q, n):
-    """Level norm max{n^(-2/(2q-1)) ||Du||_q, ||Du||_p}."""
-    if not np.isfinite(n):
-        return norm_sym_grad_p(u, p)
-    return max(n ** (-2.0 / (2.0 * q - 1.0)) * norm_sym_grad_p(u, q), norm_sym_grad_p(u, p))
 
 
 def penalty_norm(u, q, n):
@@ -248,16 +247,11 @@ def _stress_weight(model, base_mag):
 
 
 def _data_scale(inst, cfg):
-    space = inst.space
-    dg = symmetrize(inst.g_grads)
-    s0 = assembly.stress_load(space, eval_stress(inst.model, dg))
-    scale = np.linalg.norm(inst.f_vec[space.free_vel_dofs]) + np.linalg.norm(s0[space.free_vel_dofs])
+    """Size of the data terms (f, stress and transport of g alone) on the free dofs."""
+    free = inst.space.free_vel_dofs
+    scale = np.linalg.norm(inst.f_vec[free]) + np.linalg.norm(_stress_term(inst, 0.0)[free])
     if cfg.include_convective:
-        gog = symmetrize(inst.g_vals[..., :, None] * inst.g_vals[..., None, :])
-        t0 = assembly.stress_load(space, gog) + assembly.velocity_load(
-            space, inst.g1_vals[..., None] * inst.g_vals
-        )
-        scale += np.linalg.norm(t0[space.free_vel_dofs])
+        scale += np.linalg.norm(_transport_term(inst, inst.g_vals)[free])
     return scale
 
 
@@ -265,16 +259,11 @@ def _residual(inst, cfg, n, u_coeffs, lam):
     """Nonlinear momentum residual (free dofs) plus the divergence defect."""
     space = inst.space
     du = _du(inst, u_coeffs)
-    s_vals = eval_stress(inst.model, du + symmetrize(inst.g_grads))
-    res = assembly.stress_load(space, s_vals) - inst.f_vec
+    res = _stress_term(inst, du) - inst.f_vec
     if cfg.penalty and np.isfinite(n):
-        mag = np.sqrt(np.sum(du**2, axis=(-1, -2)))
-        res += assembly.stress_load(space, (mag ** (cfg.q - 2.0) / n)[..., None, None] * du)
+        res += _penalty_term(inst, du, cfg.q, n)
     if cfg.include_convective:
-        v = space.velocity_values(u_coeffs) + inst.g_vals
-        outer = symmetrize(v[..., :, None] * v[..., None, :])
-        res -= assembly.stress_load(space, outer)
-        res -= assembly.velocity_load(space, inst.g1_vals[..., None] * v)
+        res += _transport_term(inst, space.velocity_values(u_coeffs) + inst.g_vals)
     res += assembly.div_coupling(space).T @ lam
     div_res = assembly.div_coupling(space) @ u_coeffs
     return np.sqrt(np.linalg.norm(res[space.free_vel_dofs]) ** 2 + np.linalg.norm(div_res) ** 2)
@@ -288,14 +277,12 @@ def _linearize(inst, cfg, n, u):
     """
     space = inst.space
     du = _du(inst, u)
-    dg_sym = symmetrize(inst.g_grads)
-    nu = _stress_weight(inst.model, np.sqrt(np.sum((du + dg_sym) ** 2, axis=(-1, -2))))
+    nu = _stress_weight(inst.model, frobenius(du + inst.g_sym))
     weight = nu
     if cfg.penalty and np.isfinite(n):
-        mag = np.sqrt(np.sum(du**2, axis=(-1, -2)))
-        weight = nu + mag ** (cfg.q - 2.0) / n  # penalty weights Du only
+        weight = nu + frobenius(du) ** (cfg.q - 2.0) / n  # penalty weights Du only
     a_mat = assembly.sym_grad_stiffness(space, weight)
-    rhs = inst.f_vec - assembly.stress_load(space, nu[..., None, None] * dg_sym)
+    rhs = inst.f_vec - assembly.stress_load(space, nu[..., None, None] * inst.g_sym)
     if cfg.include_convective:
         b_vals = space.velocity_values(u) + inst.g_vals
         a_mat = a_mat + assembly.transport_matrix(space, b_vals, inst.g1_vals)
@@ -342,7 +329,7 @@ def solve_regularized(inst, cfg, n, warm_start=None):
         penalty_norm=penalty_norm(uf, cfg.q, n) if cfg.penalty else 0.0,
         norm_Du_p=norm_sym_grad_p(uf, model.p),
         norm_Du_q=norm_sym_grad_p(uf, cfg.q),
-        level_norm=norm_level(uf, model.p, cfg.q, n),
+        level_norm=level_norm(uf, model.p, cfg.q, n),
         residual_history=history,
         u=uf,
         pi=space.pressure_field(-lam),
@@ -438,7 +425,7 @@ def convective_identity_diagnostics(inst, u):
         uv, gu = u
     du = symmetrize(gu)
     gv = inst.g_vals
-    dg = symmetrize(inst.g_grads)
+    dg = inst.g_sym
     g1 = inst.g1_vals
 
     uu = uv[..., :, None] * uv[..., None, :]

@@ -184,6 +184,14 @@ class TestScalingSweep:
         sats = [r["satisfied"] for r in sweep["rows"]]
         assert sats[0] and not sats[-1]
 
+    def test_unit_lambda_is_the_certificate(self, pipeline8):
+        args = (pipeline8["chars"], pipeline8["emb"], pipeline8["lift"], 0.3, 1.8, 1.8, 0.01)
+        row = scaling_sweep(*args, [1.0])["rows"][0]
+        rep = check_smallness(*compute_constants(*args), 1.8, s=1.8)
+        for key in ("G1", "G2", "G3", "lhs", "rhs", "R"):
+            assert abs(row[key] - getattr(rep, key)) <= 1e-12 * abs(getattr(rep, key))
+        assert row["satisfied"] == rep.satisfied
+
     def test_monotone_constants(self, pipeline8):
         sweep = scaling_sweep(
             pipeline8["chars"], pipeline8["emb"], pipeline8["lift"], 0.0,

@@ -1,12 +1,15 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdeltaflow.cli import (
     EXIT_CONDITION_FAILED,
     EXIT_INVALID_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    DEFAULT_CONFIG,
     ConfigError,
     RunConfig,
     main,
@@ -71,6 +74,24 @@ class TestRunConfig:
         {"counterexample": {"R": "1"}},
         {"counterexample": {"n_values": [4, "8"]}},
         {"counterexample": {"n_values": 8}},
+        {"model": {"delta": float("nan")}},
+        {"counterexample": {"R": float("inf")}},
+        {"solver": {"picard_tol": float("inf")}},
+        {"counterexample": {"R": -1}},
+        {"characteristics": {"dim": 0}},
+        {"counterexample": {"levels": 2}},
+        {"counterexample": {"levels": 1}},
+        {"counterexample": {"base_n": 1}},
+        {"counterexample": {"c2": 1.0}},
+        {"counterexample": {"width0": 0}},
+        {"counterexample": {"F1": 0}},
+        {"counterexample": {"n_values": []}},
+        {"counterexample": {"n_values": [4, -8]}},
+        {"embedding": {"iters": 0}},
+        {"solver": {"picard_max": 2.5}},
+        {"certify": {"sweep_lambdas": "0.5"}},
+        {"seed": "x"},
+        {"seed": -1},
     ],
 )
 def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
@@ -81,10 +102,50 @@ def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
     assert not (tmp_path / "t").exists()  # rejected before any work
 
 
+_LEAF = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 0.0, -1, float("nan"), float("inf"), float("-inf")]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.one_of(st.integers(-1000, 1000), st.floats(allow_nan=True, allow_infinity=True)), max_size=3),
+)
+_NUMERIC_SECTIONS = ("model", "domain", "characteristics", "embedding", "counterexample", "solver", "certify")
+
+
+def _numbers(val):
+    if isinstance(val, dict):
+        return [x for v in val.values() for x in _numbers(v)]
+    if isinstance(val, list):
+        return [x for v in val for x in _numbers(v)]
+    return [val] if isinstance(val, float) else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_config_accepts_or_raises_config_error(data):
+    raw = {"seed": data.draw(st.one_of(st.just(0), _LEAF))}
+    for section in _NUMERIC_SECTIONS:
+        keys = data.draw(st.lists(st.sampled_from(sorted(DEFAULT_CONFIG[section])), unique=True, max_size=3))
+        raw[section] = {k: data.draw(st.one_of(st.just(DEFAULT_CONFIG[section][k]), _LEAF)) for k in keys}
+    try:
+        cfg = RunConfig(raw)
+    except ConfigError:
+        return
+    assert all(math.isfinite(x) for x in _numbers(cfg.data))
+
+
 class TestExitCodes:
     def test_invalid_config_file(self, tmp_path):
         path = _write_cfg(tmp_path, "bad.json", {"model": {"p": 0.5}})
         assert main(["certify", "--config", path]) == EXIT_INVALID_CONFIG
+
+    def test_bad_out_and_seed_override(self, tmp_path):
+        path = _write_cfg(tmp_path, "c.json", {"out": 5})
+        assert main(["verify-lemmas", "--config", path]) == EXIT_INVALID_CONFIG
+        assert main(["verify-lemmas", "--seed", "-1", "--out", str(tmp_path / "t")]) == EXIT_INVALID_CONFIG
+        assert not (tmp_path / "t").exists()
 
     def test_check_tensor_pass(self, tmp_path):
         cfg = dict(QUICK, out=str(tmp_path / "t"), model={"p": 2.0, "delta": 0.0, "mu0": 0.0, "mu": 1.0})
@@ -169,7 +230,9 @@ class TestExitCodes:
         assert rep["negativity_exhibited"] and rep["N0"] is not None
 
     def test_counterexample_shallow_family(self, tmp_path):
-        cfg = {"out": str(tmp_path / "t"), "counterexample": {"levels": 1}}
+        # a valid config whose bumps are too wide for the coarse meshes: the
+        # q/p ratios do not increase and the family build fails
+        cfg = {"out": str(tmp_path / "t"), "counterexample": {"levels": 3, "base_n": 2, "width0": 2.0}}
         path = _write_cfg(tmp_path, "c.json", cfg)
         assert main(["counterexample", "--config", path]) == EXIT_NUMERICAL
 

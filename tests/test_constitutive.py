@@ -229,6 +229,24 @@ class TestEstimateCharacteristics:
             Characteristics(2.0, 1.0, 1.0, (0, 0), (0, 0), (0, 0), 1, 0)  # C1 > C2
 
 
+def test_inequality_sweep_rejects_bad_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        inequality_sweep(PDeltaModel(p=1.5), samples=10000, seed=0, dim=0)
+
+
+class TestModulus:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_frobenius_matches_linalg(self, dim):
+        a = np.random.default_rng(dim).standard_normal((7, 5, dim, dim)) * np.logspace(-3, 3, 5)[:, None, None]
+        ref = np.linalg.norm(a, "fro", axis=(-2, -1))
+        assert np.allclose(frobenius(a), ref, rtol=1e-14, atol=0.0)
+
+    def test_symmetric_part_of_antisymmetric_is_zero(self):
+        a = np.random.default_rng(5).standard_normal((50, 3, 3))
+        w = a - np.swapaxes(a, -1, -2)
+        assert np.all(frobenius(symmetrize(w)) == 0.0)
+
+
 def test_inequality_sweep_self_consistent():
     rep = inequality_sweep(PDeltaModel(p=1.5, delta=0.1), samples=20000, seed=9)
     assert rep["violations_monotonicity"] == 0

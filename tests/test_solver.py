@@ -4,11 +4,12 @@ import pytest
 from pdeltaflow import assembly
 from pdeltaflow.certifier import check_smallness, compute_constants, weighted_shear_norm
 from pdeltaflow.constitutive import PDeltaModel
-from pdeltaflow.discretization import build_space, norm_Lp, norm_sym_grad_p
+from pdeltaflow.discretization import build_space, divergence_values, norm_Lp, norm_sym_grad_p
 from pdeltaflow.lifting import BoundaryData, lift
 from pdeltaflow.solver import (
     CertificationRequired,
     SolverConfig,
+    _data_scale,
     apply_P,
     apply_S,
     apply_T,
@@ -142,6 +143,22 @@ class TestOperators:
         val = apply_penalty(inst, u, u, q, n)
         assert abs(val - norm_sym_grad_p(u, q) ** q / n) < 1e-12 * max(val, 1.0)
         assert abs(penalty_norm(u, q, n) - norm_sym_grad_p(u, q) ** (q - 1.0) / n) < 1e-14
+
+
+    def test_oracles_are_the_picard_residual(self, inst8):
+        # at a converged level, apply_P + apply_penalty - <pi, div phi> is the
+        # residual that the Picard loop drove below picard_tol, tested against phi
+        cfg = default_config(1.8, levels=1, picard_tol=1e-9)
+        n = cfg.n_schedule[0]
+        rec = solve_regularized(inst8, cfg, n)
+        assert rec.converged
+        space = inst8.space
+        bound = cfg.picard_tol * _data_scale(inst8, cfg)
+        for seed in range(3):
+            phi = _random_zero_boundary(space, 400 + seed)
+            press = space.integrate(space.p1_values(rec.pi.coeffs) * divergence_values(space, phi.coeffs))
+            val = apply_P(inst8, rec.u, phi) + apply_penalty(inst8, rec.u, phi, cfg.q, n) - press
+            assert abs(val) <= bound * np.linalg.norm(phi.coeffs)
 
 
 class TestMonotoneConsistency:
