@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .constitutive import frobenius, symmetrize
+from .constitutive import symmetrize
 
 __all__ = [
     "sym_grad_stiffness",
@@ -27,8 +27,7 @@ __all__ = [
     "velocity_load",
     "stress_load",
     "p1_load",
-    "grad_seminorm_gradient",
-    "value_norm_gradient",
+    "dirichlet_solve",
     "solve_saddle",
     "infsup_proxy",
 ]
@@ -139,26 +138,28 @@ def p1_load(space, vals):
     return np.bincount(space.cell_p1.ravel(), weights=loc.ravel(), minlength=space.n_p1)
 
 
-def _power_weight(mag, expo):
-    floor = 1e-300
-    with np.errstate(divide="ignore"):
-        return np.where(mag > floor, mag**expo, 0.0)
+def dirichlet_solve(space, a_mat, rhs_vel, fixed_vals=None, c_mat=None, c_rhs=None):
+    """Solve A u = rhs_vel on the free velocity dofs with u = fixed_vals on the boundary.
 
-
-def grad_seminorm_gradient(space, coeffs, p, kind):
-    """d/dcoeffs of int |G(u)|^p with G the full or symmetric gradient."""
-    g = space.velocity_gradients(coeffs)
-    if kind == "sym":
-        g = symmetrize(g)
-    r = _power_weight(frobenius(g), p - 2.0)[..., None, None] * g
-    return p * stress_load(space, r)
-
-
-def value_norm_gradient(space, coeffs, r):
-    """d/dcoeffs of int |u|^r."""
-    v = space.velocity_values(coeffs)
-    mag = np.linalg.norm(v, axis=-1)
-    return r * velocity_load(space, _power_weight(mag, r - 2.0)[..., None] * v)
+    With a constraint block C (rows against all velocity dofs) the system is
+    bordered: A u + C^T lam = rhs_vel, C u = c_rhs.  The boundary values are
+    eliminated from both right-hand sides.  Returns ``(u, lam)``: the
+    full-length velocity and the multiplier (empty without C).
+    """
+    free = space.free_vel_dofs
+    fixed = space.boundary_vel_dofs
+    u = np.zeros(space.n_vel)
+    if fixed_vals is not None:
+        u[fixed] = fixed_vals[fixed]
+    rhs = rhs_vel[free] - a_mat[free][:, fixed] @ u[fixed]
+    sys = a_mat[free][:, free]
+    if c_mat is not None:
+        c_f = c_mat[:, free]
+        sys = sp.bmat([[sys, c_f.T], [c_f, None]], format="csc")
+        rhs = np.concatenate([rhs, c_rhs - c_mat[:, fixed] @ u[fixed]])
+    sol = spla.spsolve(sys.tocsc(), rhs)
+    u[free] = sol[: free.size]
+    return u, sol[free.size:]
 
 
 def solve_saddle(space, a_mat, rhs_vel, div_rhs, fixed_vals=None):
@@ -174,23 +175,9 @@ def solve_saddle(space, a_mat, rhs_vel, div_rhs, fixed_vals=None):
     dropped row absorbs the compatibility defect of ``div_rhs``.
     Returns ``(u, lam)``.
     """
-    free = space.free_vel_dofs
-    fixed = space.boundary_vel_dofs
-    c_mat = div_coupling(space)
-
-    u_fix = np.zeros(space.n_vel)
-    if fixed_vals is not None:
-        u_fix[fixed] = fixed_vals[fixed]
-    r_vel = rhs_vel[free] - a_mat[free][:, fixed] @ u_fix[fixed]
-    r_div = div_rhs[1:] - c_mat[1:, fixed] @ u_fix[fixed]
-
-    c_f = c_mat[1:, free]
-    sys = sp.bmat([[a_mat[free][:, free], c_f.T], [c_f, None]], format="csc")
-    sol = spla.spsolve(sys, np.concatenate([r_vel, r_div]))
-    u = u_fix.copy()
-    u[free] = sol[: free.size]
+    u, lam_pinned = dirichlet_solve(space, a_mat, rhs_vel, fixed_vals, div_coupling(space)[1:], div_rhs[1:])
     lam = np.zeros(space.n_p1)
-    lam[1:] = sol[free.size:]
+    lam[1:] = lam_pinned
     return u, lam
 
 

@@ -492,15 +492,21 @@ class ConstantEstimate:
     iters: int
 
 
-def _ratio_ascent(x0, logratio, grad, iters):
-    """Maximize a 0-homogeneous log-ratio by normalized gradient ascent."""
+def _ratio_ascent(x0, objective, iters):
+    """Maximize a 0-homogeneous log-ratio by normalized gradient ascent.
+
+    ``objective(x)`` returns the log-ratio at x and a closure for its gradient
+    there; the gradient is built only at accepted points, once each.
+    """
     x = x0 / np.linalg.norm(x0)
-    best = logratio(x)
+    best, grad = objective(x)
+    g = None
     step = 0.25
     stalled = 0
     it = 0
     for it in range(iters):
-        g = grad(x)
+        if g is None:
+            g = grad()
         gn = np.linalg.norm(g)
         if gn == 0.0:
             break
@@ -509,9 +515,9 @@ def _ratio_ascent(x0, logratio, grad, iters):
         for _ in range(25):
             y = x + s * g / gn
             y /= np.linalg.norm(y)
-            val = logratio(y)
+            val, grad_y = objective(y)
             if val > best:
-                x, best = y, val
+                x, best, grad, g = y, val, grad_y, None
                 step = min(1.5 * s, 1.0)
                 improved = True
                 break
@@ -524,6 +530,12 @@ def _ratio_ascent(x0, logratio, grad, iters):
         else:
             stalled = 0
     return x, best, stalled >= 5 or it < iters - 1, it + 1
+
+
+def _power_weight(mag, expo):
+    """mag**expo where mag > 0 and 0 where mag vanishes (expo may be negative)."""
+    with np.errstate(divide="ignore"):
+        return np.where(mag > 1e-300, mag**expo, 0.0)
 
 
 def _masked(vec, idx, n):
@@ -562,21 +574,19 @@ def estimate_korn(space, p, iters=200, seed=0, starts=None):
     if p == 2.0:
         return ConstantEstimate(np.sqrt(lam), space.velocity_field(witness2), converged2, k + 1)
 
-    def pth_powers(c):
-        """(int |grad u|^p, int |Du|^p) from one gradient evaluation."""
-        g = space.velocity_gradients(c)
-        return space.integrate(frobenius(g) ** p), space.integrate(frobenius(symmetrize(g)) ** p)
+    def objective(xf):
+        """log(||grad u||_p / ||Du||_p) from one gradient evaluation."""
+        g = space.velocity_gradients(_masked(xf, free, space.n_vel))
+        d = symmetrize(g)
+        mf, ms = frobenius(g), frobenius(d)
+        nf, ns = space.integrate(mf**p), space.integrate(ms**p)
 
-    def logratio(xf):
-        nf, ns = pth_powers(_masked(xf, free, space.n_vel))
-        return (np.log(nf) - np.log(ns)) / p
+        def grad():
+            wf = (_power_weight(mf, p - 2.0) / nf)[..., None, None]
+            ws = (_power_weight(ms, p - 2.0) / ns)[..., None, None]
+            return assembly.stress_load(space, wf * g - ws * d)[free]
 
-    def grad(xf):
-        c = _masked(xf, free, space.n_vel)
-        gf = assembly.grad_seminorm_gradient(space, c, p, kind="full")
-        gs = assembly.grad_seminorm_gradient(space, c, p, kind="sym")
-        nf, ns = pth_powers(c)
-        return (gf / nf - gs / ns)[free] / p
+        return (np.log(nf) - np.log(ns)) / p, grad
 
     cands = [x]
     if starts:
@@ -586,7 +596,7 @@ def estimate_korn(space, p, iters=200, seed=0, starts=None):
     for x0 in cands:
         if np.linalg.norm(x0) == 0:
             continue
-        xf, val, conv, used = _ratio_ascent(x0, logratio, grad, iters)
+        xf, val, conv, used = _ratio_ascent(x0, objective, iters)
         if best is None or val > best[1]:
             best = (xf, val, conv, used)
     wit = space.velocity_field(_masked(best[0], free, space.n_vel))
@@ -607,21 +617,19 @@ def estimate_sobolev(space, from_p, to_r, iters=150, seed=0, starts=None):
     n = space.n_vel
     s, r = from_p, to_r
 
-    def logratio(x):
-        vals = np.linalg.norm(space.velocity_values(x), axis=-1)
-        gn = frobenius(space.velocity_gradients(x))
-        num = np.log(space.integrate(vals**r)) / r
-        den = np.log(space.integrate(vals**s + gn**s)) / s
-        return num - den
+    def objective(x):
+        """log ||u||_r - log ||u||_{1,s} from one value and one gradient evaluation."""
+        v = space.velocity_values(x)
+        g = space.velocity_gradients(x)
+        vals, gn = np.linalg.norm(v, axis=-1), frobenius(g)
+        nr, nd = space.integrate(vals**r), space.integrate(vals**s + gn**s)
 
-    def grad(x):
-        gnum = assembly.value_norm_gradient(space, x, r)
-        vals = np.linalg.norm(space.velocity_values(x), axis=-1)
-        nr = space.integrate(vals**r)
-        gden = assembly.value_norm_gradient(space, x, s) + assembly.grad_seminorm_gradient(space, x, s, kind="full")
-        gn = frobenius(space.velocity_gradients(x))
-        nd = space.integrate(vals**s + gn**s)
-        return gnum / (r * nr) - gden / (s * nd)
+        def grad():
+            wv = (_power_weight(vals, r - 2.0) / nr - _power_weight(vals, s - 2.0) / nd)[..., None] * v
+            wg = (_power_weight(gn, s - 2.0) / nd)[..., None, None] * g
+            return assembly.velocity_load(space, wv) - assembly.stress_load(space, wg)
+
+        return np.log(nr) / r - np.log(nd) / s, grad
 
     const = np.concatenate([np.ones(space.n_p2), np.zeros(space.n_p2)])
     cx, cy = 0.5 * (space.domain.x0 + space.domain.x1), 0.5 * (space.domain.y0 + space.domain.y1)
@@ -634,7 +642,7 @@ def estimate_sobolev(space, from_p, to_r, iters=150, seed=0, starts=None):
         cands += [f.coeffs for f in starts]
     best = None
     for x0 in cands:
-        xf, val, conv, used = _ratio_ascent(x0, logratio, grad, iters)
+        xf, val, conv, used = _ratio_ascent(x0, objective, iters)
         if best is None or val > best[1]:
             best = (xf, val, conv, used)
     return ConstantEstimate(float(np.exp(best[1])), space.velocity_field(best[0]), best[2], best[3])
@@ -644,7 +652,9 @@ def estimate_dual_norm(space, load, p, iters=15):
     """Discrete dual norm sup <F, phi>/||D phi||_p over zero-boundary fields.
 
     Fixed-point iteration on the weighted symmetric stiffness; each iterate
-    is itself a valid lower bound and the best one is returned.
+    is itself a valid lower bound and the best one is returned.  Converged
+    means p = 2 (one solve is exact), a vanishing load, or last two iterates
+    whose values agree to 1e-10 relative.
     """
     free = space.free_vel_dofs
     lf = load[free]
@@ -652,24 +662,26 @@ def estimate_dual_norm(space, load, p, iters=15):
         return ConstantEstimate(0.0, space.zero_velocity(), True, 0)
     best = 0.0
     xbest = None
+    vals = []
     weight = np.ones_like(space.qw)
     for it in range(iters):
         k = assembly.sym_grad_stiffness(space, weight)[free][:, free].tocsc()
         x = spla.splu(k).solve(lf)
         c = _masked(x, free, space.n_vel)
-        dn = norm_sym_grad_p(space.velocity_field(c), p)
+        dn_pt = frobenius(symmetrize(space.velocity_gradients(c)))
+        dn = space.integrate(dn_pt**p) ** (1.0 / p)
         if dn == 0.0:
             break
-        val = float(lf @ x) / dn
-        if val > best:
-            best, xbest = val, c
+        vals.append(float(lf @ x) / dn)
+        if vals[-1] > best:
+            best, xbest = vals[-1], c
         if p == 2.0:
             break
-        dn_pt = frobenius(symmetrize(space.velocity_gradients(c)))
         floor = 1e-10 * max(dn_pt.max(), 1e-300)
         weight = np.maximum(dn_pt, floor) ** (p - 2.0)
+    converged = p == 2.0 or (len(vals) >= 2 and abs(vals[-1] - vals[-2]) <= 1e-10 * abs(vals[-1]))
     wit = space.velocity_field(xbest if xbest is not None else np.zeros(space.n_vel))
-    return ConstantEstimate(best, wit, True, it + 1)
+    return ConstantEstimate(best, wit, converged, it + 1)
 
 
 @dataclass

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .discretization import (
@@ -189,15 +188,9 @@ def harmonic_extension(data, space):
     Its W^{1,p} norm stands in for the fractional boundary-trace norm in
     the probe statistics.
     """
-    ghat = data.g2_dof_values(space)
     k = assembly.full_grad_stiffness(space)
-    free = space.free_vel_dofs
-    fixed = space.boundary_vel_dofs
-    rhs = -k[free][:, fixed] @ ghat[fixed]
-    sol = spla.spsolve(k[free][:, free].tocsc(), rhs)
-    out = ghat.copy()
-    out[free] = sol
-    return space.velocity_field(out)
+    u, _ = assembly.dirichlet_solve(space, k, np.zeros(space.n_vel), data.g2_dof_values(space))
+    return space.velocity_field(u)
 
 
 def _random_data(space, rng):

@@ -147,6 +147,13 @@ class TestExitCodes:
         assert main(["verify-lemmas", "--seed", "-1", "--out", str(tmp_path / "t")]) == EXIT_INVALID_CONFIG
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    def test_p2_rejected_before_work(self, tmp_path, command):
+        cfg = dict(QUICK, out=str(tmp_path / "t"), model={"p": 2.0})
+        path = _write_cfg(tmp_path, "c.json", cfg)
+        assert main([command, "--config", path]) == EXIT_INVALID_CONFIG
+        assert not (tmp_path / "t").exists()
+
     def test_check_tensor_pass(self, tmp_path):
         cfg = dict(QUICK, out=str(tmp_path / "t"), model={"p": 2.0, "delta": 0.0, "mu0": 0.0, "mu": 1.0})
         path = _write_cfg(tmp_path, "c.json", cfg)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdeltaflow import assembly
+from pdeltaflow import assembly, discretization
 from pdeltaflow.discretization import (
     ExponentRangeError,
     Field,
@@ -221,6 +221,41 @@ class TestSobolev:
         assert est.value >= 1.0 - 1e-9
 
 
+class TestObjectiveGradients:
+    """Central differences of each ascent objective against its gradient closure."""
+
+    @staticmethod
+    def _objective(monkeypatch, estimate):
+        seen = []
+        ascent = discretization._ratio_ascent
+
+        def capture(x0, objective, iters):
+            seen.append((x0, objective))
+            return ascent(x0, objective, iters)
+
+        monkeypatch.setattr(discretization, "_ratio_ascent", capture)
+        estimate()
+        return seen[-1]
+
+    @staticmethod
+    def _check(x0, objective, seed):
+        rng = np.random.default_rng(seed)
+        x = x0 / np.linalg.norm(x0) + 0.1 * rng.standard_normal(x0.size)
+        d = rng.standard_normal(x.size)
+        h = 1e-5
+        _, grad = objective(x)
+        fd = (objective(x + h * d)[0] - objective(x - h * d)[0]) / (2 * h)
+        assert abs(fd - grad() @ d) <= 1e-6 * abs(fd)
+
+    def test_korn(self, space4, monkeypatch):
+        x0, objective = self._objective(monkeypatch, lambda: estimate_korn(space4, 1.5, iters=1))
+        self._check(x0, objective, 7)
+
+    def test_sobolev(self, space4, monkeypatch):
+        x0, objective = self._objective(monkeypatch, lambda: estimate_sobolev(space4, 1.5, 4.0, iters=1))
+        self._check(x0, objective, 8)
+
+
 class TestDualNorm:
     def test_zero_load(self, space4):
         est = estimate_dual_norm(space4, np.zeros(space4.n_vel), 1.8)
@@ -246,6 +281,13 @@ class TestDualNorm:
         est = estimate_dual_norm(space8, load, 1.6, iters=8)
         phi = est.witness
         assert abs(float(load @ phi.coeffs) / norm_sym_grad_p(phi, 1.6) - est.value) < 1e-12 * est.value
+
+    def test_converged_flag(self, space8):
+        rng = np.random.default_rng(5)
+        load = np.zeros(space8.n_vel)
+        load[space8.free_vel_dofs] = rng.standard_normal(space8.free_vel_dofs.size)
+        assert not estimate_dual_norm(space8, load, 1.6, iters=1).converged
+        assert estimate_dual_norm(space8, load, 2.0, iters=1).converged
 
 
 class TestDiscreteDivergence:

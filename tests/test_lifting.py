@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdeltaflow import assembly
 from pdeltaflow.discretization import build_space, norm_Lp, norm_W1p
 from pdeltaflow.lifting import (
     BoundaryData,
@@ -51,6 +52,16 @@ class TestLift:
             assert err < 1e-10
             assert lf.div_defect <= 1e-8
             assert lf.boundary_defect < 1e-12
+
+    def test_harmonic_extension(self, space8):
+        data = BoundaryData(g2=tangential_g2(0.01))
+        u = harmonic_extension(data, space8).coeffs
+        bnd, free = space8.boundary_vel_dofs, space8.free_vel_dofs
+        ghat = space8.interpolate_velocity(tangential_g2(0.01)).coeffs
+        assert np.array_equal(u[bnd], ghat[bnd])
+        k = assembly.full_grad_stiffness(space8)
+        ref = np.linalg.norm((k @ data.g2_dof_values(space8))[free])  # the boundary values' load
+        assert np.linalg.norm((k @ u)[free]) <= 1e-10 * ref
 
     def test_manufactured_linear_with_divergence(self, space8):
         data = BoundaryData(g1=2.0, g2=(lambda x, y: x, lambda x, y: y))
