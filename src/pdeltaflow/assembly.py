@@ -7,7 +7,9 @@ so local matrices are GEMMs of per-cell quadrature weights against the
 shape's integrand table, and loads are GEMMs of the point values against
 the shape's basis table.  The CSR pattern of each matrix and the map from
 local entries to its data are cached on the space, so re-assembly with new
-coefficient weights (the Picard loop) only recomputes values.
+coefficient weights (the Picard loop) only recomputes values.  The
+Dirichlet and saddle-point solves gather their free-dof block the same
+way and can reuse the sparse LU of an earlier, similar system.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "velocity_load",
     "stress_load",
     "p1_load",
+    "FactorHolder",
     "dirichlet_solve",
     "solve_saddle",
     "infsup_proxy",
@@ -138,31 +141,115 @@ def p1_load(space, vals):
     return np.bincount(space.cell_p1.ravel(), weights=loc.ravel(), minlength=space.n_p1)
 
 
-def dirichlet_solve(space, a_mat, rhs_vel, fixed_vals=None, c_mat=None, c_rhs=None):
+# A held factor is refined until |rhs - K x| <= REFINE_RTOL |rhs|; a sweep
+# that leaves more than REFINE_GAIN of the residual marks it too stale.
+REFINE_RTOL = 1e-12
+REFINE_GAIN = 0.5
+
+
+class FactorHolder:
+    """The last LU factor of a free-dof system and its last solution, kept for later solves.
+
+    ``factorizations`` counts the fresh factors made through the holder and
+    ``refinements`` the refinement sweeps made with a held factor.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.x = None
+        self.factorizations = 0
+        self.refinements = 0
+
+
+def _free_block(space, a_mat, c_mat=None):
+    """Free-dof block of A, bordered by the free columns of C when given, in CSC.
+
+    The block's pattern and the gather from the data of A (and C) are built
+    once per space and kept while the inputs' patterns stay the same.
+    """
+    mats = [a_mat.tocsr()] if c_mat is None else [a_mat.tocsr(), c_mat.tocsr()]
+    key = ("free_block", len(mats))
+    hit = space._cache.get(key)
+    if hit is None or not all(
+        np.array_equal(m.indptr, ptr) and np.array_equal(m.indices, idx) for m, (ptr, idx) in zip(mats, hit[0])
+    ):
+        # tag every entry with its 1-based position in the concatenated data
+        offsets = np.cumsum([0] + [m.nnz for m in mats])
+        tagged = [
+            sp.csr_matrix((np.arange(o + 1, o + m.nnz + 1, dtype=float), m.indices, m.indptr), shape=m.shape)
+            for m, o in zip(mats, offsets)
+        ]
+        free = space.free_vel_dofs
+        blk = tagged[0][free][:, free]
+        if c_mat is not None:
+            c_f = tagged[1][:, free]
+            blk = sp.bmat([[blk, c_f.T], [c_f, None]])
+        blk = blk.tocsc()
+        patterns = [(m.indptr.copy(), m.indices.copy()) for m in mats]
+        hit = space._cache[key] = (patterns, blk.indptr, blk.indices, blk.data.astype(np.intp) - 1)
+    _, indptr, indices, gather = hit
+    data = np.concatenate([m.data for m in mats])[gather]
+    return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+
+
+def _factor_solve(k, rhs, held):
+    """Solve K x = rhs with the held factor refined, or with a fresh factor of K.
+
+    A held factor is refined from the held solution, ``x += lu.solve(rhs - K x)``,
+    until the residual reaches REFINE_RTOL |rhs|.  When a sweep fails to
+    shrink it by REFINE_GAIN, K is factored afresh and the new factor
+    replaces the held one; the fresh solve is ``splu(K).solve(rhs)``.  A
+    singular K raises RuntimeError.
+    """
+    if held.lu is not None:
+        x = held.x.copy()
+        r = rhs - k @ x
+        res = np.linalg.norm(r)
+        target = REFINE_RTOL * np.linalg.norm(rhs)
+        while res > target:
+            x += held.lu.solve(r)
+            held.refinements += 1
+            r = rhs - k @ x
+            res, prev = np.linalg.norm(r), res
+            if res > REFINE_GAIN * prev:
+                break
+        if res <= target:
+            held.x = x
+            return x
+        held.lu = None  # drop the stale factor before the new one is built
+    held.lu = spla.splu(k)
+    held.factorizations += 1
+    held.x = held.lu.solve(rhs)
+    return held.x
+
+
+def dirichlet_solve(space, a_mat, rhs_vel, fixed_vals=None, c_mat=None, c_rhs=None, factor=None):
     """Solve A u = rhs_vel on the free velocity dofs with u = fixed_vals on the boundary.
 
     With a constraint block C (rows against all velocity dofs) the system is
     bordered: A u + C^T lam = rhs_vel, C u = c_rhs.  The boundary values are
-    eliminated from both right-hand sides.  Returns ``(u, lam)``: the
-    full-length velocity and the multiplier (empty without C).
+    eliminated from both right-hand sides.  ``factor`` is a FactorHolder
+    whose LU, from an earlier and similar system, is refined to
+    ``REFINE_RTOL`` and replaced by a fresh one when too stale; without it
+    the system is factored and solved directly.  A singular system raises
+    RuntimeError.  Returns ``(u, lam)``: the full-length velocity and the
+    multiplier (empty without C).
     """
     free = space.free_vel_dofs
-    fixed = space.boundary_vel_dofs
     u = np.zeros(space.n_vel)
     if fixed_vals is not None:
+        fixed = space.boundary_vel_dofs
         u[fixed] = fixed_vals[fixed]
-    rhs = rhs_vel[free] - a_mat[free][:, fixed] @ u[fixed]
-    sys = a_mat[free][:, free]
+    rhs = (rhs_vel - a_mat @ u)[free]
     if c_mat is not None:
-        c_f = c_mat[:, free]
-        sys = sp.bmat([[sys, c_f.T], [c_f, None]], format="csc")
-        rhs = np.concatenate([rhs, c_rhs - c_mat[:, fixed] @ u[fixed]])
-    sol = spla.spsolve(sys.tocsc(), rhs)
+        rhs = np.concatenate([rhs, c_rhs - c_mat @ u])
+    held = FactorHolder() if factor is None else factor
+    sol = _factor_solve(_free_block(space, a_mat, c_mat), rhs, held)
     u[free] = sol[: free.size]
     return u, sol[free.size:]
 
 
-def solve_saddle(space, a_mat, rhs_vel, div_rhs, fixed_vals=None):
+def solve_saddle(space, a_mat, rhs_vel, div_rhs, fixed_vals=None, factor=None):
     """Solve the constrained system A u + C^T lam = rhs, C u = div_rhs.
 
     Dirichlet velocity values are supplied on the boundary dofs through
@@ -173,9 +260,12 @@ def solve_saddle(space, a_mat, rhs_vel, div_rhs, fixed_vals=None):
     vanishes on the free velocity dofs, the velocity is unaffected and
     ``space.pressure_field(lam)`` gives the mean-zero multiplier.  The
     dropped row absorbs the compatibility defect of ``div_rhs``.
-    Returns ``(u, lam)``.
+    ``factor`` is passed to ``dirichlet_solve``: a FactorHolder reused
+    across the steps of an iteration, or None for a direct solve.  A
+    singular system raises RuntimeError.  Returns ``(u, lam)``.
     """
-    u, lam_pinned = dirichlet_solve(space, a_mat, rhs_vel, fixed_vals, div_coupling(space)[1:], div_rhs[1:])
+    c_mat = div_coupling(space)[1:]
+    u, lam_pinned = dirichlet_solve(space, a_mat, rhs_vel, fixed_vals, c_mat, div_rhs[1:], factor=factor)
     lam = np.zeros(space.n_p1)
     lam[1:] = lam_pinned
     return u, lam

@@ -255,13 +255,18 @@ def _sample_pairs(rng, n_random, dim, decades=(-4.0, 4.0)):
     return np.concatenate(a_parts), np.concatenate(b_parts)
 
 
-def _growth_ratios(model, a, b):
-    """Pointwise ratios of the three growth inequalities for pairs (a, b)."""
+# pairs per evaluation chunk: bounds the temporaries of _growth_ratios
+_CHUNK = 8192
+
+
+def _chunk_ratios(model, a, b):
+    """Pointwise ratios of the three growth inequalities for the non-coincident pairs (a, b).
+
+    ``idx`` holds the positions of those pairs in (a, b).
+    """
     diff = a - b
     dd = frobenius(diff)
-    keep = dd > 1e-12 * (frobenius(a) + frobenius(b) + 1.0)
-    if not np.any(keep):
-        raise DegenerateSampleError("all sampled pairs coincide")
+    keep = np.flatnonzero(dd > 1e-12 * (frobenius(a) + frobenius(b) + 1.0))
     a, b, diff, dd = a[keep], b[keep], diff[keep], dd[keep]
 
     sa = eval_stress(model, a)
@@ -272,7 +277,25 @@ def _growth_ratios(model, a, b):
     r1 = mono / (w * dd**2)
     r2 = frobenius(ds) / (w * dd)
     r3 = mono / young_int(model.delta + frobenius(b), dd, model.p)
-    return {"a": a, "b": b, "mono": mono, "ds_norm": frobenius(ds), "dd": dd, "r1": r1, "r2": r2, "r3": r3}
+    return {"idx": keep, "mono": mono, "ds_norm": frobenius(ds), "dd": dd, "r1": r1, "r2": r2, "r3": r3}
+
+
+def _growth_ratios(model, a, b):
+    """Pointwise ratios of the three growth inequalities for pairs (a, b).
+
+    The pairs are evaluated in chunks of _CHUNK, so the per-pair matrix
+    temporaries stay small; the ratios are those of one evaluation of all
+    pairs, in sample order, and ``idx`` gives each ratio's pair in (a, b).
+    """
+    parts = []
+    for start in range(0, len(a), _CHUNK):
+        part = _chunk_ratios(model, a[start:start + _CHUNK], b[start:start + _CHUNK])
+        part["idx"] += start
+        parts.append(part)
+    r = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+    if r["dd"].size == 0:
+        raise DegenerateSampleError("all sampled pairs coincide")
+    return r
 
 
 def estimate_characteristics(model, samples=100_000, seed=0, dim=2):
@@ -289,13 +312,14 @@ def estimate_characteristics(model, samples=100_000, seed=0, dim=2):
     i1 = int(np.argmin(r["r1"]))
     i2 = int(np.argmax(r["r2"]))
     i3 = int(np.argmin(r["r3"]))
+    pair = lambda i: (a[r["idx"][i]], b[r["idx"][i]])
     return Characteristics(
         C1=float(r["r1"][i1]),
         C2=float(r["r2"][i2]),
         C3=float(r["r3"][i3]),
-        witness_C1=(r["a"][i1], r["b"][i1]),
-        witness_C2=(r["a"][i2], r["b"][i2]),
-        witness_C3=(r["a"][i3], r["b"][i3]),
+        witness_C1=pair(i1),
+        witness_C2=pair(i2),
+        witness_C3=pair(i3),
         samples=int(r["r1"].size),
         seed=seed,
         dim=dim,

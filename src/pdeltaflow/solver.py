@@ -9,9 +9,12 @@ multiplier.  Each penalty level n solves
 
 by Picard iteration: the scalar stress weight, the penalty weight and the
 transport field are frozen at the previous iterate and the resulting
-linear saddle-point system is solved directly.  A continuation run walks
-an increasing schedule of n, warm-starting each level and recording the
-uniform-bound and penalty-decay monitors.
+linear saddle-point system is solved with a sparse LU.  The LU of an
+earlier step is reused, refined to the current matrix, until it turns too
+stale to refine; only then is the current matrix factored.  A continuation
+run walks an increasing schedule of n, warm-starting each level from the
+last (and keeping its LU) and recording the uniform-bound and
+penalty-decay monitors.
 """
 
 from __future__ import annotations
@@ -214,6 +217,8 @@ class LevelRecord:
     residual_history: list
     u: Field = field(repr=False, default=None)
     pi: Field = field(repr=False, default=None)
+    factorizations: int = 0  # fresh saddle LUs made in this level
+    refinements: int = 0  # refinement sweeps made with a held LU
 
     def row(self):
         return {
@@ -285,7 +290,8 @@ def _linearize(inst, cfg, n, u):
     rhs = inst.f_vec - assembly.stress_load(space, nu[..., None, None] * inst.g_sym)
     if cfg.include_convective:
         b_vals = space.velocity_values(u) + inst.g_vals
-        a_mat = a_mat + assembly.transport_matrix(space, b_vals, inst.g1_vals)
+        # both share the cached velocity pattern; `+` would prune cancelled entries
+        a_mat.data += assembly.transport_matrix(space, b_vals, inst.g1_vals).data
         gob = symmetrize(inst.g_vals[..., :, None] * b_vals[..., None, :])
         rhs += assembly.stress_load(space, gob) + assembly.velocity_load(
             space, inst.g1_vals[..., None] * inst.g_vals
@@ -293,10 +299,17 @@ def _linearize(inst, cfg, n, u):
     return a_mat, rhs
 
 
-def solve_regularized(inst, cfg, n, warm_start=None):
-    """One penalty level: Picard with frozen weights and transport field."""
+def solve_regularized(inst, cfg, n, warm_start=None, factor=None):
+    """One penalty level: Picard with frozen weights and transport field.
+
+    ``factor`` is the ``assembly.FactorHolder`` whose saddle LU the Picard
+    steps reuse; a continuation hands one holder to every level.  Without
+    it the level makes its own.
+    """
     space = inst.space
     model = inst.model
+    held = assembly.FactorHolder() if factor is None else factor
+    made, swept = held.factorizations, held.refinements
     u = np.zeros(space.n_vel) if warm_start is None else warm_start.coeffs.copy()
     lam = np.zeros(space.n_p1)
     scale = max(_data_scale(inst, cfg), 1e-300)
@@ -308,7 +321,7 @@ def solve_regularized(inst, cfg, n, warm_start=None):
     for it in range(1, cfg.picard_max + 1):
         a_mat, rhs = _linearize(inst, cfg, n, u)
         try:
-            u_new, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1))
+            u_new, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=held)
         except RuntimeError as exc:
             raise SolverError(f"linear saddle solve broke down at level n={n}: {exc}") from exc
         if not np.all(np.isfinite(u_new)):
@@ -333,6 +346,8 @@ def solve_regularized(inst, cfg, n, warm_start=None):
         residual_history=history,
         u=uf,
         pi=space.pressure_field(-lam),
+        factorizations=held.factorizations - made,
+        refinements=held.refinements - swept,
     )
 
 
@@ -354,10 +369,11 @@ def continuation_solve(inst, cfg, override=False):
     records = []
     diffs = []
     warm = None
+    held = assembly.FactorHolder()  # each level warm-starts from the last, so its LU carries over
     bound_ok = penalty_ok = True
     for n in cfg.n_schedule:
         try:
-            rec = solve_regularized(inst, cfg, n, warm_start=warm)
+            rec = solve_regularized(inst, cfg, n, warm_start=warm, factor=held)
         except SolverError as exc:
             exc.records = records
             raise

@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
+from pdeltaflow import constitutive
 from pdeltaflow.constitutive import (
     Characteristics,
     DegenerateSampleError,
@@ -223,6 +224,15 @@ class TestEstimateCharacteristics:
         a, b = ch.witness_C1
         assert a.shape == (2, 2) and b.shape == (2, 2)
         assert ch.non_rigorous
+
+    def test_chunking_leaves_results_unchanged(self, monkeypatch):
+        # 20000 random pairs plus the structured block span several chunks
+        m = PDeltaModel(p=1.6, delta=0.05)
+        chunked = estimate_characteristics(m, samples=20000, seed=7).to_json()
+        sweep = inequality_sweep(m, samples=20000, seed=7)
+        monkeypatch.setattr(constitutive, "_CHUNK", 10**9)
+        assert estimate_characteristics(m, samples=20000, seed=7).to_json() == chunked
+        assert inequality_sweep(m, samples=20000, seed=7) == sweep
 
     def test_characteristics_invariants(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from pdeltaflow.lifting import BoundaryData, lift
 from pdeltaflow.solver import (
     CertificationRequired,
     SolverConfig,
+    SolverError,
     _data_scale,
     apply_P,
     apply_S,
@@ -269,6 +270,92 @@ def test_solve_saddle_matches_dense_mean_row_oracle(space4):
     assert np.abs(sol[-1]) < 1e-10  # compatible data: no defect in the mean row
     assert np.abs(u - u_ref).max() < 1e-10
     assert np.abs(s.pressure_field(lam).coeffs - s.pressure_field(sol[nf:nf + npr]).coeffs).max() < 1e-10
+
+
+def _oracle_system(s):
+    """The nonsymmetric saddle system of the dense-oracle test: (a, rhs, div_rhs, u_data)."""
+    rng = np.random.default_rng(3)
+    b_vals = s.velocity_values(rng.standard_normal(s.n_vel))
+    g1_vals = rng.standard_normal((s.n_cells, s.nq))
+    a = assembly.sym_grad_stiffness(s) + assembly.transport_matrix(s, b_vals, g1_vals)
+    rhs = rng.standard_normal(s.n_vel)
+    u_data = rng.standard_normal(s.n_vel)
+    return a, rhs, assembly.div_coupling(s) @ u_data, u_data
+
+
+class TestFactorReuse:
+    def test_stale_factor_is_refined(self, space4):
+        s = space4
+        a, rhs, div_rhs, u_data = _oracle_system(s)
+        u_ref, lam_ref = assembly.solve_saddle(s, a, rhs, div_rhs, fixed_vals=u_data)
+        near = a.copy()
+        near.data *= 1.0 + 1e-3 * np.random.default_rng(5).standard_normal(near.nnz)
+        held = assembly.FactorHolder()
+        assembly.solve_saddle(s, near, rhs, div_rhs, fixed_vals=u_data, factor=held)
+        lu = held.lu
+        u, lam = assembly.solve_saddle(s, a, rhs, div_rhs, fixed_vals=u_data, factor=held)
+        assert held.factorizations == 1 and held.lu is lu and held.refinements > 0
+        assert np.abs(u - u_ref).max() < 1e-10
+        assert np.abs(lam - lam_ref).max() < 1e-10
+
+    def test_unrelated_factor_is_replaced(self, space4):
+        s = space4
+        a, rhs, div_rhs, u_data = _oracle_system(s)
+        u_ref, lam_ref = assembly.solve_saddle(s, a, rhs, div_rhs, fixed_vals=u_data)
+        weight = 10.0 ** np.random.default_rng(6).uniform(-2.0, 2.0, (s.n_cells, s.nq))
+        held = assembly.FactorHolder()
+        assembly.solve_saddle(s, assembly.sym_grad_stiffness(s, weight), rhs, div_rhs, fixed_vals=u_data, factor=held)
+        lu = held.lu
+        u, lam = assembly.solve_saddle(s, a, rhs, div_rhs, fixed_vals=u_data, factor=held)
+        assert held.factorizations == 2 and held.lu is not lu
+        assert np.abs(u - u_ref).max() < 1e-10
+        assert np.abs(lam - lam_ref).max() < 1e-10
+
+    def test_singular_system_raises(self, space4, monkeypatch):
+        s = space4
+        _, rhs, div_rhs, _ = _oracle_system(s)
+        zero = assembly.sym_grad_stiffness(s)
+        zero.data[:] = 0.0
+        with pytest.raises(RuntimeError):
+            assembly.solve_saddle(s, zero, rhs, div_rhs)
+        stiffness = assembly.sym_grad_stiffness
+
+        def zero_stiffness(space, weight=None):
+            k = stiffness(space, weight)
+            k.data[:] = 0.0
+            return k
+
+        monkeypatch.setattr(assembly, "sym_grad_stiffness", zero_stiffness)
+        f_vec = np.zeros(s.n_vel)
+        f_vec[s.free_vel_dofs] = 1.0
+        inst = make_instance(PDeltaModel(p=1.8, delta=0.1), s, f=f_vec)
+        cfg = SolverConfig(q=3.0, n_schedule=(1,), penalty=False, include_convective=False)
+        with pytest.raises(SolverError):
+            solve_regularized(inst, cfg, np.inf)
+
+    def test_continuation_matches_fresh_factors(self, pipeline8, monkeypatch):
+        m, lf = pipeline8["model"], pipeline8["lift"]
+        g1c, g2c, g3c = compute_constants(
+            pipeline8["chars"], pipeline8["emb"], lf, 0.0, m.p, pipeline8["s"], m.delta
+        )
+        rep = check_smallness(g1c, g2c, g3c, m.p, s=pipeline8["s"])
+        inst = make_instance(m, pipeline8["space"], lift_field=lf, report=rep)
+        cfg = default_config(pipeline8["s"], levels=4, picard_tol=1e-9)
+        held = continuation_solve(inst, cfg)
+        solve = assembly.solve_saddle
+
+        def fresh_solve(*args, factor=None, **kw):
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(assembly, "solve_saddle", fresh_solve)
+        fresh = continuation_solve(inst, cfg)
+        assert sum(r.factorizations for r in held.records) < sum(r.iters for r in held.records)
+        assert sum(r.refinements for r in held.records) > 0
+        for a, b in zip(held.records, fresh.records):
+            assert a.iters == b.iters
+            for key in ("penalty_norm", "norm_Du_p", "norm_Du_q"):
+                assert abs(a.row()[key] - b.row()[key]) <= 1e-10 * abs(b.row()[key])
+        assert np.abs(held.pi.coeffs - fresh.pi.coeffs).max() <= 1e-8 * np.abs(fresh.pi.coeffs).max()
 
 
 class TestContinuation:
