@@ -7,7 +7,7 @@ so local matrices are GEMMs of per-cell quadrature weights against the
 shape's integrand table, and loads are GEMMs of the point values against
 the shape's basis table.  The CSR pattern of each matrix and the map from
 local entries to its data are cached on the space, so re-assembly with new
-coefficient weights (the Picard loop) only recomputes values.  The
+coefficient weights (the Newton loop) only recomputes values.  The
 Dirichlet and saddle-point solves gather their free-dof block the same
 way and can reuse the sparse LU of an earlier, similar system.
 """
@@ -25,6 +25,7 @@ __all__ = [
     "full_grad_stiffness",
     "div_coupling",
     "transport_matrix",
+    "rank_one_stiffness",
     "p1_mass",
     "velocity_load",
     "stress_load",
@@ -59,7 +60,9 @@ def _assemble(space, loc, rows, cols):
 def _table(space, name):
     """Per-shape integrand table (2, K, R*S) of one form, built once per space.
 
-    Rows are the points for sym/full/div and (point, b_0 | b_1 | g1) for transport.
+    Rows are the points for sym/full/div, (point, b_0 | b_1 | g1) for
+    transport and (point, alpha, beta) for rank_one, where alpha and beta
+    index the ``_mandel`` components of a symmetric gradient.
     """
     key = ("table", name)
     if key not in space._cache:
@@ -72,6 +75,9 @@ def _table(space, name):
             conv = -np.einsum("sqi,krqij->kqjrs", v, d)
             mass = np.broadcast_to(-np.einsum("sqi,rqi->qrs", v, v)[:, None], (2, nq, 1, 12, 12))
             table = np.concatenate([conv, mass], axis=2).reshape(2, 3 * nq, 144)
+        elif name == "rank_one":
+            comp = _mandel(d)
+            table = np.einsum("krqa,ksqb->kqabrs", comp, comp).reshape(2, 9 * nq, 144)
         elif name == "div":
             table = np.einsum("qa,ksqii->kqas", space.p1_vals, g).reshape(2, nq, 36)
         else:
@@ -115,6 +121,33 @@ def transport_matrix(space, b_vals, g1_vals):
     w[..., 2] = space.qw * g1_vals
     loc = space.shape_gemm(w.reshape(space.n_cells, -1), _table(space, "transport"))
     return _assemble(space, loc, "vel", "vel")
+
+
+def _mandel(m):
+    """Components (M_00, M_11, sqrt(2) M_01) of symmetric 2x2 matrices, in which A:B is a dot product."""
+    return np.stack([m[..., 0, 0], m[..., 1, 1], np.sqrt(2.0) * m[..., 0, 1]], axis=-1)
+
+
+def rank_one_stiffness(space, weight, a_vals):
+    """int w (A:Du)(A:Dphi) for a weight w (C, Q) and a symmetric matrix field A (C, Q, 2, 2).
+
+    With a and d the ``_mandel`` components of A and D phi, A:D phi = a . d,
+    so the per-point weights are w a_alpha a_beta.
+    """
+    loc = space.shape_gemm(_outer_weights(space, weight, a_vals), _table(space, "rank_one"))
+    return _assemble(space, loc, "vel", "vel")
+
+
+def _outer_weights(space, weight, a_vals):
+    """Rows (C, Q*9) of qw w a_alpha a_beta.
+
+    The largest array of the assembly: built in place, and freed as soon
+    as the GEMM has consumed it.
+    """
+    a = _mandel(a_vals)
+    w = a[..., :, None] * a[..., None, :]
+    w *= (space.qw * weight)[..., None, None]
+    return w.reshape(space.n_cells, -1)
 
 
 def p1_mass(space):

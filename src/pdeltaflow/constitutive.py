@@ -222,14 +222,25 @@ def _sample_pairs(rng, n_random, dim, decades=(-4.0, 4.0)):
         raise ValueError(f"need at least 1e4 samples, got {n_random}")
     if dim not in (2, 3):
         raise ValueError(f"matrix dimension must be 2 or 3, got {dim}")
-    da = random_sym(rng, n_random, dim)
-    db = random_sym(rng, n_random, dim)
-    ma = 10.0 ** rng.uniform(*decades, n_random)
-    mb = 10.0 ** rng.uniform(*decades, n_random)
-    a_parts = [da * ma[:, None, None]]
-    b_parts = [db * mb[:, None, None]]
-
     mags = np.logspace(decades[0], decades[1], 17)
+    ta, tb = np.meshgrid(mags, mags, indexing="ij")
+    ta = ta.ravel()[:, None, None]
+    tb = tb.ravel()[:, None, None]
+    # filled in place, row by row; at most three legs of ta x tb and two lines per structured direction
+    a = np.empty((n_random + 3 * (3 * ta.shape[0] + 2 * mags.size), dim, dim))
+    b = np.empty_like(a)
+    a[:n_random] = random_sym(rng, n_random, dim)
+    b[:n_random] = random_sym(rng, n_random, dim)
+    a[:n_random] *= (10.0 ** rng.uniform(*decades, n_random))[:, None, None]
+    b[:n_random] *= (10.0 ** rng.uniform(*decades, n_random))[:, None, None]
+    rows = n_random
+
+    def put(pa, pb):
+        nonlocal rows
+        a[rows:rows + len(pa)] = pa
+        b[rows:rows + len(pa)] = pb
+        rows += len(pa)
+
     u = random_sym(rng, 3, dim)
     for ui in u:
         v = random_sym(rng, 1, dim)[0]
@@ -239,20 +250,15 @@ def _sample_pairs(rng, n_random, dim, decades=(-4.0, 4.0)):
             v = None
         else:
             v = v / vn
-        ta, tb = np.meshgrid(mags, mags, indexing="ij")
-        ta = ta.ravel()[:, None, None]
-        tb = tb.ravel()[:, None, None]
         dirs = [ui, -ui] + ([v] if v is not None else [])
         for w in dirs:
-            a_parts.append(ta * ui)
-            b_parts.append(tb * w)
+            put(ta * ui, tb * w)
         # pairs against zero and near-coincident pairs
-        a_parts.append(mags[:, None, None] * ui)
-        b_parts.append(np.zeros((mags.size, dim, dim)))
-        a_parts.append(mags[:, None, None] * ui)
-        b_parts.append(mags[:, None, None] * ui * (1.0 + 1e-4))
+        line = mags[:, None, None] * ui
+        put(line, 0.0)
+        put(line, line * (1.0 + 1e-4))
 
-    return np.concatenate(a_parts), np.concatenate(b_parts)
+    return a[:rows], b[:rows]
 
 
 # pairs per evaluation chunk: bounds the temporaries of _growth_ratios

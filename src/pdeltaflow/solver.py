@@ -7,14 +7,18 @@ multiplier.  Each penalty level n solves
     <S(Du+Dg), Dphi> + T(u)[phi] + (1/n) <|Du|^(q-2) Du, Dphi>
         - <pi, div phi> = <f, phi>,        <div u, q> = 0,
 
-by Picard iteration: the scalar stress weight, the penalty weight and the
-transport field are frozen at the previous iterate and the resulting
-linear saddle-point system is solved with a sparse LU.  The LU of an
-earlier step is reused, refined to the current matrix, until it turns too
-stale to refine; only then is the current matrix factored.  A continuation
-run walks an increasing schedule of n, warm-starting each level from the
-last (and keeping its LU) and recording the uniform-bound and
-penalty-decay monitors.
+by Newton's method on the consistent tangent: each step solves the
+linear saddle-point system of the momentum residual's derivative, whose
+stress part is nu I + nu'(|A|) A x A / |A| at A = Du + Dg.  A step that
+raises the residual is retaken as a Picard (Kacanov) step, with the
+scalar stress weight, the penalty weight and the transport field frozen
+at the iterate.  The saddle systems are solved with a sparse LU held on
+the instance: a later solve refines the held factor to its own matrix
+until it turns too stale to refine; only then is the current matrix
+factored.  A continuation run walks an increasing schedule of n,
+warm-starting each level from the last (and keeping its LU) and
+recording the uniform-bound and penalty-decay monitors; the pressure
+recovery at the converged velocity refines the same LU.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Linear solve breakdown or diverged Picard iteration.
+    """Linear solve breakdown or diverged nonlinear iteration.
 
     ``records`` carries the partial continuation history when a later
     level fails after earlier ones succeeded.
@@ -108,7 +112,12 @@ def default_config(s, levels=7, **kw):
 
 @dataclass
 class ProblemInstance:
-    """Model, space, lift and load bundled with cached quadrature data."""
+    """Model, space, lift and load bundled with cached quadrature data.
+
+    ``factor`` holds the saddle LU of the instance's last linear solve.
+    Every later solve on the instance (the next Newton step, the next
+    penalty level, the pressure recovery) refines from it.
+    """
 
     model: object
     space: object
@@ -118,6 +127,7 @@ class ProblemInstance:
     g_vals: np.ndarray = field(repr=False, default=None)
     g_sym: np.ndarray = field(repr=False, default=None)
     g1_vals: np.ndarray = field(repr=False, default=None)
+    factor: assembly.FactorHolder = field(repr=False, compare=False, default_factory=assembly.FactorHolder)
 
     @property
     def g_coeffs(self):
@@ -219,6 +229,7 @@ class LevelRecord:
     pi: Field = field(repr=False, default=None)
     factorizations: int = 0  # fresh saddle LUs made in this level
     refinements: int = 0  # refinement sweeps made with a held LU
+    fallbacks: int = 0  # Newton steps retaken as Picard steps; the level made iters + fallbacks saddle solves
 
     def row(self):
         return {
@@ -244,11 +255,22 @@ class SolveResult:
     converged: bool
 
 
-def _stress_weight(model, base_mag):
-    """Frozen scalar weight mu0 + mu (delta + |A|)^(p-2), floored away from 0."""
-    base = model.delta + base_mag
+def _stress_weight(model, mag):
+    """Scalar stress weight nu = mu0 + mu (delta + |A|)^(p-2), floored away from 0, and its slope nu'(|A|).
+
+    The slope is 0 where the floor holds the weight constant.
+    """
+    base = model.delta + mag
     floor = 1e-12 * (1.0 + float(base.max()))
-    return model.mu0 + model.mu * np.maximum(base, floor) ** (model.p - 2.0)
+    clipped = np.maximum(base, floor)
+    nu = model.mu0 + model.mu * clipped ** (model.p - 2.0)
+    slope = np.where(base > floor, model.mu * (model.p - 2.0) * clipped ** (model.p - 3.0), 0.0)
+    return nu, slope
+
+
+def _over(num, den):
+    """num / den where den > 0, and 0 where den = 0."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
 
 
 def _data_scale(inst, cfg):
@@ -260,55 +282,80 @@ def _data_scale(inst, cfg):
     return scale
 
 
-def _residual(inst, cfg, n, u_coeffs, lam):
-    """Nonlinear momentum residual (free dofs) plus the divergence defect."""
-    space = inst.space
-    du = _du(inst, u_coeffs)
+def _fields(inst, cfg, u_coeffs):
+    """Du and, with the convective term, the total velocity values u + g at u."""
+    v = inst.space.velocity_values(u_coeffs) + inst.g_vals if cfg.include_convective else None
+    return _du(inst, u_coeffs), v
+
+
+def _momentum(inst, cfg, n, du, v):
+    """Momentum residual R0 on all velocity dofs, without the multiplier, at Du = du and u + g = v."""
     res = _stress_term(inst, du) - inst.f_vec
     if cfg.penalty and np.isfinite(n):
         res += _penalty_term(inst, du, cfg.q, n)
     if cfg.include_convective:
-        res += _transport_term(inst, space.velocity_values(u_coeffs) + inst.g_vals)
-    res += assembly.div_coupling(space).T @ lam
+        res += _transport_term(inst, v)
+    return res
+
+
+def _residual(inst, cfg, n, u_coeffs, lam):
+    """Nonlinear momentum residual (free dofs) plus the divergence defect."""
+    space = inst.space
+    res = _momentum(inst, cfg, n, *_fields(inst, cfg, u_coeffs)) + assembly.div_coupling(space).T @ lam
     div_res = assembly.div_coupling(space) @ u_coeffs
     return np.sqrt(np.linalg.norm(res[space.free_vel_dofs]) ** 2 + np.linalg.norm(div_res) ** 2)
 
 
-def _linearize(inst, cfg, n, u):
-    """Frozen-coefficient system (a_mat, rhs) at the velocity coefficients u.
+def _linearize(inst, cfg, n, u, tangent=True):
+    """Newton system (J, J u - R0(u)) at the velocity coefficients u.
 
-    The stress weight, the penalty weight and the transport field are
-    frozen at u; the lift enters the right-hand side.
+    J is the derivative of the momentum residual R0 at u, so the saddle
+    solve J u_new + C^T lam = J u - R0(u) is one Newton step.  With
+    A = Du + Dg, J is the sum of
+      the scalar-weight stiffness  int (nu(|A|) + |Du|^(q-2)/n) Dw : Dphi,
+      the rank-one stress term     int nu'(|A|)/|A| (A:Dw)(A:Dphi),
+      the rank-one penalty term    int (q-2)/n |Du|^(q-4) (Du:Dw)(Du:Dphi),
+      the convective derivative    transport_matrix(2 (u + g), div g),
+    the penalty terms only at a finite n and the last only with the
+    convective term.  Dphi is symmetric, so (w x b + b x w) : Dphi =
+    2 (w x b) : Dphi gives the factor 2.  With ``tangent=False`` the
+    derivative terms are left out: the weights and the transport field are
+    frozen at u, and the step is the Picard (Kacanov) step.
     """
     space = inst.space
-    du = _du(inst, u)
-    nu = _stress_weight(inst.model, frobenius(du + inst.g_sym))
-    weight = nu
+    du, v = _fields(inst, cfg, u)
+    r0 = _momentum(inst, cfg, n, du, v)  # before the matrices, so their temporaries do not add up
+    a = du + inst.g_sym
+    mag = frobenius(a)
+    nu, slope = _stress_weight(inst.model, mag)
+    weight, rank_one = nu, [(_over(slope, mag), a)]
     if cfg.penalty and np.isfinite(n):
-        weight = nu + frobenius(du) ** (cfg.q - 2.0) / n  # penalty weights Du only
+        mag_u = frobenius(du)
+        weight = nu + mag_u ** (cfg.q - 2.0) / n  # the penalty weights Du only
+        rank_one.append(((cfg.q - 2.0) / n * _over(mag_u ** (cfg.q - 2.0), mag_u**2), du))
+    # every matrix below shares the cached velocity pattern; `+` would prune cancelled entries
     a_mat = assembly.sym_grad_stiffness(space, weight)
-    rhs = inst.f_vec - assembly.stress_load(space, nu[..., None, None] * inst.g_sym)
+    if tangent:
+        for w, dir_vals in rank_one:
+            a_mat.data += assembly.rank_one_stiffness(space, w, dir_vals).data
     if cfg.include_convective:
-        b_vals = space.velocity_values(u) + inst.g_vals
-        # both share the cached velocity pattern; `+` would prune cancelled entries
-        a_mat.data += assembly.transport_matrix(space, b_vals, inst.g1_vals).data
-        gob = symmetrize(inst.g_vals[..., :, None] * b_vals[..., None, :])
-        rhs += assembly.stress_load(space, gob) + assembly.velocity_load(
-            space, inst.g1_vals[..., None] * inst.g_vals
-        )
-    return a_mat, rhs
+        a_mat.data += assembly.transport_matrix(space, 2.0 * v if tangent else v, inst.g1_vals).data
+    return a_mat, a_mat @ u - r0
 
 
-def solve_regularized(inst, cfg, n, warm_start=None, factor=None):
-    """One penalty level: Picard with frozen weights and transport field.
+def solve_regularized(inst, cfg, n, warm_start=None):
+    """One penalty level: Newton steps on the consistent tangent, with a Picard fallback.
 
-    ``factor`` is the ``assembly.FactorHolder`` whose saddle LU the Picard
-    steps reuse; a continuation hands one holder to every level.  Without
-    it the level makes its own.
+    Each step solves the Newton system of ``_linearize``.  A step that
+    raises the residual above the last step's (the level's first step has
+    none to compare with) is retaken from the same iterate with the
+    frozen-weight (Picard) matrix, and that step is kept;
+    ``LevelRecord.fallbacks`` counts them.  The saddle solves refine the
+    LU held in ``inst.factor`` and factor afresh only when it is too stale.
     """
     space = inst.space
     model = inst.model
-    held = assembly.FactorHolder() if factor is None else factor
+    held = inst.factor
     made, swept = held.factorizations, held.refinements
     u = np.zeros(space.n_vel) if warm_start is None else warm_start.coeffs.copy()
     lam = np.zeros(space.n_p1)
@@ -316,18 +363,23 @@ def solve_regularized(inst, cfg, n, warm_start=None, factor=None):
     history = []
     converged = False
     rel = np.inf
-    it = 0
+    it = fallbacks = 0
 
     for it in range(1, cfg.picard_max + 1):
-        a_mat, rhs = _linearize(inst, cfg, n, u)
-        try:
-            u_new, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=held)
-        except RuntimeError as exc:
-            raise SolverError(f"linear saddle solve broke down at level n={n}: {exc}") from exc
-        if not np.all(np.isfinite(u_new)):
-            raise SolverError(f"linear solve returned non-finite values at level n={n}")
-        u = u + cfg.damping * (u_new - u)
-        rel = _residual(inst, cfg, n, u, lam) / scale
+        for tangent in (True, False):
+            a_mat, rhs = _linearize(inst, cfg, n, u, tangent=tangent)
+            try:
+                u_new, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=held)
+            except RuntimeError as exc:
+                raise SolverError(f"linear saddle solve broke down at level n={n}: {exc}") from exc
+            if not np.all(np.isfinite(u_new)):
+                raise SolverError(f"linear solve returned non-finite values at level n={n}")
+            step = u + cfg.damping * (u_new - u)
+            rel = _residual(inst, cfg, n, step, lam) / scale
+            if not tangent or not history or rel <= history[-1]:
+                break
+            fallbacks += 1
+        u = step
         history.append(rel)
         if rel < cfg.picard_tol:
             converged = True
@@ -348,6 +400,7 @@ def solve_regularized(inst, cfg, n, warm_start=None, factor=None):
         pi=space.pressure_field(-lam),
         factorizations=held.factorizations - made,
         refinements=held.refinements - swept,
+        fallbacks=fallbacks,
     )
 
 
@@ -369,18 +422,17 @@ def continuation_solve(inst, cfg, override=False):
     records = []
     diffs = []
     warm = None
-    held = assembly.FactorHolder()  # each level warm-starts from the last, so its LU carries over
     bound_ok = penalty_ok = True
     for n in cfg.n_schedule:
         try:
-            rec = solve_regularized(inst, cfg, n, warm_start=warm, factor=held)
+            rec = solve_regularized(inst, cfg, n, warm_start=warm)
         except SolverError as exc:
             exc.records = records
             raise
         records.append(rec)
         if not rec.converged and rec.residual > 1e-3:
             raise SolverError(
-                f"Picard diverged at level n={n} (residual {rec.residual:.3e}); aborting with partial history",
+                f"nonlinear iteration diverged at level n={n} (residual {rec.residual:.3e}); aborting with partial history",
                 records=records,
             )
         if warm is not None:
@@ -410,8 +462,11 @@ def continuation_solve(inst, cfg, override=False):
 def recover_pressure(inst, u, cfg=None, n=np.inf):
     """Pressure from the mixed system's multiplier at the converged state.
 
-    One frozen-coefficient saddle solve at u returns the multiplier; the
-    pressure is its negative, normalized to mean zero.  The returned
+    One Newton saddle solve at u returns the multiplier; the pressure is
+    its negative, normalized to mean zero.  The solve refines the LU held
+    in ``inst.factor``: after ``solve_regularized`` has converged to u,
+    the matrix at u is the last step's up to the last correction, so the
+    held LU refines to it without a new factor.  The returned
     residual is the full momentum defect against unconstrained test
     functions, relative to the data scale.
     """
@@ -419,7 +474,7 @@ def recover_pressure(inst, u, cfg=None, n=np.inf):
         cfg = default_config(inst.model.p, penalty=False)
     space = inst.space
     a_mat, rhs = _linearize(inst, cfg, n, u.coeffs)
-    _, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1))
+    _, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=inst.factor)
     rel = _residual(inst, cfg, n, u.coeffs, lam) / max(_data_scale(inst, cfg), 1e-300)
     return space.pressure_field(-lam), float(rel)
 

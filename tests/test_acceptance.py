@@ -170,6 +170,14 @@ def test_criterion_07_penalty_decay(certified32):
     print("\nACCEPTANCE 7 (penalty norms under the decay envelope at all 7 levels): PASS")
 
 
+def test_certified32_linear_solves(certified32):
+    # Newton steps on the consistent tangent: at most 15 saddle solves over the 7 levels
+    records = certified32["result"].records
+    solves = sum(r.iters + r.fallbacks for r in records)
+    assert solves <= 15
+    print(f"\n32x32 continuation: {solves} linear solves, steps per level {[r.iters for r in records]}")
+
+
 @pytest.mark.parametrize("p,delta", [(1.8, 0.1), (2.0, 0.0)])
 def test_criterion_08_manufactured_convergence(unit_domain, p, delta):
     case = manufactured_case(p, delta, 0.0, 1.0, amp=0.3)

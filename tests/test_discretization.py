@@ -417,6 +417,13 @@ class TestTwoShapeEvaluation:
                 loc[:, e * 6:(e + 1) * 6, c * 6:(c + 1) * 6] = -0.5 * y[:, :, :, e, c] - (e == c) * (0.5 * a1 + mg)
         self._close(assembly.transport_matrix(s, b, d["g1"]).toarray(), self._dense(s, loc))
 
+    def test_rank_one(self, case):
+        s, grads, qw, d = case
+        a = 0.5 * (d["S"] + np.swapaxes(d["S"], -1, -2))
+        proj = np.einsum("cqea,cqma->cqem", a, grads).reshape(s.n_cells, s.nq, 12)  # A : D phi_(e,m)
+        loc = np.einsum("cq,cqr,cqs->crs", qw * d["w"], proj, proj)
+        self._close(assembly.rank_one_stiffness(s, d["w"], a).toarray(), self._dense(s, loc))
+
     def test_div_coupling(self, case):
         s, grads, qw, _ = case
         loc = np.einsum("cq,qr,cqmb->crbm", qw, s.p1_vals, grads).reshape(s.n_cells, 3, 12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdeltaflow import assembly
+from pdeltaflow import assembly, solver
 from pdeltaflow.certifier import check_smallness, compute_constants, weighted_shear_norm
 from pdeltaflow.constitutive import PDeltaModel
 from pdeltaflow.discretization import build_space, divergence_values, norm_Lp, norm_sym_grad_p
@@ -11,6 +11,9 @@ from pdeltaflow.solver import (
     SolverConfig,
     SolverError,
     _data_scale,
+    _fields,
+    _linearize,
+    _momentum,
     apply_P,
     apply_S,
     apply_T,
@@ -356,6 +359,92 @@ class TestFactorReuse:
             for key in ("penalty_norm", "norm_Du_p", "norm_Du_q"):
                 assert abs(a.row()[key] - b.row()[key]) <= 1e-10 * abs(b.row()[key])
         assert np.abs(held.pi.coeffs - fresh.pi.coeffs).max() <= 1e-8 * np.abs(fresh.pi.coeffs).max()
+
+
+def _newton_case(space):
+    """p = 1.6, delta = 0.01 with a lift carrying nonzero divergence and boundary data, and a load."""
+    lf = lift(BoundaryData(g1=lambda x, y: 0.5 * np.cos(np.pi * x), g2=tangential_g2(0.3)), space, 1.6, 1.6)
+    f_vec = np.random.default_rng(21).standard_normal(space.n_vel)
+    return make_instance(PDeltaModel(p=1.6, delta=0.01), space, lift_field=lf, f=f_vec)
+
+
+class TestNewton:
+    @pytest.mark.parametrize(
+        "penalty,convective", [(False, False), (True, False), (False, True), (True, True)],
+        ids=["stress", "penalty", "convective", "all"],
+    )
+    def test_tangent_matches_finite_differences(self, space4, penalty, convective):
+        inst = _newton_case(space4)
+        assert np.abs(inst.g1_vals).max() > 0.1 and np.abs(inst.g_sym).max() > 0.1
+        cfg = SolverConfig(q=3.0, n_schedule=(1,), penalty=penalty, include_convective=convective)
+        n = 0.5  # a strong penalty, so its tangent is not lost under the stress's
+        u = _random_zero_boundary(space4, 31).coeffs
+        w = _random_zero_boundary(space4, 32).coeffs
+
+        def r0(c):
+            return _momentum(inst, cfg, n, *_fields(inst, cfg, c))
+
+        jac, rhs = _linearize(inst, cfg, n, u)
+        assert np.allclose(rhs, jac @ u - r0(u), rtol=0.0, atol=1e-12 * np.abs(rhs).max())
+        h = 1e-5
+        fd = (r0(u + h * w) - r0(u - h * w)) / (2.0 * h)
+        assert np.linalg.norm(jac @ w - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_rising_step_is_retaken_frozen(self, space8, monkeypatch):
+        case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
+        inst = make_instance(case["model"], space8, f=case["f"])
+        cfg = SolverConfig(q=3.0, n_schedule=(1,), penalty=False, picard_tol=1e-10)
+        clean = solve_regularized(make_instance(case["model"], space8, f=case["f"]), cfg, np.inf)
+        assert clean.fallbacks == 0
+        linearize, saddle = solver._linearize, assembly.solve_saddle
+        calls, solves = [], []
+
+        def spoiled(inst, cfg, n, u, tangent=True):
+            a_mat, rhs = linearize(inst, cfg, n, u, tangent=tangent)
+            calls.append((u.copy(), tangent))
+            if tangent and sum(t for _, t in calls) == 2:  # the second Newton step overshoots
+                rhs = rhs + 10.0 * np.abs(rhs).max()
+            return a_mat, rhs
+
+        def counting(*args, **kw):
+            solves.append(1)
+            return saddle(*args, **kw)
+
+        monkeypatch.setattr(solver, "_linearize", spoiled)
+        monkeypatch.setattr(assembly, "solve_saddle", counting)
+        rec = solve_regularized(inst, cfg, np.inf)
+        tangents = [t for _, t in calls]
+        assert tangents[:3] == [True, True, False] and all(tangents[3:])
+        assert np.array_equal(calls[1][0], calls[2][0])  # retaken from the same iterate
+        # the kept second step is the frozen-weight step from the first iterate
+        u1, u2 = calls[1][0], calls[3][0]
+        a_mat, rhs = linearize(inst, cfg, np.inf, u1, tangent=False)
+        frozen, _ = saddle(space8, a_mat, rhs, np.zeros(space8.n_p1))
+        assert np.abs(u2 - frozen).max() <= 1e-9 * np.abs(frozen).max()
+        assert rec.residual_history[0] == clean.residual_history[0]
+        assert rec.fallbacks == 1 and rec.converged
+        assert len(solves) == rec.iters + rec.fallbacks == len(calls)
+
+    def test_manufactured_20_converges_in_six_steps(self, unit_domain):
+        case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
+        inst = make_instance(case["model"], build_space(unit_domain, 20, 20), f=case["f"])
+        cfg = SolverConfig(q=3.0, n_schedule=(1,), penalty=False, picard_tol=1e-10)
+        rec = solve_regularized(inst, cfg, np.inf)
+        assert rec.converged and rec.iters <= 6 and rec.fallbacks == 0
+
+    def test_recover_pressure_refines_the_held_factor(self, space8):
+        case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
+        inst = make_instance(case["model"], space8, f=case["f"])
+        cfg = SolverConfig(q=3.0, n_schedule=(1,), penalty=False, picard_tol=1e-10)
+        rec = solve_regularized(inst, cfg, np.inf)
+        made = inst.factor.factorizations
+        pi, rel = recover_pressure(inst, rec.u, cfg=cfg)
+        assert inst.factor.factorizations == made
+        a_mat, rhs = _linearize(inst, cfg, np.inf, rec.u.coeffs)
+        _, lam = assembly.solve_saddle(space8, a_mat, rhs, np.zeros(space8.n_p1))  # a fresh LU
+        fresh = space8.pressure_field(-lam)
+        assert np.abs(pi.coeffs - fresh.coeffs).max() <= 1e-10 * np.abs(fresh.coeffs).max()
+        assert rel < 1e-9
 
 
 class TestContinuation:
