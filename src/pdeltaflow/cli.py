@@ -514,7 +514,7 @@ def main(argv=None):
             return cmd_counterexample(cfg, out)
         if args.command == "verify-lemmas":
             return cmd_verify_lemmas(cfg, out)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:  # ArithmeticError: e.g. a float power that overflows
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

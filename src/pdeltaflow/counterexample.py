@@ -15,11 +15,20 @@ condition, so Brouwer-type solvability fails without extra regularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import RectDomain, build_space, level_norm, norm_sym_grad_p, prolong_velocity
+from .constitutive import symmetrize
+from .discretization import (
+    RectDomain,
+    build_space,
+    combine_level_norm,
+    level_norm,
+    norm_sym_grad_p,
+    prolong_velocity,
+    sym_grad_norms,
+)
 
 __all__ = [
     "TwoNormFamily",
@@ -48,7 +57,9 @@ class TwoNormFamily:
     """Bump fields on one common fine space, normalized to ||Du||_p = 1.
 
     ``ratios`` holds ||Du||_q per member (strictly increasing); members
-    are stored as coefficient arrays on ``space``.
+    are stored as coefficient arrays on ``space``.  ``_gram`` caches the
+    pointwise strain products of the extreme members (see
+    ``_endpoint_gram``), built on the first bisection.
     """
 
     space: object
@@ -58,12 +69,14 @@ class TwoNormFamily:
     q: float
     widths: list
     meshes: list
+    _gram: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class CounterexampleRecord:
     n: float
     branch: str
+    theta: float
     y_n: float
     y_achieved: float
     level_norm: float
@@ -148,16 +161,50 @@ def _on_sphere(family, coeffs, n, R):
     return scaled, norm_sym_grad_p(scaled, family.q)
 
 
+def _endpoint_gram(family):
+    """Pointwise Dlo:Dlo, Dlo:Dhi and Dhi:Dhi, (C, Q) each, of the extreme members.
+
+    D is linear, so |D((1-t) lo + t hi)|^2 is a quadratic in t with these
+    coefficients.  Built once per family and cached on it.
+    """
+    if family._gram is None:
+        s = family.space
+        lo, hi = (symmetrize(s.velocity_gradients(c)) for c in (family.members[0], family.members[-1]))
+        family._gram = tuple(np.einsum("...ij,...ij->...", a, b) for a, b in ((lo, lo), (lo, hi), (hi, hi)))
+    return family._gram
+
+
+def _strain_sq(gram, theta):
+    """|D((1-theta) lo + theta hi)|^2 at every quadrature point, clamped at 0 against rounding."""
+    g00, g01, g11 = gram
+    return np.maximum((1 - theta) ** 2 * g00 + 2.0 * theta * (1 - theta) * g01 + theta**2 * g11, 0.0)
+
+
+def _sphere_y(family, theta, n, R):
+    """q-norm of (1-theta) lo + theta hi scaled onto the sphere, from the cached Gram arrays.
+
+    Every norm is 1-homogeneous, so the scaled field's q-norm is
+    ||Du||_q R / level_norm(u); no field is built.
+    """
+    s = family.space
+    sq = _strain_sq(_endpoint_gram(family), theta)
+    norm_p, norm_q = (s.integrate(sq ** (0.5 * r)) ** (1.0 / r) for r in (family.p, family.q))
+    return norm_q * (R / combine_level_norm(norm_p, norm_q, family.q, n))
+
+
 def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=1e-9):
     """Field on the level-norm sphere with prescribed q-gradient norm.
 
     Interpolates between the extreme family members along the sphere; the
     target is hit by bisection on the interpolation parameter (the q-norm
-    varies continuously along the path, so a bracketed root exists).
+    varies continuously along the path, so a bracketed root exists).  The
+    bisection reads the q-norm off the cached endpoint strain products;
+    the returned field and its q-norm are evaluated directly at the final
+    parameter.
     """
     lo_c, hi_c = family.members[0], family.members[-1]
-    _, y_lo = _on_sphere(family, lo_c, n, R)
-    _, y_hi = _on_sphere(family, hi_c, n, R)
+    y_lo = _sphere_y(family, 0.0, n, R)
+    y_hi = _sphere_y(family, 1.0, n, R)
     y_min, y_max = min(y_lo, y_hi), max(y_lo, y_hi)
     if y_n < y_min * (1 - rel_tol) or y_n > y_max * (1 + rel_tol):
         raise RangeError(
@@ -165,17 +212,12 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=1e-9):
         )
     y_target = min(max(y_n, y_min), y_max)
 
-    def y_of(theta):
-        field, y = _on_sphere(family, (1 - theta) * lo_c + theta * hi_c, n, R)
-        return field, y
-
     ta, tb = 0.0, 1.0
     fa = y_lo - y_target
     theta = 0.0
-    field, y = y_of(0.0)
     for _ in range(bisect_steps):
         theta = 0.5 * (ta + tb)
-        field, y = y_of(theta)
+        y = _sphere_y(family, theta, n, R)
         if abs(y - y_target) <= rel_tol * y_target:
             break
         if (y - y_target) * fa <= 0:
@@ -183,13 +225,18 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=1e-9):
         else:
             ta = theta
             fa = y - y_target
+    field, y = _on_sphere(family, (1 - theta) * lo_c + theta * hi_c, n, R)
     return field, theta, y
+
+
+def _P_n(norm_p, y, n, G1, F1, p, q):
+    """P_n from ||Du||_p and y = ||Du||_q."""
+    return G1 * norm_p**p + y**q / n - F1 * y
 
 
 def evaluate_P_n(field, n, G1, F1, p, q):
     """G1 ||Du||_p^p + (1/n) ||Du||_q^q - F1 ||Du||_q."""
-    y = norm_sym_grad_p(field, q)
-    return G1 * norm_sym_grad_p(field, p) ** p + y**q / n - F1 * y
+    return _P_n(*sym_grad_norms(field, (p, q)), n, G1, F1, p, q)
 
 
 def _discrete_f(family, n):
@@ -228,15 +275,17 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
                 field, y = _on_sphere(family, family.members[-1], n, R)
                 theta = 1.0
                 branch = "step1-fallback"
-        val = evaluate_P_n(field, n, G1, F1, family.p, family.q)
+        norm_p, norm_q = sym_grad_norms(field, (family.p, family.q))
+        val = _P_n(norm_p, norm_q, n, G1, F1, family.p, family.q)
         records.append(
             CounterexampleRecord(
                 n=float(n),
                 branch=branch,
+                theta=float(theta),
                 y_n=float(y_n),
                 y_achieved=float(y),
-                level_norm=float(level_norm(field, family.p, family.q, n)),
-                norm_Du_p=float(norm_sym_grad_p(field, family.p)),
+                level_norm=float(combine_level_norm(norm_p, norm_q, family.q, n)),
+                norm_Du_p=float(norm_p),
                 P_n=float(val),
                 margin=float(-val),
                 member_mix=f"theta={theta:.6f}",

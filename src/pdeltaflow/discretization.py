@@ -36,7 +36,9 @@ __all__ = [
     "norm_Lp",
     "norm_grad_p",
     "norm_sym_grad_p",
+    "sym_grad_norms",
     "level_norm",
+    "combine_level_norm",
     "norm_W1p",
     "divergence_values",
     "prolong_velocity",
@@ -442,18 +444,33 @@ def norm_grad_p(field, p):
     return s.integrate(frobenius(g) ** p) ** (1.0 / p)
 
 
+def sym_grad_norms(field, exponents):
+    """Symmetric-gradient norms ||Dv||_r (Frobenius modulus pointwise), one per r in exponents.
+
+    The gradient is evaluated once for all exponents.
+    """
+    s = field.space
+    mag = frobenius(symmetrize(s.velocity_gradients(field.coeffs)))
+    return [s.integrate(mag**r) ** (1.0 / r) for r in exponents]
+
+
 def norm_sym_grad_p(field, p):
     """Symmetric-gradient norm ||Dv||_p (Frobenius modulus pointwise)."""
-    s = field.space
-    g = s.velocity_gradients(field.coeffs)
-    return s.integrate(frobenius(symmetrize(g)) ** p) ** (1.0 / p)
+    return sym_grad_norms(field, (p,))[0]
+
+
+def combine_level_norm(norm_p, norm_q, q, n):
+    """Level norm max{n^(-2/(2q-1)) norm_q, norm_p} from the two norms; norm_p at n = inf."""
+    if not np.isfinite(n):
+        return norm_p
+    return max(n ** (-2.0 / (2.0 * q - 1.0)) * norm_q, norm_p)
 
 
 def level_norm(field, p, q, n):
     """Level norm max{n^(-2/(2q-1)) ||Dv||_q, ||Dv||_p}; ||Dv||_p at n = inf."""
     if not np.isfinite(n):
         return norm_sym_grad_p(field, p)
-    return max(n ** (-2.0 / (2.0 * q - 1.0)) * norm_sym_grad_p(field, q), norm_sym_grad_p(field, p))
+    return combine_level_norm(*sym_grad_norms(field, (p, q)), q, n)
 
 
 def norm_W1p(field, p):

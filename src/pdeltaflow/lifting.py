@@ -19,8 +19,8 @@ from . import assembly
 from .discretization import (
     Field,
     divergence_values,
-    norm_sym_grad_p,
     norm_W1p,
+    sym_grad_norms,
 )
 
 __all__ = [
@@ -158,11 +158,12 @@ def lift(data, space, p, s):
         np.sqrt(space.integrate((divergence_values(space, g_coeffs) - g1_vals) ** 2))
     )
 
+    dg_s, dg_p = sym_grad_norms(g, (s, p))
     norms = {
         "W1p": norm_W1p(g, p),
         "W1s": norm_W1p(g, s),
-        "Dg_s": norm_sym_grad_p(g, s),
-        "Dg_p": norm_sym_grad_p(g, p),
+        "Dg_s": dg_s,
+        "Dg_p": dg_p,
         "div_s": _div_norm(space, g_coeffs, s),
         "div_p": _div_norm(space, g_coeffs, p),
     }

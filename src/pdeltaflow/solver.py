@@ -29,7 +29,7 @@ import numpy as np
 
 from . import assembly
 from .constitutive import eval_stress, frobenius, symmetrize
-from .discretization import Field, level_norm, norm_sym_grad_p
+from .discretization import Field, combine_level_norm, norm_sym_grad_p, sym_grad_norms
 
 __all__ = [
     "ProblemInstance",
@@ -211,7 +211,12 @@ def penalty_norm(u, q, n):
     """||(1/n) |Du|^(q-2) Du||_{q'} which reduces to n^-1 ||Du||_q^(q-1)."""
     if not np.isfinite(n):
         return 0.0
-    return norm_sym_grad_p(u, q) ** (q - 1.0) / n
+    return _penalty_of(norm_sym_grad_p(u, q), q, n)
+
+
+def _penalty_of(norm_q, q, n):
+    """penalty_norm from ||Du||_q at a finite n."""
+    return norm_q ** (q - 1.0) / n
 
 
 @dataclass
@@ -298,15 +303,24 @@ def _momentum(inst, cfg, n, du, v):
     return res
 
 
-def _residual(inst, cfg, n, u_coeffs, lam):
-    """Nonlinear momentum residual (free dofs) plus the divergence defect."""
+def _state(inst, cfg, n, u_coeffs):
+    """(Du, u + g, R0) at u: the fields of ``_fields`` and the momentum residual ``_momentum``.
+
+    A step's residual and the next step's linearization share one state.
+    """
+    du, v = _fields(inst, cfg, u_coeffs)
+    return du, v, _momentum(inst, cfg, n, du, v)
+
+
+def _residual(inst, r0, u_coeffs, lam):
+    """Nonlinear momentum residual (free dofs) plus the divergence defect, from R0 at u."""
     space = inst.space
-    res = _momentum(inst, cfg, n, *_fields(inst, cfg, u_coeffs)) + assembly.div_coupling(space).T @ lam
+    res = r0 + assembly.div_coupling(space).T @ lam
     div_res = assembly.div_coupling(space) @ u_coeffs
     return np.sqrt(np.linalg.norm(res[space.free_vel_dofs]) ** 2 + np.linalg.norm(div_res) ** 2)
 
 
-def _linearize(inst, cfg, n, u, tangent=True):
+def _linearize(inst, cfg, n, u, tangent=True, state=None):
     """Newton system (J, J u - R0(u)) at the velocity coefficients u.
 
     J is the derivative of the momentum residual R0 at u, so the saddle
@@ -320,11 +334,12 @@ def _linearize(inst, cfg, n, u, tangent=True):
     convective term.  Dphi is symmetric, so (w x b + b x w) : Dphi =
     2 (w x b) : Dphi gives the factor 2.  With ``tangent=False`` the
     derivative terms are left out: the weights and the transport field are
-    frozen at u, and the step is the Picard (Kacanov) step.
+    frozen at u, and the step is the Picard (Kacanov) step.  ``state`` is
+    the ``_state`` at u when the caller has it already.
     """
     space = inst.space
-    du, v = _fields(inst, cfg, u)
-    r0 = _momentum(inst, cfg, n, du, v)  # before the matrices, so their temporaries do not add up
+    # the state before the matrices, so their temporaries do not add up
+    du, v, r0 = _state(inst, cfg, n, u) if state is None else state
     a = du + inst.g_sym
     mag = frobenius(a)
     nu, slope = _stress_weight(inst.model, mag)
@@ -358,6 +373,7 @@ def solve_regularized(inst, cfg, n, warm_start=None):
     held = inst.factor
     made, swept = held.factorizations, held.refinements
     u = np.zeros(space.n_vel) if warm_start is None else warm_start.coeffs.copy()
+    state = _state(inst, cfg, n, u)
     lam = np.zeros(space.n_p1)
     scale = max(_data_scale(inst, cfg), 1e-300)
     history = []
@@ -367,7 +383,7 @@ def solve_regularized(inst, cfg, n, warm_start=None):
 
     for it in range(1, cfg.picard_max + 1):
         for tangent in (True, False):
-            a_mat, rhs = _linearize(inst, cfg, n, u, tangent=tangent)
+            a_mat, rhs = _linearize(inst, cfg, n, u, tangent=tangent, state=state)
             try:
                 u_new, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=held)
             except RuntimeError as exc:
@@ -375,26 +391,28 @@ def solve_regularized(inst, cfg, n, warm_start=None):
             if not np.all(np.isfinite(u_new)):
                 raise SolverError(f"linear solve returned non-finite values at level n={n}")
             step = u + cfg.damping * (u_new - u)
-            rel = _residual(inst, cfg, n, step, lam) / scale
+            step_state = _state(inst, cfg, n, step)
+            rel = _residual(inst, step_state[2], step, lam) / scale
             if not tangent or not history or rel <= history[-1]:
                 break
             fallbacks += 1
-        u = step
+        u, state = step, step_state
         history.append(rel)
         if rel < cfg.picard_tol:
             converged = True
             break
 
     uf = space.velocity_field(u)
+    norm_p, norm_q = sym_grad_norms(uf, (model.p, cfg.q))
     return LevelRecord(
         n=float(n),
         iters=it,
         residual=float(rel),
         converged=converged,
-        penalty_norm=penalty_norm(uf, cfg.q, n) if cfg.penalty else 0.0,
-        norm_Du_p=norm_sym_grad_p(uf, model.p),
-        norm_Du_q=norm_sym_grad_p(uf, cfg.q),
-        level_norm=level_norm(uf, model.p, cfg.q, n),
+        penalty_norm=_penalty_of(norm_q, cfg.q, n) if cfg.penalty and np.isfinite(n) else 0.0,
+        norm_Du_p=norm_p,
+        norm_Du_q=norm_q,
+        level_norm=combine_level_norm(norm_p, norm_q, cfg.q, n),
         residual_history=history,
         u=uf,
         pi=space.pressure_field(-lam),
@@ -473,9 +491,10 @@ def recover_pressure(inst, u, cfg=None, n=np.inf):
     if cfg is None:
         cfg = default_config(inst.model.p, penalty=False)
     space = inst.space
-    a_mat, rhs = _linearize(inst, cfg, n, u.coeffs)
+    state = _state(inst, cfg, n, u.coeffs)
+    a_mat, rhs = _linearize(inst, cfg, n, u.coeffs, state=state)
     _, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=inst.factor)
-    rel = _residual(inst, cfg, n, u.coeffs, lam) / max(_data_scale(inst, cfg), 1e-300)
+    rel = _residual(inst, state[2], u.coeffs, lam) / max(_data_scale(inst, cfg), 1e-300)
     return space.pressure_field(-lam), float(rel)
 
 

@@ -243,6 +243,12 @@ class TestExitCodes:
         path = _write_cfg(tmp_path, "c.json", cfg)
         assert main(["counterexample", "--config", path]) == EXIT_NUMERICAL
 
+    def test_counterexample_overflow_is_numerical(self, tmp_path):
+        # R^(q-1) in the step-1 threshold overflows a Python float: OverflowError
+        cfg = {"out": str(tmp_path / "t"), "counterexample": {"levels": 3, "base_n": 4, "R": 1e200}}
+        path = _write_cfg(tmp_path, "c.json", cfg)
+        assert main(["counterexample", "--config", path]) == EXIT_NUMERICAL
+
     def test_verify_lemmas(self, tmp_path):
         cfg = dict(QUICK, out=str(tmp_path / "t"))
         path = _write_cfg(tmp_path, "c.json", cfg)
@@ -269,3 +275,24 @@ def test_reports_deterministic(tmp_path):
         assert main([cmd, "--config", path, "--out", out_b]) == EXIT_OK
         name = "tensor_report.json" if cmd == "check-tensor" else "certificate.json"
         assert (tmp_path / f"{cmd}-a" / name).read_bytes() == (tmp_path / f"{cmd}-b" / name).read_bytes()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    base_n=st.integers(2, 4),
+    width0=_log_uniform(1e-3, 1e3),
+    R=_log_uniform(1e-3, 1e3),
+    F1=_log_uniform(1e-3, 1e3),
+    G1=_log_uniform(1e-3, 1e3),
+    c2=st.floats(1.0 + 1e-3, 100.0),
+    n_values=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=4),
+)
+def test_counterexample_exit_codes(tmp_path_factory, base_n, width0, R, F1, G1, c2, n_values):
+    out = tmp_path_factory.mktemp("ce")
+    ce = {"levels": 3, "base_n": base_n, "width0": width0, "R": R, "F1": F1, "G1": G1, "c2": c2, "n_values": n_values}
+    path = _write_cfg(out, "c.json", {"out": str(out / "t"), "counterexample": ce})
+    assert main(["counterexample", "--config", path]) in (EXIT_OK, EXIT_CONDITION_FAILED, EXIT_NUMERICAL)

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pdeltaflow import counterexample
+from pdeltaflow.constitutive import frobenius, symmetrize
 from pdeltaflow.counterexample import (
     FamilyError,
     RangeError,
@@ -11,7 +15,7 @@ from pdeltaflow.counterexample import (
     find_y_n,
     level_norm,
 )
-from pdeltaflow.discretization import norm_sym_grad_p
+from pdeltaflow.discretization import DiscreteSpace, norm_sym_grad_p
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +132,69 @@ class TestScan:
     def test_c2_validation(self, family3):
         with pytest.raises(ValueError):
             counterexample_scan(family3, [10], c2=1.0)
+
+
+def _mix(family, theta):
+    return (1 - theta) * family.members[0] + theta * family.members[-1]
+
+
+def _direct_norm(space, coeffs, r):
+    """||Du||_r from a fresh gradient evaluation, written out in full."""
+    mag = frobenius(symmetrize(space.velocity_gradients(coeffs)))
+    return float(np.sum(space.qw * mag**r)) ** (1.0 / r)
+
+
+class TestCachedBisection:
+    def test_gram_matches_direct_strain(self, family3):
+        gram = counterexample._endpoint_gram(family3)
+        for theta in (0.0, 0.3, 0.5, 1.0):
+            direct = frobenius(symmetrize(family3.space.velocity_gradients(_mix(family3, theta)))) ** 2
+            cached = counterexample._strain_sq(gram, theta)
+            assert np.abs(cached - direct).max() <= 1e-13 * direct.max()
+
+    def test_records_match_direct_oracle(self, family3):
+        R, F1, G1, p, q = 1.3, 1.0, 0.7, family3.p, family3.q
+        scan = counterexample_scan(family3, [4, 12, 16, 24, 48, 256], R=R, F1=F1, G1=G1, c2=2.0)
+        assert {r.branch for r in scan["records"]} == {"step1-fallback", "step2", "step1"}
+        space = family3.space
+        for rec in scan["records"]:
+            c = _mix(family3, rec.theta)
+            ln = max(rec.n ** (-2.0 / (2.0 * q - 1.0)) * _direct_norm(space, c, q), _direct_norm(space, c, p))
+            c = c * (R / ln)
+            y, norm_p = _direct_norm(space, c, q), _direct_norm(space, c, p)
+            oracle = {
+                "y_achieved": y,
+                "level_norm": max(rec.n ** (-2.0 / (2.0 * q - 1.0)) * y, norm_p),
+                "norm_Du_p": norm_p,
+                "P_n": G1 * norm_p**p + y**q / rec.n - F1 * y,
+            }
+            for key, want in oracle.items():
+                assert abs(getattr(rec, key) - want) <= 1e-14 * abs(want), (rec.n, key)
+
+    def test_gradient_evaluations_do_not_grow_with_bisection_steps(self, family3, monkeypatch):
+        grads, steps = [], []
+        gradients, sphere_y, construct = DiscreteSpace.velocity_gradients, counterexample._sphere_y, construct_u_n
+
+        def counted_gradients(self, coeffs):
+            grads.append(1)
+            return gradients(self, coeffs)
+
+        def counted_sphere_y(*args):
+            steps.append(1)
+            return sphere_y(*args)
+
+        monkeypatch.setattr(DiscreteSpace, "velocity_gradients", counted_gradients)
+        monkeypatch.setattr(counterexample, "_sphere_y", counted_sphere_y)
+        counts = []
+        for rel_tol in (1e-6, 1e-9, 1e-14):
+            monkeypatch.setattr(
+                counterexample, "construct_u_n", lambda *a, rel_tol=rel_tol: construct(*a, rel_tol=rel_tol)
+            )
+            grads.clear()
+            steps.clear()
+            fresh = dataclasses.replace(family3, _gram=None)  # the cache is built inside the scan
+            scan = counterexample_scan(fresh, [8, 12, 16, 24])
+            assert all(r.branch == "step2" for r in scan["records"])
+            counts.append((len(grads), len(steps)))
+        assert counts[0][1] < counts[1][1] < counts[2][1]
+        assert counts[0][0] == counts[1][0] == counts[2][0]

@@ -399,8 +399,8 @@ class TestNewton:
         linearize, saddle = solver._linearize, assembly.solve_saddle
         calls, solves = [], []
 
-        def spoiled(inst, cfg, n, u, tangent=True):
-            a_mat, rhs = linearize(inst, cfg, n, u, tangent=tangent)
+        def spoiled(inst, cfg, n, u, tangent=True, **kw):
+            a_mat, rhs = linearize(inst, cfg, n, u, tangent=tangent, **kw)
             calls.append((u.copy(), tangent))
             if tangent and sum(t for _, t in calls) == 2:  # the second Newton step overshoots
                 rhs = rhs + 10.0 * np.abs(rhs).max()
