@@ -236,11 +236,10 @@ def build_certificate(cfg):
     model = _model(cfg)
     space = _space(cfg)
     s = certifier.compute_s(model.p, 2)
-    seed = cfg["seed"]
     chars = estimate_characteristics(
-        model, samples=cfg["characteristics"]["samples"], seed=seed, dim=cfg["characteristics"]["dim"]
+        model, samples=cfg["characteristics"]["samples"], seed=cfg["seed"], dim=cfg["characteristics"]["dim"]
     )
-    emb = estimate_embedding_constants(space, model.p, s, iters=cfg["embedding"]["iters"], seed=seed)
+    emb = estimate_embedding_constants(space, model.p, s, iters=cfg["embedding"]["iters"])
     data = _boundary_data(cfg)
     lf = lift(data, space, model.p, s)
     f = _load_f(cfg)
@@ -502,19 +501,21 @@ def main(argv=None):
         fh.write(cfg.serialize() + "\n")
 
     try:
-        if args.command == "check-tensor":
-            return cmd_check_tensor(cfg, out)
-        if args.command == "lift":
-            return cmd_lift(cfg, out)
-        if args.command == "certify":
-            return cmd_certify(cfg, out)
-        if args.command == "solve":
-            return cmd_solve(cfg, out, override=args.override_certification)
-        if args.command == "counterexample":
-            return cmd_counterexample(cfg, out)
-        if args.command == "verify-lemmas":
-            return cmd_verify_lemmas(cfg, out)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:  # ArithmeticError: e.g. a float power that overflows
+        # overflow or 0/0 anywhere in a run ends it on exit 3, not on inf or nan in a report
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "check-tensor":
+                return cmd_check_tensor(cfg, out)
+            if args.command == "lift":
+                return cmd_lift(cfg, out)
+            if args.command == "certify":
+                return cmd_certify(cfg, out)
+            if args.command == "solve":
+                return cmd_solve(cfg, out, override=args.override_certification)
+            if args.command == "counterexample":
+                return cmd_counterexample(cfg, out)
+            if args.command == "verify-lemmas":
+                return cmd_verify_lemmas(cfg, out)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:  # ArithmeticError: float overflow, FloatingPointError
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

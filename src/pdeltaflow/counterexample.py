@@ -22,6 +22,7 @@ import numpy as np
 from .constitutive import symmetrize
 from .discretization import (
     RectDomain,
+    _bump_velocity,
     build_space,
     combine_level_norm,
     level_norm,
@@ -97,24 +98,6 @@ class CounterexampleRecord:
         }
 
 
-def _bump_velocity(space, center, width, freq=1.0):
-    """Divergence-free bump: curl of a C2 compactly supported stream function."""
-    cx, cy = center
-
-    def r2(x, y):
-        return ((x - cx) ** 2 + (y - cy) ** 2) / width**2
-
-    def psi_y(x, y):
-        z = np.maximum(1.0 - r2(x, y), 0.0)
-        return -6.0 * z**2 * (y - cy) / width**2 * np.cos(freq * r2(x, y))
-
-    def psi_x(x, y):
-        z = np.maximum(1.0 - r2(x, y), 0.0)
-        return -6.0 * z**2 * (x - cx) / width**2 * np.cos(freq * r2(x, y))
-
-    return space.interpolate_velocity((lambda x, y: psi_y(x, y), lambda x, y: -psi_x(x, y)))
-
-
 def build_family(levels, p=1.5, q=3.0, base_n=8, width0=0.32, domain=None):
     """Bumps of width width0 * 2^-k on meshes base_n * 2^k, prolonged to the
     finest mesh and normalized to unit p-gradient norm."""
@@ -123,14 +106,12 @@ def build_family(levels, p=1.5, q=3.0, base_n=8, width0=0.32, domain=None):
     if q <= p:
         raise FamilyError(f"norm pair is degenerate: q={q} <= p={p} gives constant ratios")
     domain = domain or RectDomain()
-    cx = 0.5 * (domain.x0 + domain.x1)
-    cy = 0.5 * (domain.y0 + domain.y1)
     spaces = [build_space(domain, base_n * 2**k, base_n * 2**k) for k in range(levels)]
     fine = spaces[-1]
     members, ratios, widths, meshes = [], [], [], []
     for k, sk in enumerate(spaces):
         w = width0 * 2.0**-k
-        u = _bump_velocity(sk, (cx, cy), w)
+        u = _bump_velocity(sk, domain.centre, w)
         uf = u if sk is fine else prolong_velocity(sk, fine, u)
         np_norm = norm_sym_grad_p(uf, p)
         if np_norm <= 0:

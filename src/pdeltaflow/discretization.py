@@ -82,6 +82,10 @@ class RectDomain:
     def measure(self):
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
+    @property
+    def centre(self):
+        return 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
+
 
 def _gauss01(m):
     x, w = np.polynomial.legendre.leggauss(m)
@@ -159,7 +163,7 @@ class Field:
 class DiscreteSpace:
     """Triangulated rectangle with P2 velocity / P1 pressure approximation."""
 
-    def __init__(self, domain, nx, ny, quad_degree=8, infsup_tol=1e-6, check_infsup=True):
+    def __init__(self, domain, nx, ny, quad_degree=8, infsup_tol=1e-6):
         if nx < 2 or ny < 2:
             raise ValueError(f"need nx, ny >= 2, got {nx}, {ny}")
         self.domain = domain
@@ -168,8 +172,8 @@ class DiscreteSpace:
         self._build_mesh()
         self._build_quadrature()
         self._cache = {}
-        self.inf_sup = assembly.infsup_proxy(self) if check_infsup else None
-        if check_infsup and self.inf_sup <= infsup_tol:
+        self.inf_sup = assembly.infsup_proxy(self)
+        if self.inf_sup <= infsup_tol:
             raise SpaceBuildError(
                 f"velocity/pressure pairing unstable: scaled divergence coupling "
                 f"smallest singular value {self.inf_sup:.3e} <= {infsup_tol:.0e}"
@@ -507,6 +511,7 @@ class ConstantEstimate:
     witness: Field
     converged: bool
     iters: int
+    start: str | None = None  # what an estimator's ascent started from
 
 
 def _ratio_ascent(x0, objective, iters):
@@ -561,35 +566,40 @@ def _masked(vec, idx, n):
     return out
 
 
-def estimate_korn(space, p, iters=200, seed=0, starts=None):
-    """Lower bound for sup ||grad u||_p / ||Du||_p over zero-boundary fields.
+def _bump_velocity(space, center, width, freq=1.0):
+    """Divergence-free bump: curl of a C2 compactly supported stream function."""
+    cx, cy = center
 
-    For p = 2 the maximizer solves a generalized eigenvalue problem which
-    is handled by power iteration on the stiffness pencil; for p != 2 the
-    p = 2 witness seeds a projected gradient ascent.
+    def r2(x, y):
+        return ((x - cx) ** 2 + (y - cy) ** 2) / width**2
+
+    def psi_y(x, y):
+        z = np.maximum(1.0 - r2(x, y), 0.0)
+        return -6.0 * z**2 * (y - cy) / width**2 * np.cos(freq * r2(x, y))
+
+    def psi_x(x, y):
+        z = np.maximum(1.0 - r2(x, y), 0.0)
+        return -6.0 * z**2 * (x - cx) / width**2 * np.cos(freq * r2(x, y))
+
+    return space.interpolate_velocity((lambda x, y: psi_y(x, y), lambda x, y: -psi_x(x, y)))
+
+
+def estimate_korn(space, p, iters=200):
+    """Korn constant sup ||grad u||_p / ||Du||_p over zero-boundary fields.
+
+    At p = 2 it is sqrt(2) exactly: |grad u|^2 = 2 |Du|^2 - (div u)^2
+    integrates to an identity for zero-boundary fields, and divergence-free
+    fields attain the bound.  For p != 2 the result is a lower bound from
+    one gradient ascent started at the divergence-free swirl at the domain's
+    centre (width 0.32 of the shorter side), which is also the p = 2 witness.
     """
     if not (1.0 < p <= 2.0):
         raise ValueError(f"need p in (1, 2], got {p}")
-    free = space.free_vel_dofs
-    kf = assembly.full_grad_stiffness(space)[free][:, free].tocsc()
-    ks = assembly.sym_grad_stiffness(space)[free][:, free].tocsc()
-    lu = spla.splu(ks)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(free.size)
-    lam = 0.0
-    converged2 = False
-    for k in range(400):
-        x = lu.solve(kf @ x)
-        x /= np.linalg.norm(x)
-        new = float(x @ (kf @ x)) / float(x @ (ks @ x))
-        if abs(new - lam) < 1e-11 * max(new, 1.0):
-            lam = new
-            converged2 = True
-            break
-        lam = new
-    witness2 = _masked(x, free, space.n_vel)
+    dom = space.domain
+    swirl = _bump_velocity(space, dom.centre, 0.32 * min(dom.x1 - dom.x0, dom.y1 - dom.y0))
     if p == 2.0:
-        return ConstantEstimate(np.sqrt(lam), space.velocity_field(witness2), converged2, k + 1)
+        return ConstantEstimate(np.sqrt(2.0), swirl, True, 0, "exact")
+    free = space.free_vel_dofs
 
     def objective(xf):
         """log(||grad u||_p / ||Du||_p) from one gradient evaluation."""
@@ -605,24 +615,18 @@ def estimate_korn(space, p, iters=200, seed=0, starts=None):
 
         return (np.log(nf) - np.log(ns)) / p, grad
 
-    cands = [x]
-    if starts:
-        cands += [f.coeffs[free] for f in starts]
-    cands.append(rng.standard_normal(free.size))
-    best = None
-    for x0 in cands:
-        if np.linalg.norm(x0) == 0:
-            continue
-        xf, val, conv, used = _ratio_ascent(x0, objective, iters)
-        if best is None or val > best[1]:
-            best = (xf, val, conv, used)
-    wit = space.velocity_field(_masked(best[0], free, space.n_vel))
-    return ConstantEstimate(float(np.exp(best[1])), wit, best[2], best[3])
+    xf, val, conv, used = _ratio_ascent(swirl.coeffs[free], objective, iters)
+    return ConstantEstimate(float(np.exp(val)), space.velocity_field(_masked(xf, free, space.n_vel)), conv, used, "divfree")
 
 
-def estimate_sobolev(space, from_p, to_r, iters=150, seed=0, starts=None):
+def estimate_sobolev(space, from_p, to_r, iters=150, starts=None):
     """Lower bound for sup ||u||_r / ||u||_{1,p} over the discrete space.
 
+    The constant field, a Gaussian bump at the domain's centre and the
+    fields in ``starts`` are scored by their ratio; one gradient ascent runs
+    from the best.  The ratio's gradient vanishes at a constant field, so
+    when the constant wins the ascent stays at or next to its ratio
+    |Omega|^(1/r - 1/p).
     Fails fast when the target exponent exceeds the critical one.
     """
     pstar = critical_exponent(from_p, 2)
@@ -630,8 +634,6 @@ def estimate_sobolev(space, from_p, to_r, iters=150, seed=0, starts=None):
         raise ExponentRangeError(f"target exponent {to_r} exceeds the critical exponent {pstar}")
     if to_r < 1 or from_p < 1:
         raise ValueError("exponents must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = space.n_vel
     s, r = from_p, to_r
 
     def objective(x):
@@ -639,30 +641,32 @@ def estimate_sobolev(space, from_p, to_r, iters=150, seed=0, starts=None):
         v = space.velocity_values(x)
         g = space.velocity_gradients(x)
         vals, gn = np.linalg.norm(v, axis=-1), frobenius(g)
-        nr, nd = space.integrate(vals**r), space.integrate(vals**s + gn**s)
+        # Both norms are 1-homogeneous.  When the powers could leave the float
+        # range, each norm is taken of the field scaled by its own largest modulus.
+        mv, md = vals.max(), max(vals.max(), gn.max())
+        if max(r, s) * max(abs(np.log10(mv)), abs(np.log10(md))) <= 100.0:
+            mv = md = 1.0
+        nr = space.integrate((vals / mv) ** r)
+        nd = space.integrate((vals / md) ** s + (gn / md) ** s)
 
         def grad():
-            wv = (_power_weight(vals, r - 2.0) / nr - _power_weight(vals, s - 2.0) / nd)[..., None] * v
-            wg = (_power_weight(gn, s - 2.0) / nd)[..., None, None] * g
-            return assembly.velocity_load(space, wv) - assembly.stress_load(space, wg)
+            wv = _power_weight(vals / mv, r - 2.0) / (nr * mv**2) - _power_weight(vals / md, s - 2.0) / (nd * md**2)
+            wg = _power_weight(gn / md, s - 2.0) / (nd * md**2)
+            return assembly.velocity_load(space, wv[..., None] * v) - assembly.stress_load(space, wg[..., None, None] * g)
 
-        return np.log(nr) / r - np.log(nd) / s, grad
+        return np.log(mv) - np.log(md) + np.log(nr) / r - np.log(nd) / s, grad
 
     const = np.concatenate([np.ones(space.n_p2), np.zeros(space.n_p2)])
-    cx, cy = 0.5 * (space.domain.x0 + space.domain.x1), 0.5 * (space.domain.y0 + space.domain.y1)
+    cx, cy = space.domain.centre
     w = 0.15 * min(space.domain.x1 - space.domain.x0, space.domain.y1 - space.domain.y0)
     bump = space.interpolate_velocity(
         (lambda x, y: np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / w**2), lambda x, y: 0.0 * x)
     ).coeffs
-    cands = [const, bump, rng.standard_normal(n)]
-    if starts:
-        cands += [f.coeffs for f in starts]
-    best = None
-    for x0 in cands:
-        xf, val, conv, used = _ratio_ascent(x0, objective, iters)
-        if best is None or val > best[1]:
-            best = (xf, val, conv, used)
-    return ConstantEstimate(float(np.exp(best[1])), space.velocity_field(best[0]), best[2], best[3])
+    cands = [("constant", const), ("bump", bump)] + [("given", f.coeffs) for f in starts or ()]
+    scores = [objective(x / np.linalg.norm(x))[0] for _, x in cands]
+    start, x0 = cands[int(np.argmax(scores))]
+    xf, val, conv, used = _ratio_ascent(x0, objective, iters)
+    return ConstantEstimate(float(np.exp(val)), space.velocity_field(xf), conv, used, start)
 
 
 def estimate_dual_norm(space, load, p, iters=15):
@@ -682,14 +686,12 @@ def estimate_dual_norm(space, load, p, iters=15):
     vals = []
     weight = np.ones_like(space.qw)
     for it in range(iters):
-        k = assembly.sym_grad_stiffness(space, weight)[free][:, free].tocsc()
-        x = spla.splu(k).solve(lf)
-        c = _masked(x, free, space.n_vel)
+        c, _ = assembly.dirichlet_solve(space, assembly.sym_grad_stiffness(space, weight), load)
         dn_pt = frobenius(symmetrize(space.velocity_gradients(c)))
         dn = space.integrate(dn_pt**p) ** (1.0 / p)
         if dn == 0.0:
             break
-        vals.append(float(lf @ x) / dn)
+        vals.append(float(lf @ c[free]) / dn)
         if vals[-1] > best:
             best, xbest = vals[-1], c
         if p == 2.0:
@@ -703,7 +705,13 @@ def estimate_dual_norm(space, load, p, iters=15):
 
 @dataclass
 class EmbeddingConstants:
-    """Estimated discrete Korn and Sobolev constants with witnesses."""
+    """Estimated discrete Korn and Sobolev constants with witnesses.
+
+    ``ascent`` records per estimate the start its ascent ran from
+    (``exact`` for Korn at p = 2), its iteration count, and whether it is
+    degenerate: a Sobolev estimate won by the constant field, where the
+    ratio's gradient vanishes.
+    """
 
     p: float
     s: float
@@ -713,6 +721,7 @@ class EmbeddingConstants:
     targets: dict
     witnesses: dict
     converged: dict
+    ascent: dict
 
     def to_json(self):
         return {
@@ -723,27 +732,31 @@ class EmbeddingConstants:
             "sob_s_to_2pprime": self.sob_s_to_2pprime,
             "targets": self.targets,
             "converged": self.converged,
+            "ascent": self.ascent,
             "non_rigorous": True,
         }
 
 
-def estimate_embedding_constants(space, p, s, iters=150, seed=0):
+def estimate_embedding_constants(space, p, s, iters=150):
     """Estimate the trio (korn_p, W^{1,p} -> L^{p*}, W^{1,s} -> L^{2p'})."""
     pstar = critical_exponent(p, 2)
     target1 = min(pstar, 64.0)  # cap the numerically explored exponent
     two_pprime = 2.0 * p / (p - 1.0)
-    korn = estimate_korn(space, p, iters=iters, seed=seed)
-    sob1 = estimate_sobolev(space, p, target1, iters=iters, seed=seed + 1)
-    sob2 = estimate_sobolev(space, s, min(two_pprime, critical_exponent(s, 2)), iters=iters, seed=seed + 2)
+    est = {
+        "korn_p": estimate_korn(space, p, iters=iters),
+        "sob_p_to_pstar": estimate_sobolev(space, p, target1, iters=iters),
+        "sob_s_to_2pprime": estimate_sobolev(space, s, min(two_pprime, critical_exponent(s, 2)), iters=iters),
+    }
     return EmbeddingConstants(
         p=p,
         s=s,
-        korn_p=korn.value,
-        sob_p_to_pstar=sob1.value,
-        sob_s_to_2pprime=sob2.value,
+        korn_p=est["korn_p"].value,
+        sob_p_to_pstar=est["sob_p_to_pstar"].value,
+        sob_s_to_2pprime=est["sob_s_to_2pprime"].value,
         targets={"pstar": pstar, "pstar_used": target1, "two_pprime": two_pprime},
-        witnesses={"korn_p": korn.witness, "sob_p_to_pstar": sob1.witness, "sob_s_to_2pprime": sob2.witness},
-        converged={"korn_p": korn.converged, "sob_p_to_pstar": sob1.converged, "sob_s_to_2pprime": sob2.converged},
+        witnesses={k: e.witness for k, e in est.items()},
+        converged={k: e.converged for k, e in est.items()},
+        ascent={k: {"start": e.start, "iters": e.iters, "degenerate": e.start == "constant"} for k, e in est.items()},
     )
 
 

@@ -91,6 +91,6 @@ def chars18(model18):
 @pytest.fixture(scope="session")
 def pipeline8(space8, model18, chars18):
     """Small certified pipeline shared by certifier and solver tests."""
-    emb = estimate_embedding_constants(space8, model18.p, 1.8, iters=60, seed=4)
+    emb = estimate_embedding_constants(space8, model18.p, 1.8, iters=60)
     lf = lift(BoundaryData(g1=0.0, g2=tangential_g2(0.01)), space8, model18.p, 1.8)
     return {"model": model18, "space": space8, "chars": chars18, "emb": emb, "lift": lf, "s": 1.8}

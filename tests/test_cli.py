@@ -296,3 +296,68 @@ def test_counterexample_exit_codes(tmp_path_factory, base_n, width0, R, F1, G1, 
     ce = {"levels": 3, "base_n": base_n, "width0": width0, "R": R, "F1": F1, "G1": G1, "c2": c2, "n_values": n_values}
     path = _write_cfg(out, "c.json", {"out": str(out / "t"), "counterexample": ce})
     assert main(["counterexample", "--config", path]) in (EXIT_OK, EXIT_CONDITION_FAILED, EXIT_NUMERICAL)
+
+
+def test_certify_near_p_one_is_finite(tmp_path):
+    # p = 1.001 gives s = 500.5 and 2p' = 2002; the Sobolev estimate must not come out NaN
+    cfg = dict(QUICK, out=str(tmp_path / "t"), domain={"nx": 4, "ny": 4})
+    cfg["model"] = {"p": 1.001, "delta": 0.0, "mu0": 0.0, "mu": 1.0}
+    cfg["data"] = {"g1": "0", "g2": ["0", "0"], "f": ["0", "0"]}
+    path = _write_cfg(tmp_path, "c.json", cfg)
+    assert main(["certify", "--config", path]) == EXIT_OK
+    emb = json.loads((tmp_path / "t" / "certificate.json").read_text())["provenance"]["embedding"]
+    assert all(math.isfinite(emb[k]) for k in ("korn_p", "sob_p_to_pstar", "sob_s_to_2pprime"))
+
+
+def test_lift_overflow_is_numerical(tmp_path):
+    # ||Dg||_s at s = 500.5 overflows: exit 3, where an Infinity norm was reported with exit 0
+    cfg = dict(QUICK, out=str(tmp_path / "t"), domain={"nx": 4, "ny": 4})
+    cfg["model"] = {"p": 1.001, "delta": 0.0, "mu0": 0.0, "mu": 1.0}
+    cfg["data"] = {"g1": "0", "g2": ["pi * sin(pi*x) * cos(pi*y)", "-pi * cos(pi*x) * sin(pi*y)"], "f": ["0", "0"]}
+    path = _write_cfg(tmp_path, "c.json", cfg)
+    assert main(["lift", "--config", path]) == EXIT_NUMERICAL
+    assert not (tmp_path / "t" / "lift_report.json").exists()
+
+
+_AMPLITUDE = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    command=st.sampled_from(["lift", "certify", "solve"]),
+    model=st.fixed_dictionaries(
+        {"p": st.floats(1.001, 2.0), "delta": st.floats(0.0, 1.0), "mu0": st.floats(0.0, 1.0), "mu": _log_uniform(1e-3, 1e3)}
+    ),
+    g1=_AMPLITUDE,
+    g2=_AMPLITUDE,
+    f=_AMPLITUDE,
+    solver=st.fixed_dictionaries(
+        {
+            "levels": st.integers(1, 3),
+            "picard_tol": _log_uniform(1e-12, 1e-3),
+            "picard_max": st.integers(1, 40),
+            "damping": _log_uniform(1e-3, 1.0),
+            "include_convective": st.booleans(),
+            "penalty": st.booleans(),
+        }
+    ),
+    override=st.booleans(),
+)
+def test_pipeline_exit_codes(tmp_path_factory, command, model, g1, g2, f, solver, override):
+    # an uncaught exception (a warning included, under the suite's filters) fails the example
+    out = tmp_path_factory.mktemp("run")
+    data = {
+        "g1": f"{g1!r} * sin(2*pi*x) * sin(2*pi*y)",
+        "g2": [f"{g2!r} * pi * sin(pi*x) * cos(pi*y)", f"-{g2!r} * pi * cos(pi*x) * sin(pi*y)"],
+        "f": [f"{f!r} * sin(pi*y)", f"{f!r} * x"],
+    }
+    cfg = {
+        "out": str(out / "t"),
+        "model": model,
+        "domain": {"nx": 4, "ny": 4},
+        "characteristics": {"samples": 10000},
+        "data": data,
+        "solver": solver,
+    }
+    argv = [command, "--config", _write_cfg(out, "c.json", cfg)] + ["--override-certification"] * override
+    assert main(argv) in (EXIT_OK, EXIT_CONDITION_FAILED, EXIT_NUMERICAL, EXIT_INVALID_CONFIG)

@@ -186,6 +186,19 @@ class TestKorn:
             u = space8.velocity_field(rng.standard_normal(space8.n_vel))
             assert norm_grad_p(u, 1.6) >= norm_sym_grad_p(u, 1.6) * (1 - 1e-12)
 
+    def test_p2_is_exact(self, space8):
+        est = estimate_korn(space8, 2.0)
+        assert abs(est.value - np.sqrt(2.0)) <= 1e-12
+        assert est.converged and est.iters == 0 and est.start == "exact"
+
+    def test_divfree_start_beats_power_witness(self, space8):
+        # ascents from a random start or from the p = 2 power-iteration eigenvector reach only 1.440-1.444 here
+        est = estimate_korn(space8, 1.8, iters=120)
+        assert est.value >= 1.45 and est.start == "divfree"
+        wit = est.witness
+        assert abs(norm_grad_p(wit, 1.8) / norm_sym_grad_p(wit, 1.8) - est.value) <= 1e-12 * est.value
+        assert np.all(wit.coeffs[wit.space.boundary_vel_dofs] == 0.0)
+
     def test_p_not_2_estimate(self, space4):
         est = estimate_korn(space4, 1.5, iters=60)
         assert est.value >= 1.0
@@ -210,10 +223,26 @@ class TestSobolev:
             estimate_sobolev(space4, 1.6, 9.0)
 
     def test_refinement_monotone(self, space4, space8):
-        coarse = estimate_sobolev(space4, 1.5, 4.0, iters=60, seed=0)
+        coarse = estimate_sobolev(space4, 1.5, 4.0, iters=60)
         start = prolong_velocity(space4, space8, coarse.witness)
-        fine = estimate_sobolev(space8, 1.5, 4.0, iters=60, seed=0, starts=[start])
+        fine = estimate_sobolev(space8, 1.5, 4.0, iters=60, starts=[start])
         assert fine.value >= coarse.value * (1 - 1e-9)
+
+    def test_constant_winner_is_flagged_degenerate(self):
+        # on a 2x1 rectangle the constant field's ratio |Omega|^(1/r - 1/s) is below one
+        space = build_space(RectDomain(0.0, 0.0, 2.0, 1.0), 8, 8)
+        emb = discretization.estimate_embedding_constants(space, 1.8, 1.8, iters=40)
+        for key, r in (("sob_p_to_pstar", emb.targets["pstar_used"]), ("sob_s_to_2pprime", emb.targets["two_pprime"])):
+            assert abs(getattr(emb, key) - 2.0 ** (1.0 / r - 1.0 / 1.8)) <= 1e-14
+            assert emb.to_json()["ascent"][key]["start"] == "constant"
+            assert emb.to_json()["ascent"][key]["degenerate"] is True
+        korn = emb.to_json()["ascent"]["korn_p"]
+        assert korn["start"] == "divfree" and 1 <= korn["iters"] <= 40 and korn["degenerate"] is False
+
+    def test_large_exponents_stay_finite(self, space4):
+        # p = 1.001 gives s = 500.5 and 2p' = 2002: unscaled powers of a unit vector underflow to log(0)
+        est = estimate_sobolev(space4, 500.5, 2002.0, iters=10)
+        assert np.isfinite(est.value) and est.value >= 1.0 - 1e-9
 
     def test_constant_normalization(self, space8):
         # on the unit square the constant field realizes ratio 1
@@ -254,6 +283,15 @@ class TestObjectiveGradients:
     def test_sobolev(self, space4, monkeypatch):
         x0, objective = self._objective(monkeypatch, lambda: estimate_sobolev(space4, 1.5, 4.0, iters=1))
         self._check(x0, objective, 8)
+
+    def test_sobolev_scaled_path(self, space4, monkeypatch):
+        # a tiny multiple takes the objective's rescaled branch: same value, gradient scaled by 1/c
+        x0, objective = self._objective(monkeypatch, lambda: estimate_sobolev(space4, 1.5, 4.0, iters=1))
+        x = x0 / np.linalg.norm(x0) + 0.1 * np.random.default_rng(9).standard_normal(x0.size)
+        c = 1e-100  # unscaled, |u|^4 would underflow to 0
+        (val, grad), (val_c, grad_c) = objective(x), objective(c * x)
+        assert abs(val_c - val) <= 1e-12 * abs(val)
+        assert np.allclose(c * grad_c(), grad(), rtol=1e-10, atol=1e-12 * np.abs(grad()).max())
 
 
 class TestDualNorm:
@@ -443,7 +481,7 @@ class TestStabilityGuard:
 def test_embedding_constants_normalized(space8):
     from pdeltaflow.discretization import estimate_embedding_constants
 
-    emb = estimate_embedding_constants(space8, 1.8, 1.8, iters=40, seed=0)
+    emb = estimate_embedding_constants(space8, 1.8, 1.8, iters=40)
     assert emb.korn_p >= 1.0
     assert emb.sob_p_to_pstar >= 1.0 - 1e-9
     assert emb.sob_s_to_2pprime >= 1.0 - 1e-9
