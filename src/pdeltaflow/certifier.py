@@ -123,7 +123,7 @@ def weighted_shear_norm(lift_field, p, delta):
     """|| |Dg| + delta ||_p evaluated by quadrature on the lift's space."""
     space = lift_field.g.space
     mag = frobenius(symmetrize(space.velocity_gradients(lift_field.g.coeffs)))
-    return space.integrate((mag + delta) ** p) ** (1.0 / p)
+    return space.lr_norm(p, mag + delta)
 
 
 def compute_constants(chars, emb, lift_field, f_norm, p, s, delta):

@@ -488,8 +488,9 @@ def main(argv=None):
         if args.out is not None:
             cfg.data["out"] = args.out
         cfg._validate()
-        # the smallness condition has no p = 2 branch; the other commands take p = 2
-        if args.command in ("certify", "solve") and cfg["model"]["p"] == 2.0:
+        # the smallness condition and the weight optimality scan have no p = 2 branch;
+        # the other commands take p = 2
+        if args.command in ("certify", "solve", "verify-lemmas") and cfg["model"]["p"] == 2.0:
             raise ConfigError(f"{args.command} needs model.p in (1, 2), got 2")
     except (ConfigError, ExpressionError, json.JSONDecodeError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -120,11 +120,19 @@ def frobenius(a):
 
 
 def random_sym(rng, n, dim=2):
-    """n random symmetric dim-by-dim matrices with unit Frobenius norm."""
-    m = symmetrize(rng.standard_normal((n, dim, dim)))
-    nrm = frobenius(m)
+    """n random symmetric dim-by-dim matrices with unit Frobenius norm.
+
+    The Gaussian draws are symmetrized in place: (x + x)/2 = x exactly on
+    the diagonal, so only the off-diagonal pairs are averaged.
+    """
+    m = np.empty((n, dim, dim))
+    rng.standard_normal(out=m)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m[:, i, j] = m[:, j, i] = 0.5 * (m[:, i, j] + m[:, j, i])
     # a symmetrized Gaussian matrix is zero with probability zero
-    return m / nrm[:, None, None]
+    m /= frobenius(m)[:, None, None]
+    return m
 
 
 def eval_stress(model, a):
@@ -135,7 +143,11 @@ def eval_stress(model, a):
     ever formed).
     """
     a = symmetrize(np.asarray(a, dtype=float))
-    nrm = frobenius(a)
+    return _sym_stress(model, a, frobenius(a))
+
+
+def _sym_stress(model, a, nrm):
+    """S(a) of symmetric matrices a with Frobenius norms nrm."""
     with np.errstate(divide="ignore"):
         w = np.where(nrm > 0.0, model.mu * (model.delta + nrm) ** (model.p - 2.0), 0.0)
     return (model.mu0 + w)[..., None, None] * a
@@ -268,22 +280,24 @@ _CHUNK = 8192
 def _chunk_ratios(model, a, b):
     """Pointwise ratios of the three growth inequalities for the non-coincident pairs (a, b).
 
+    The sampled pairs are exactly symmetric, so their stresses are formed
+    without symmetrizing again, and each Frobenius norm is taken once.
     ``idx`` holds the positions of those pairs in (a, b).
     """
     diff = a - b
-    dd = frobenius(diff)
-    keep = np.flatnonzero(dd > 1e-12 * (frobenius(a) + frobenius(b) + 1.0))
-    a, b, diff, dd = a[keep], b[keep], diff[keep], dd[keep]
+    dd, na, nb = frobenius(diff), frobenius(a), frobenius(b)
+    keep = np.flatnonzero(dd > 1e-12 * (na + nb + 1.0))
+    a, b, diff, dd, na, nb = a[keep], b[keep], diff[keep], dd[keep], na[keep], nb[keep]
 
-    sa = eval_stress(model, a)
-    sb = eval_stress(model, b)
-    ds = sa - sb
+    ds = _sym_stress(model, a, na) - _sym_stress(model, b, nb)
+    ds_norm = frobenius(ds)
     mono = np.sum(ds * diff, axis=(-1, -2))
-    w = (model.delta + frobenius(b) + dd) ** (model.p - 2.0)
+    base = model.delta + nb
+    w = (base + dd) ** (model.p - 2.0)
     r1 = mono / (w * dd**2)
-    r2 = frobenius(ds) / (w * dd)
-    r3 = mono / young_int(model.delta + frobenius(b), dd, model.p)
-    return {"idx": keep, "mono": mono, "ds_norm": frobenius(ds), "dd": dd, "r1": r1, "r2": r2, "r3": r3}
+    r2 = ds_norm / (w * dd)
+    r3 = mono / young_int(base, dd, model.p)
+    return {"idx": keep, "mono": mono, "ds_norm": ds_norm, "dd": dd, "r1": r1, "r2": r2, "r3": r3}
 
 
 def _growth_ratios(model, a, b):

@@ -59,8 +59,8 @@ class TwoNormFamily:
 
     ``ratios`` holds ||Du||_q per member (strictly increasing); members
     are stored as coefficient arrays on ``space``.  ``_gram`` caches the
-    pointwise strain products of the extreme members (see
-    ``_endpoint_gram``), built on the first bisection.
+    pointwise strain products of the extreme members on their strained
+    support (see ``_endpoint_gram``), built on the first bisection.
     """
 
     space: object
@@ -143,21 +143,26 @@ def _on_sphere(family, coeffs, n, R):
 
 
 def _endpoint_gram(family):
-    """Pointwise Dlo:Dlo, Dlo:Dhi and Dhi:Dhi, (C, Q) each, of the extreme members.
+    """The extreme members' strained support and their strain products there.
 
-    D is linear, so |D((1-t) lo + t hi)|^2 is a quadratic in t with these
-    coefficients.  Built once per family and cached on it.
+    Returns ``(keep, w, g00, g01, g11)``: the flat indices of the quadrature
+    points where Dlo or Dhi is nonzero, their weights, and Dlo:Dlo, Dlo:Dhi
+    and Dhi:Dhi at those points.  D is linear, so |D((1-t) lo + t hi)|^2 is
+    a quadratic in t with these coefficients, and it vanishes at every
+    dropped point.  Built once per family and cached on it.
     """
     if family._gram is None:
         s = family.space
         lo, hi = (symmetrize(s.velocity_gradients(c)) for c in (family.members[0], family.members[-1]))
-        family._gram = tuple(np.einsum("...ij,...ij->...", a, b) for a, b in ((lo, lo), (lo, hi), (hi, hi)))
+        g00, g01, g11 = (np.einsum("...ij,...ij->...", a, b).ravel() for a, b in ((lo, lo), (lo, hi), (hi, hi)))
+        keep = np.flatnonzero((g00 != 0.0) | (g11 != 0.0))
+        family._gram = (keep, s.qw.ravel()[keep], g00[keep], g01[keep], g11[keep])
     return family._gram
 
 
 def _strain_sq(gram, theta):
-    """|D((1-theta) lo + theta hi)|^2 at every quadrature point, clamped at 0 against rounding."""
-    g00, g01, g11 = gram
+    """|D((1-theta) lo + theta hi)|^2 at the kept points, clamped at 0 against rounding."""
+    _, _, g00, g01, g11 = gram
     return np.maximum((1 - theta) ** 2 * g00 + 2.0 * theta * (1 - theta) * g01 + theta**2 * g11, 0.0)
 
 
@@ -165,11 +170,12 @@ def _sphere_y(family, theta, n, R):
     """q-norm of (1-theta) lo + theta hi scaled onto the sphere, from the cached Gram arrays.
 
     Every norm is 1-homogeneous, so the scaled field's q-norm is
-    ||Du||_q R / level_norm(u); no field is built.
+    ||Du||_q R / level_norm(u); no field is built.  The integrals run over
+    the strained support only: the strain is 0 everywhere else.
     """
-    s = family.space
-    sq = _strain_sq(_endpoint_gram(family), theta)
-    norm_p, norm_q = (s.integrate(sq ** (0.5 * r)) ** (1.0 / r) for r in (family.p, family.q))
+    gram = _endpoint_gram(family)
+    w, sq = gram[1], _strain_sq(gram, theta)
+    norm_p, norm_q = (float(np.sum(w * sq ** (0.5 * r))) ** (1.0 / r) for r in (family.p, family.q))
     return norm_q * (R / combine_level_norm(norm_p, norm_q, family.q, n))
 
 

@@ -328,6 +328,25 @@ class DiscreteSpace:
     def integrate(self, vals):
         return float(np.sum(self.qw * vals))
 
+    def lr_norm(self, r, *moduli):
+        """(integral of the sum of modulus**r over the moduli)**(1/r), each a (C, Q) array >= 0.
+
+        The norm is 1-homogeneous.  When the powers could underflow (largest
+        modulus m < 1 with r |log10 m| > 100, as in the Sobolev objective),
+        the moduli are scaled by m first, so a large r does not read 0;
+        otherwise they are taken as they are.  An overflow is left to raise
+        (``main`` ends such a run on exit 3).
+        """
+        m = max(float(a.max()) for a in moduli)
+        if 0.0 < m < 1.0 and -r * np.log10(m) > 100.0:
+            moduli = [a / m for a in moduli]
+        else:
+            m = 1.0
+        total = moduli[0] ** r
+        for a in moduli[1:]:
+            total = total + a**r
+        return m * self.integrate(total) ** (1.0 / r)
+
     def pressure_mean_vector(self):
         if "mean_vec" not in self._cache:
             self._cache["mean_vec"] = assembly.p1_load(self, np.ones_like(self.qw))
@@ -439,13 +458,12 @@ def norm_Lp(field, p):
         vals = np.linalg.norm(s.velocity_values(field.coeffs), axis=-1)
     else:
         vals = np.abs(s.p1_values(field.coeffs))
-    return s.integrate(vals**p) ** (1.0 / p)
+    return s.lr_norm(p, vals)
 
 
 def norm_grad_p(field, p):
     s = field.space
-    g = s.velocity_gradients(field.coeffs)
-    return s.integrate(frobenius(g) ** p) ** (1.0 / p)
+    return s.lr_norm(p, frobenius(s.velocity_gradients(field.coeffs)))
 
 
 def sym_grad_norms(field, exponents):
@@ -455,7 +473,7 @@ def sym_grad_norms(field, exponents):
     """
     s = field.space
     mag = frobenius(symmetrize(s.velocity_gradients(field.coeffs)))
-    return [s.integrate(mag**r) ** (1.0 / r) for r in exponents]
+    return [s.lr_norm(r, mag) for r in exponents]
 
 
 def norm_sym_grad_p(field, p):
@@ -480,8 +498,7 @@ def level_norm(field, p, q, n):
 def norm_W1p(field, p):
     s = field.space
     vals = np.linalg.norm(s.velocity_values(field.coeffs), axis=-1)
-    g = s.velocity_gradients(field.coeffs)
-    return s.integrate(vals**p + frobenius(g) ** p) ** (1.0 / p)
+    return s.lr_norm(p, vals, frobenius(s.velocity_gradients(field.coeffs)))
 
 
 def divergence_values(space, coeffs):
@@ -584,6 +601,26 @@ def _bump_velocity(space, center, width, freq=1.0):
     return space.interpolate_velocity((lambda x, y: psi_y(x, y), lambda x, y: -psi_x(x, y)))
 
 
+def _korn_objective(space, p):
+    """log(||grad u||_p / ||Du||_p) of the zero-boundary field with free dofs xf, with its gradient closure."""
+    free = space.free_vel_dofs
+
+    def objective(xf):
+        g = space.velocity_gradients(_masked(xf, free, space.n_vel))
+        d = symmetrize(g)
+        mf, ms = frobenius(g), frobenius(d)
+        nf, ns = space.integrate(mf**p), space.integrate(ms**p)
+
+        def grad():
+            wf = (_power_weight(mf, p - 2.0) / nf)[..., None, None]
+            ws = (_power_weight(ms, p - 2.0) / ns)[..., None, None]
+            return assembly.stress_load(space, wf * g - ws * d)[free]
+
+        return (np.log(nf) - np.log(ns)) / p, grad
+
+    return objective
+
+
 def estimate_korn(space, p, iters=200):
     """Korn constant sup ||grad u||_p / ||Du||_p over zero-boundary fields.
 
@@ -600,44 +637,14 @@ def estimate_korn(space, p, iters=200):
     if p == 2.0:
         return ConstantEstimate(np.sqrt(2.0), swirl, True, 0, "exact")
     free = space.free_vel_dofs
-
-    def objective(xf):
-        """log(||grad u||_p / ||Du||_p) from one gradient evaluation."""
-        g = space.velocity_gradients(_masked(xf, free, space.n_vel))
-        d = symmetrize(g)
-        mf, ms = frobenius(g), frobenius(d)
-        nf, ns = space.integrate(mf**p), space.integrate(ms**p)
-
-        def grad():
-            wf = (_power_weight(mf, p - 2.0) / nf)[..., None, None]
-            ws = (_power_weight(ms, p - 2.0) / ns)[..., None, None]
-            return assembly.stress_load(space, wf * g - ws * d)[free]
-
-        return (np.log(nf) - np.log(ns)) / p, grad
-
-    xf, val, conv, used = _ratio_ascent(swirl.coeffs[free], objective, iters)
+    xf, val, conv, used = _ratio_ascent(swirl.coeffs[free], _korn_objective(space, p), iters)
     return ConstantEstimate(float(np.exp(val)), space.velocity_field(_masked(xf, free, space.n_vel)), conv, used, "divfree")
 
 
-def estimate_sobolev(space, from_p, to_r, iters=150, starts=None):
-    """Lower bound for sup ||u||_r / ||u||_{1,p} over the discrete space.
-
-    The constant field, a Gaussian bump at the domain's centre and the
-    fields in ``starts`` are scored by their ratio; one gradient ascent runs
-    from the best.  The ratio's gradient vanishes at a constant field, so
-    when the constant wins the ascent stays at or next to its ratio
-    |Omega|^(1/r - 1/p).
-    Fails fast when the target exponent exceeds the critical one.
-    """
-    pstar = critical_exponent(from_p, 2)
-    if to_r > pstar * (1 + 1e-12):
-        raise ExponentRangeError(f"target exponent {to_r} exceeds the critical exponent {pstar}")
-    if to_r < 1 or from_p < 1:
-        raise ValueError("exponents must be >= 1")
-    s, r = from_p, to_r
+def _sobolev_objective(space, s, r):
+    """log ||u||_r - log ||u||_{1,s} from one value and one gradient evaluation, with its gradient closure."""
 
     def objective(x):
-        """log ||u||_r - log ||u||_{1,s} from one value and one gradient evaluation."""
         v = space.velocity_values(x)
         g = space.velocity_gradients(x)
         vals, gn = np.linalg.norm(v, axis=-1), frobenius(g)
@@ -656,6 +663,26 @@ def estimate_sobolev(space, from_p, to_r, iters=150, starts=None):
 
         return np.log(mv) - np.log(md) + np.log(nr) / r - np.log(nd) / s, grad
 
+    return objective
+
+
+def estimate_sobolev(space, from_p, to_r, iters=150, starts=None):
+    """Lower bound for sup ||u||_r / ||u||_{1,p} over the discrete space.
+
+    The constant field, a Gaussian bump at the domain's centre and the
+    fields in ``starts`` are scored by their ratio; one gradient ascent runs
+    from the best.  When the constant wins, its ratio |Omega|^(1/r - 1/p)
+    is returned as it is, with no ascent: at a constant u = c both terms of
+    the log-ratio's gradient are c . int phi_i / (|c|^2 |Omega|) and cancel,
+    so an ascent from it has no direction to take.
+    Fails fast when the target exponent exceeds the critical one.
+    """
+    pstar = critical_exponent(from_p, 2)
+    if to_r > pstar * (1 + 1e-12):
+        raise ExponentRangeError(f"target exponent {to_r} exceeds the critical exponent {pstar}")
+    if to_r < 1 or from_p < 1:
+        raise ValueError("exponents must be >= 1")
+    objective = _sobolev_objective(space, from_p, to_r)
     const = np.concatenate([np.ones(space.n_p2), np.zeros(space.n_p2)])
     cx, cy = space.domain.centre
     w = 0.15 * min(space.domain.x1 - space.domain.x0, space.domain.y1 - space.domain.y0)
@@ -664,7 +691,11 @@ def estimate_sobolev(space, from_p, to_r, iters=150, starts=None):
     ).coeffs
     cands = [("constant", const), ("bump", bump)] + [("given", f.coeffs) for f in starts or ()]
     scores = [objective(x / np.linalg.norm(x))[0] for _, x in cands]
-    start, x0 = cands[int(np.argmax(scores))]
+    best = int(np.argmax(scores))
+    start, x0 = cands[best]
+    if start == "constant":
+        witness = space.velocity_field(x0 / np.linalg.norm(x0))
+        return ConstantEstimate(float(np.exp(scores[best])), witness, True, 0, start)
     xf, val, conv, used = _ratio_ascent(x0, objective, iters)
     return ConstantEstimate(float(np.exp(val)), space.velocity_field(xf), conv, used, start)
 
@@ -688,7 +719,7 @@ def estimate_dual_norm(space, load, p, iters=15):
     for it in range(iters):
         c, _ = assembly.dirichlet_solve(space, assembly.sym_grad_stiffness(space, weight), load)
         dn_pt = frobenius(symmetrize(space.velocity_gradients(c)))
-        dn = space.integrate(dn_pt**p) ** (1.0 / p)
+        dn = space.lr_norm(p, dn_pt)
         if dn == 0.0:
             break
         vals.append(float(lf @ c[free]) / dn)

@@ -180,7 +180,7 @@ def lift(data, space, p, s):
 
 
 def _div_norm(space, coeffs, r):
-    return space.integrate(np.abs(divergence_values(space, coeffs)) ** r) ** (1.0 / r)
+    return space.lr_norm(r, np.abs(divergence_values(space, coeffs)))
 
 
 def harmonic_extension(data, space):
@@ -251,7 +251,7 @@ def operator_norm_probe(space, trials, p=2.0, s=2.0, seed=0):
         vals = data.g1_values(space)
         mean = space.integrate(vals) / space.domain.measure
         lift_d = lift(BoundaryData(g1=_MeanZeroG1(vals - mean), g2=None), space, p, s)
-        g1norm = space.integrate(np.abs(vals - mean) ** p) ** (1.0 / p)
+        g1norm = space.lr_norm(p, np.abs(vals - mean))
         row["g1_norm"] = g1norm
         if g1norm > 1e-14:
             r = lift_d.norms["W1p"] / g1norm

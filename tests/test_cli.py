@@ -147,7 +147,7 @@ class TestExitCodes:
         assert main(["verify-lemmas", "--seed", "-1", "--out", str(tmp_path / "t")]) == EXIT_INVALID_CONFIG
         assert not (tmp_path / "t").exists()
 
-    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize("command", ["certify", "solve", "verify-lemmas"])
     def test_p2_rejected_before_work(self, tmp_path, command):
         cfg = dict(QUICK, out=str(tmp_path / "t"), model={"p": 2.0})
         path = _write_cfg(tmp_path, "c.json", cfg)
@@ -317,6 +317,17 @@ def test_lift_overflow_is_numerical(tmp_path):
     path = _write_cfg(tmp_path, "c.json", cfg)
     assert main(["lift", "--config", path]) == EXIT_NUMERICAL
     assert not (tmp_path / "t" / "lift_report.json").exists()
+
+
+def test_lift_near_p_one_norms_are_nonzero(tmp_path):
+    # at s = 500.5 the unscaled |Dg|^s of the default data underflowed, and Dg_s, W1s and div_s read 0.0
+    cfg = dict(QUICK, out=str(tmp_path / "t"), model={"p": 1.001})
+    path = _write_cfg(tmp_path, "c.json", cfg)
+    assert main(["lift", "--config", path]) == EXIT_OK
+    norms = json.loads((tmp_path / "t" / "lift_report.json").read_text())["norms"]
+    for key in ("Dg_s", "W1s", "div_s"):
+        assert math.isfinite(norms[key]) and norms[key] > 0.0, key
+    assert norms["Dg_s"] >= norms["Dg_p"]  # ||.||_s grows with s on the unit square
 
 
 _AMPLITUDE = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e3))

@@ -299,3 +299,40 @@ def test_s_bdd_counting_measure():
     lhs = np.mean(frobenius(sv) ** pprime) ** (1.0 / pprime)
     rhs = ch.C2 * np.mean((frobenius(dw) + m.delta) ** m.p) ** ((m.p - 1.0) / m.p)
     assert lhs <= rhs * (1 + 1e-12)
+
+
+def _reference_ratios(model, a, b):
+    """The growth ratios of the sampled pairs through eval_stress, norms taken where used."""
+    diff = a - b
+    dd = frobenius(diff)
+    keep = np.flatnonzero(dd > 1e-12 * (frobenius(a) + frobenius(b) + 1.0))
+    a, b, diff, dd = a[keep], b[keep], diff[keep], dd[keep]
+    ds = eval_stress(model, a) - eval_stress(model, b)
+    mono = np.sum(ds * diff, axis=(-1, -2))
+    w = (model.delta + frobenius(b) + dd) ** (model.p - 2.0)
+    return {
+        "idx": keep,
+        "mono": mono,
+        "ds_norm": frobenius(ds),
+        "dd": dd,
+        "r1": mono / (w * dd**2),
+        "r2": frobenius(ds) / (w * dd),
+        "r3": mono / young_int(model.delta + frobenius(b), dd, model.p),
+    }
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_chunk_ratios_match_eval_stress_bitwise(p, delta):
+    model = PDeltaModel(p=p, delta=delta, mu0=0.3)
+    a, b = constitutive._sample_pairs(np.random.default_rng(21), 10_000, 2)
+    got, want = constitutive._chunk_ratios(model, a, b), _reference_ratios(model, a, b)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_random_sym_draws_are_symmetrized_gaussians():
+    want = symmetrize(np.random.default_rng(3).standard_normal((500, 3, 3)))
+    want = want / frobenius(want)[:, None, None]
+    assert np.array_equal(random_sym(np.random.default_rng(3), 500, 3), want)

@@ -4,6 +4,7 @@ import pytest
 from pdeltaflow import assembly, discretization
 from pdeltaflow.discretization import (
     ExponentRangeError,
+    DiscreteSpace,
     Field,
     RectDomain,
     build_space,
@@ -239,6 +240,23 @@ class TestSobolev:
         korn = emb.to_json()["ascent"]["korn_p"]
         assert korn["start"] == "divfree" and 1 <= korn["iters"] <= 40 and korn["degenerate"] is False
 
+    def test_constant_winner_runs_no_ascent(self, monkeypatch):
+        space = build_space(RectDomain(0.0, 0.0, 2.0, 1.0), 8, 8)
+        calls = []
+        gradients = DiscreteSpace.velocity_gradients
+
+        def counted(self, coeffs):
+            calls.append(1)
+            return gradients(self, coeffs)
+
+        monkeypatch.setattr(DiscreteSpace, "velocity_gradients", counted)
+        est = estimate_sobolev(space, 1.8, 4.5)
+        assert est.start == "constant" and est.iters == 0 and est.converged
+        assert len(calls) == 2  # one objective call each for the constant and the bump
+        assert abs(est.value - 2.0 ** (1.0 / 4.5 - 1.0 / 1.8)) <= 1e-14
+        const = np.concatenate([np.ones(space.n_p2), np.zeros(space.n_p2)])
+        assert np.array_equal(est.witness.coeffs, const / np.linalg.norm(const))
+
     def test_large_exponents_stay_finite(self, space4):
         # p = 1.001 gives s = 500.5 and 2p' = 2002: unscaled powers of a unit vector underflow to log(0)
         est = estimate_sobolev(space4, 500.5, 2002.0, iters=10)
@@ -254,19 +272,6 @@ class TestObjectiveGradients:
     """Central differences of each ascent objective against its gradient closure."""
 
     @staticmethod
-    def _objective(monkeypatch, estimate):
-        seen = []
-        ascent = discretization._ratio_ascent
-
-        def capture(x0, objective, iters):
-            seen.append((x0, objective))
-            return ascent(x0, objective, iters)
-
-        monkeypatch.setattr(discretization, "_ratio_ascent", capture)
-        estimate()
-        return seen[-1]
-
-    @staticmethod
     def _check(x0, objective, seed):
         rng = np.random.default_rng(seed)
         x = x0 / np.linalg.norm(x0) + 0.1 * rng.standard_normal(x0.size)
@@ -276,17 +281,21 @@ class TestObjectiveGradients:
         fd = (objective(x + h * d)[0] - objective(x - h * d)[0]) / (2 * h)
         assert abs(fd - grad() @ d) <= 1e-6 * abs(fd)
 
-    def test_korn(self, space4, monkeypatch):
-        x0, objective = self._objective(monkeypatch, lambda: estimate_korn(space4, 1.5, iters=1))
-        self._check(x0, objective, 7)
+    @staticmethod
+    def _constant(space):
+        return np.concatenate([np.ones(space.n_p2), np.zeros(space.n_p2)])
 
-    def test_sobolev(self, space4, monkeypatch):
-        x0, objective = self._objective(monkeypatch, lambda: estimate_sobolev(space4, 1.5, 4.0, iters=1))
-        self._check(x0, objective, 8)
+    def test_korn(self, space4):
+        dom = space4.domain
+        swirl = discretization._bump_velocity(space4, dom.centre, 0.32 * min(dom.x1 - dom.x0, dom.y1 - dom.y0))
+        self._check(swirl.coeffs[space4.free_vel_dofs], discretization._korn_objective(space4, 1.5), 7)
 
-    def test_sobolev_scaled_path(self, space4, monkeypatch):
+    def test_sobolev(self, space4):
+        self._check(self._constant(space4), discretization._sobolev_objective(space4, 1.5, 4.0), 8)
+
+    def test_sobolev_scaled_path(self, space4):
         # a tiny multiple takes the objective's rescaled branch: same value, gradient scaled by 1/c
-        x0, objective = self._objective(monkeypatch, lambda: estimate_sobolev(space4, 1.5, 4.0, iters=1))
+        x0, objective = self._constant(space4), discretization._sobolev_objective(space4, 1.5, 4.0)
         x = x0 / np.linalg.norm(x0) + 0.1 * np.random.default_rng(9).standard_normal(x0.size)
         c = 1e-100  # unscaled, |u|^4 would underflow to 0
         (val, grad), (val_c, grad_c) = objective(x), objective(c * x)
