@@ -23,6 +23,7 @@ import numpy as np
 from . import certifier, counterexample, solver
 from .constitutive import PDeltaModel, estimate_characteristics, inequality_sweep, young_gap
 from .discretization import (
+    ASCENT_ITERS,
     RectDomain,
     build_space,
     estimate_dual_norm,
@@ -58,7 +59,7 @@ DEFAULT_CONFIG = {
         "f": ["0", "0"],
     },
     "characteristics": {"samples": 100000, "dim": 2},
-    "embedding": {"iters": 120},
+    "embedding": {"iters": ASCENT_ITERS},
     # q and n_schedule are derived from s and levels unless set
     "solver": {
         "q": None,

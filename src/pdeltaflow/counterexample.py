@@ -113,12 +113,11 @@ def build_family(levels, p=1.5, q=3.0, base_n=8, width0=0.32, domain=None):
         w = width0 * 2.0**-k
         u = _bump_velocity(sk, domain.centre, w)
         uf = u if sk is fine else prolong_velocity(sk, fine, u)
-        np_norm = norm_sym_grad_p(uf, p)
+        np_norm, nq_norm = sym_grad_norms(uf, (p, q))
         if np_norm <= 0:
             raise FamilyError(f"level {k} bump degenerated to zero")
-        coeffs = uf.coeffs / np_norm
-        members.append(coeffs)
-        ratios.append(norm_sym_grad_p(fine.velocity_field(coeffs), q))
+        members.append(uf.coeffs / np_norm)
+        ratios.append(nq_norm / np_norm)  # ||Du||_q of the member, by homogeneity
         widths.append(w)
         meshes.append(sk.nx)
     for a, b in zip(ratios[:-1], ratios[1:]):

@@ -9,12 +9,16 @@ reduce to weighted sums over cell quadrature points.
 
 Besides the space itself, this module provides the exponent-p norms, the
 discrete divergence, and iterative estimation of the Korn and Sobolev
-embedding constants on the discrete space (norm-ratio maximization with
-recorded witnesses; lower bounds, not rigorous constants).
+embedding constants on the discrete space: each is at most one
+limited-memory BFGS ascent of a 0-homogeneous log-ratio (numpy two-loop
+recursion, backtracking Armijo search, ``ASCENT_ITERS`` iterations), with
+the maximizer recorded as witness.  The results are lower bounds, not
+rigorous constants.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import json
@@ -46,6 +50,7 @@ __all__ = [
     "estimate_sobolev",
     "estimate_dual_norm",
     "estimate_embedding_constants",
+    "ASCENT_ITERS",
     "discrete_divergence",
     "critical_exponent",
     "save_field",
@@ -331,14 +336,13 @@ class DiscreteSpace:
     def lr_norm(self, r, *moduli):
         """(integral of the sum of modulus**r over the moduli)**(1/r), each a (C, Q) array >= 0.
 
-        The norm is 1-homogeneous.  When the powers could underflow (largest
-        modulus m < 1 with r |log10 m| > 100, as in the Sobolev objective),
-        the moduli are scaled by m first, so a large r does not read 0;
-        otherwise they are taken as they are.  An overflow is left to raise
-        (``main`` ends such a run on exit 3).
+        The norm is 1-homogeneous.  When the powers could leave the float
+        range (largest modulus m with r |log10 m| > 100, as in the Sobolev
+        objective), the moduli are scaled by m first, so a large r neither
+        underflows to 0 nor overflows; otherwise they are taken as they are.
         """
         m = max(float(a.max()) for a in moduli)
-        if 0.0 < m < 1.0 and -r * np.log10(m) > 100.0:
+        if m > 0.0 and r * abs(np.log10(m)) > 100.0:
             moduli = [a / m for a in moduli]
         else:
             m = 1.0
@@ -529,46 +533,59 @@ class ConstantEstimate:
     converged: bool
     iters: int
     start: str | None = None  # what an estimator's ascent started from
+    evaluations: int = 0  # objective calls, scoring the starts included
+    stop: str | None = None  # why the ascent stopped; None when none ran
+
+
+ASCENT_ITERS = 40  # iteration budget of every embedding ascent, and the config's embedding.iters
 
 
 def _ratio_ascent(x0, objective, iters):
-    """Maximize a 0-homogeneous log-ratio by normalized gradient ascent.
+    """Maximize a 0-homogeneous log-ratio by limited-memory BFGS.
 
     ``objective(x)`` returns the log-ratio at x and a closure for its gradient
-    there; the gradient is built only at accepted points, once each.
+    there.  The backtracking Armijo search needs values only on the trials it
+    rejects, so the gradient is built once per accepted point.  The two-loop
+    recursion keeps 8 curvature pairs; a pair with s.y <= 0 is not stored.
+    Returns the unit maximizer, its value, the stopping reason (``cap``,
+    ``line_search`` or ``flat``: a zero gradient), the iterations and the
+    objective evaluations.
     """
     x = x0 / np.linalg.norm(x0)
-    best, grad = objective(x)
-    g = None
-    step = 0.25
-    stalled = 0
-    it = 0
+    val, grad = objective(x)
+    g, evals = grad(), 1
+    pairs = deque(maxlen=8)  # the last (s, y, 1 / s.y) of the minimization of -f
     for it in range(iters):
-        if g is None:
-            g = grad()
-        gn = np.linalg.norm(g)
-        if gn == 0.0:
-            break
-        improved = False
-        s = step
+        if not g.any():
+            return x / np.linalg.norm(x), val, "flat", it, evals
+        d = g.copy()  # two-loop recursion: d = H g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        if pairs:  # H0 = (s.y / y.y) I from the newest pair
+            s, y, _ = pairs[-1]
+            d *= (s @ y) / (y @ y)
+        else:  # a first step of length 0.25 from the unit start
+            d *= 0.25 / np.linalg.norm(g)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d += (a - rho * (y @ d)) * s
+        slope, t = g @ d, 1.0
         for _ in range(25):
-            y = x + s * g / gn
-            y /= np.linalg.norm(y)
-            val, grad_y = objective(y)
-            if val > best:
-                x, best, grad, g = y, val, grad_y, None
-                step = min(1.5 * s, 1.0)
-                improved = True
+            xt = x + t * d
+            trial, grad_t = objective(xt)
+            evals += 1
+            if trial > val + 1e-4 * t * max(slope, 0.0):  # never accept a lower value
                 break
-            s *= 0.5
-        if not improved:
-            stalled += 1
-            step = max(step * 0.5, 1e-6)
-            if stalled >= 5:
-                break
+            t *= 0.5
         else:
-            stalled = 0
-    return x, best, stalled >= 5 or it < iters - 1, it + 1
+            return x / np.linalg.norm(x), val, "line_search", it, evals
+        g_new = grad_t()
+        s, y = xt - x, g - g_new
+        if s @ y > 0.0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        x, val, g = xt, trial, g_new
+    return x / np.linalg.norm(x), val, "cap", iters, evals
 
 
 def _power_weight(mag, expo):
@@ -602,33 +619,38 @@ def _bump_velocity(space, center, width, freq=1.0):
 
 
 def _korn_objective(space, p):
-    """log(||grad u||_p / ||Du||_p) of the zero-boundary field with free dofs xf, with its gradient closure."""
+    """log(||grad u||_p / ||Du||_p) of the zero-boundary field with free dofs xf, with its gradient closure.
+
+    |Du| is the length of the Mandel components (g00, g11, (g01 + g10) / sqrt(2)): Du is never formed.
+    """
     free = space.free_vel_dofs
 
     def objective(xf):
         g = space.velocity_gradients(_masked(xf, free, space.n_vel))
-        d = symmetrize(g)
-        mf, ms = frobenius(g), frobenius(d)
+        mf = frobenius(g)
+        ms = np.sqrt(g[..., 0, 0] ** 2 + g[..., 1, 1] ** 2 + 0.5 * (g[..., 0, 1] + g[..., 1, 0]) ** 2)
         nf, ns = space.integrate(mf**p), space.integrate(ms**p)
 
         def grad():
+            # wf grad u - ws Du = (wf - ws/2) grad u - (ws/2) grad u^T
             wf = (_power_weight(mf, p - 2.0) / nf)[..., None, None]
-            ws = (_power_weight(ms, p - 2.0) / ns)[..., None, None]
-            return assembly.stress_load(space, wf * g - ws * d)[free]
+            ws = (0.5 * _power_weight(ms, p - 2.0) / ns)[..., None, None]
+            return assembly.stress_load(space, (wf - ws) * g - ws * np.swapaxes(g, -1, -2))[free]
 
         return (np.log(nf) - np.log(ns)) / p, grad
 
     return objective
 
 
-def estimate_korn(space, p, iters=200):
+def estimate_korn(space, p, iters=ASCENT_ITERS):
     """Korn constant sup ||grad u||_p / ||Du||_p over zero-boundary fields.
 
     At p = 2 it is sqrt(2) exactly: |grad u|^2 = 2 |Du|^2 - (div u)^2
     integrates to an identity for zero-boundary fields, and divergence-free
     fields attain the bound.  For p != 2 the result is a lower bound from
-    one gradient ascent started at the divergence-free swirl at the domain's
-    centre (width 0.32 of the shorter side), which is also the p = 2 witness.
+    one L-BFGS ascent started at the divergence-free swirl at the domain's
+    centre (width 0.32 of the shorter side), which is also the p = 2 witness;
+    it is converged only when the ascent stops before its iteration cap.
     """
     if not (1.0 < p <= 2.0):
         raise ValueError(f"need p in (1, 2], got {p}")
@@ -637,8 +659,9 @@ def estimate_korn(space, p, iters=200):
     if p == 2.0:
         return ConstantEstimate(np.sqrt(2.0), swirl, True, 0, "exact")
     free = space.free_vel_dofs
-    xf, val, conv, used = _ratio_ascent(swirl.coeffs[free], _korn_objective(space, p), iters)
-    return ConstantEstimate(float(np.exp(val)), space.velocity_field(_masked(xf, free, space.n_vel)), conv, used, "divfree")
+    xf, val, stop, used, evals = _ratio_ascent(swirl.coeffs[free], _korn_objective(space, p), iters)
+    witness = space.velocity_field(_masked(xf, free, space.n_vel))
+    return ConstantEstimate(float(np.exp(val)), witness, stop != "cap", used, "divfree", evals, stop)
 
 
 def _sobolev_objective(space, s, r):
@@ -666,11 +689,11 @@ def _sobolev_objective(space, s, r):
     return objective
 
 
-def estimate_sobolev(space, from_p, to_r, iters=150, starts=None):
+def estimate_sobolev(space, from_p, to_r, iters=ASCENT_ITERS, starts=None):
     """Lower bound for sup ||u||_r / ||u||_{1,p} over the discrete space.
 
     The constant field, a Gaussian bump at the domain's centre and the
-    fields in ``starts`` are scored by their ratio; one gradient ascent runs
+    fields in ``starts`` are scored by their ratio; one L-BFGS ascent runs
     from the best.  When the constant wins, its ratio |Omega|^(1/r - 1/p)
     is returned as it is, with no ascent: at a constant u = c both terms of
     the log-ratio's gradient are c . int phi_i / (|c|^2 |Omega|) and cancel,
@@ -695,9 +718,9 @@ def estimate_sobolev(space, from_p, to_r, iters=150, starts=None):
     start, x0 = cands[best]
     if start == "constant":
         witness = space.velocity_field(x0 / np.linalg.norm(x0))
-        return ConstantEstimate(float(np.exp(scores[best])), witness, True, 0, start)
-    xf, val, conv, used = _ratio_ascent(x0, objective, iters)
-    return ConstantEstimate(float(np.exp(val)), space.velocity_field(xf), conv, used, start)
+        return ConstantEstimate(float(np.exp(scores[best])), witness, True, 0, start, len(cands))
+    xf, val, stop, used, evals = _ratio_ascent(x0, objective, iters)
+    return ConstantEstimate(float(np.exp(val)), space.velocity_field(xf), stop != "cap", used, start, len(cands) + evals, stop)
 
 
 def estimate_dual_norm(space, load, p, iters=15):
@@ -739,9 +762,11 @@ class EmbeddingConstants:
     """Estimated discrete Korn and Sobolev constants with witnesses.
 
     ``ascent`` records per estimate the start its ascent ran from
-    (``exact`` for Korn at p = 2), its iteration count, and whether it is
-    degenerate: a Sobolev estimate won by the constant field, where the
-    ratio's gradient vanishes.
+    (``exact`` for Korn at p = 2), its iteration count, its objective
+    evaluations (the scoring of the Sobolev starts included), why it stopped
+    (``cap``, ``line_search`` or ``flat``; None when no ascent ran), and
+    whether it is degenerate: a Sobolev estimate won by the constant field,
+    where the ratio's gradient vanishes.
     """
 
     p: float
@@ -768,7 +793,7 @@ class EmbeddingConstants:
         }
 
 
-def estimate_embedding_constants(space, p, s, iters=150):
+def estimate_embedding_constants(space, p, s, iters=ASCENT_ITERS):
     """Estimate the trio (korn_p, W^{1,p} -> L^{p*}, W^{1,s} -> L^{2p'})."""
     pstar = critical_exponent(p, 2)
     target1 = min(pstar, 64.0)  # cap the numerically explored exponent
@@ -787,7 +812,10 @@ def estimate_embedding_constants(space, p, s, iters=150):
         targets={"pstar": pstar, "pstar_used": target1, "two_pprime": two_pprime},
         witnesses={k: e.witness for k, e in est.items()},
         converged={k: e.converged for k, e in est.items()},
-        ascent={k: {"start": e.start, "iters": e.iters, "degenerate": e.start == "constant"} for k, e in est.items()},
+        ascent={
+            k: {"start": e.start, "iters": e.iters, "evaluations": e.evaluations, "stop": e.stop, "degenerate": e.start == "constant"}
+            for k, e in est.items()
+        },
     )
 
 

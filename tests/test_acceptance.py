@@ -27,7 +27,7 @@ def certified32(unit_domain, model18, chars18):
     t0 = time.monotonic()
     space = build_space(unit_domain, 32, 32)
     s = certifier.compute_s(model18.p, 2)
-    emb = estimate_embedding_constants(space, model18.p, s, iters=120)
+    emb = estimate_embedding_constants(space, model18.p, s)
     lf = lift(BoundaryData(g1=0.0, g2=tangential_g2(0.01)), space, model18.p, s)
     g1c, g2c, g3c = certifier.compute_constants(chars18, emb, lf, 0.0, model18.p, s, model18.delta)
     report = certifier.check_smallness(g1c, g2c, g3c, model18.p, s=s)
