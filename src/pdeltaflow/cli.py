@@ -139,6 +139,8 @@ class RunConfig:
             raise ConfigError("domain must have positive side lengths")
         if d["nx"] < 2 or d["ny"] < 2:
             raise ConfigError("domain.nx and domain.ny must be at least 2")
+        if d["quad_degree"] < 2:
+            raise ConfigError(f"domain.quad_degree must be at least 2, got {d['quad_degree']}")
         try:
             compile_expression(self.data["data"]["g1"])
             for key in ("g2", "f"):

@@ -26,7 +26,6 @@ from .discretization import (
     build_space,
     combine_level_norm,
     level_norm,
-    norm_sym_grad_p,
     prolong_velocity,
     sym_grad_norms,
 )
@@ -134,11 +133,9 @@ def find_y_n(n, c2, F1, q):
 
 
 def _on_sphere(family, coeffs, n, R):
-    """Scale coefficients onto the level-norm sphere; return (field, y-value)."""
-    f = family.space.velocity_field(coeffs)
-    ln = level_norm(f, family.p, family.q, n)
-    scaled = family.space.velocity_field(coeffs * (R / ln))
-    return scaled, norm_sym_grad_p(scaled, family.q)
+    """The field of the coefficients scaled onto the level-norm sphere."""
+    ln = level_norm(family.space.velocity_field(coeffs), family.p, family.q, n)
+    return family.space.velocity_field(coeffs * (R / ln))
 
 
 def _endpoint_gram(family):
@@ -184,9 +181,9 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=1e-9):
     Interpolates between the extreme family members along the sphere; the
     target is hit by bisection on the interpolation parameter (the q-norm
     varies continuously along the path, so a bracketed root exists).  The
-    bisection reads the q-norm off the cached endpoint strain products;
-    the returned field and its q-norm are evaluated directly at the final
-    parameter.
+    bisection reads the q-norm off the cached endpoint strain products,
+    and the returned q-norm is the one it read at the final parameter; the
+    returned field is evaluated directly there.
     """
     lo_c, hi_c = family.members[0], family.members[-1]
     y_lo = _sphere_y(family, 0.0, n, R)
@@ -200,7 +197,7 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=1e-9):
 
     ta, tb = 0.0, 1.0
     fa = y_lo - y_target
-    theta = 0.0
+    theta, y = 0.0, y_lo
     for _ in range(bisect_steps):
         theta = 0.5 * (ta + tb)
         y = _sphere_y(family, theta, n, R)
@@ -211,8 +208,7 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=1e-9):
         else:
             ta = theta
             fa = y - y_target
-    field, y = _on_sphere(family, (1 - theta) * lo_c + theta * hi_c, n, R)
-    return field, theta, y
+    return _on_sphere(family, (1 - theta) * lo_c + theta * hi_c, n, R), theta, y
 
 
 def _P_n(norm_p, y, n, G1, F1, p, q):
@@ -247,30 +243,26 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
     for n in n_values:
         f_n = _discrete_f(family, n)
         step1 = f_n ** (family.q - 1.0) >= c1 / n
-        if step1:
-            field, y = _on_sphere(family, family.members[-1], n, R)
-            theta = 1.0
-            y_n = y
-            branch = "step1"
-        else:
+        branch = "step1"
+        if not step1:
             y_n = find_y_n(n, c2, F1, family.q)
             try:
-                field, theta, y = construct_u_n(family, n, R, y_n)
+                field, theta, _ = construct_u_n(family, n, R, y_n)
                 branch = "step2"
             except RangeError:
-                field, y = _on_sphere(family, family.members[-1], n, R)
-                theta = 1.0
                 branch = "step1-fallback"
-        norm_p, norm_q = sym_grad_norms(field, (family.p, family.q))
-        val = _P_n(norm_p, norm_q, n, G1, F1, family.p, family.q)
+        if branch != "step2":  # the highest-ratio member, scaled onto the sphere
+            field, theta = _on_sphere(family, family.members[-1], n, R), 1.0
+        norm_p, y = sym_grad_norms(field, (family.p, family.q))  # y: the achieved q-norm
+        val = _P_n(norm_p, y, n, G1, F1, family.p, family.q)
         records.append(
             CounterexampleRecord(
                 n=float(n),
                 branch=branch,
                 theta=float(theta),
-                y_n=float(y_n),
+                y_n=float(y if step1 else y_n),
                 y_achieved=float(y),
-                level_norm=float(combine_level_norm(norm_p, norm_q, family.q, n)),
+                level_norm=float(combine_level_norm(norm_p, y, family.q, n)),
                 norm_Du_p=float(norm_p),
                 P_n=float(val),
                 margin=float(-val),

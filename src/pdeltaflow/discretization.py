@@ -166,11 +166,26 @@ class Field:
 
 
 class DiscreteSpace:
-    """Triangulated rectangle with P2 velocity / P1 pressure approximation."""
+    """Triangulated rectangle with P2 velocity / P1 pressure approximation.
+
+    Vertex (x_i, y_j) is number j (nx + 1) + i.  Grid square (i, j) holds
+    the even cell 2 (j nx + i) = (v00, v10, v11) and the odd cell after it,
+    (v00, v11, v01).  The edges are numbered in order of first appearance
+    over the cells' local edges (a, b), (b, d), (d, a); ``edge_verts`` holds
+    each edge's sorted vertex pair, and P2 dof n_verts + e sits at the
+    midpoint of edge e.  The boundary is S = 2 (nx + ny) segments, side by
+    side bottom, top, left, right and each side in increasing x or y:
+    ``boundary_seg_dofs`` (S, 3) holds their end, mid and end P2 dofs,
+    ``boundary_normals`` (S, 2) their outward unit normals and
+    ``boundary_lengths`` (S,) their lengths.  ``quad_degree >= 2``, the
+    degree of the P2 stiffness integrand.
+    """
 
     def __init__(self, domain, nx, ny, quad_degree=8, infsup_tol=1e-6):
         if nx < 2 or ny < 2:
             raise ValueError(f"need nx, ny >= 2, got {nx}, {ny}")
+        if quad_degree < 2:
+            raise ValueError(f"need quad_degree >= 2, got {quad_degree}")
         self.domain = domain
         self.nx, self.ny = int(nx), int(ny)
         self.quad_degree = int(quad_degree)
@@ -196,30 +211,22 @@ class DiscreteSpace:
         self.verts = np.column_stack([xv.ravel(), yv.ravel()])
         self.n_verts = (nx + 1) * (ny + 1)
 
-        def vid(i, j):
-            return j * (nx + 1) + i
-
-        cells = []
-        for j in range(ny):
-            for i in range(nx):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
-        self.cells = np.asarray(cells, dtype=np.int64)
+        grid = np.arange(self.n_verts).reshape(ny + 1, nx + 1)  # grid[j, i] is vertex (x_i, y_j)
+        v00, v10 = grid[:-1, :-1].ravel(), grid[:-1, 1:].ravel()
+        v11, v01 = grid[1:, 1:].ravel(), grid[1:, :-1].ravel()
+        # squares row by row; square k holds the even cell 2k and the odd cell 2k + 1
+        self.cells = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
         self.n_cells = self.cells.shape[0]
 
-        edges = {}
-        cell_edges = np.empty((self.n_cells, 3), dtype=np.int64)
-        for c, (a, b, d) in enumerate(self.cells):
-            for k, (u, v) in enumerate(((a, b), (b, d), (d, a))):
-                key = (min(u, v), max(u, v))
-                cell_edges[c, k] = edges.setdefault(key, len(edges))
-        self.n_edges = len(edges)
-        self.edge_verts = np.empty((self.n_edges, 2), dtype=np.int64)
-        for (u, v), e in edges.items():
-            self.edge_verts[e] = (u, v)
-        self._edge_index = edges
+        # Local edges (a, b), (b, d), (d, a) of each cell (a, b, d) as sorted
+        # vertex pairs; the edges are numbered in order of first appearance.
+        pairs = np.sort(self.cells[:, [[0, 1], [1, 2], [2, 0]]], axis=-1).reshape(-1, 2)
+        keys, first, inverse = np.unique(pairs[:, 0] * self.n_verts + pairs[:, 1], return_index=True, return_inverse=True)
+        number = np.empty(keys.size, dtype=np.int64)  # edge number of each sorted key
+        number[np.argsort(first)] = np.arange(keys.size)
+        cell_edges = number[inverse].reshape(self.n_cells, 3)
+        self.n_edges = keys.size
+        self.edge_verts = pairs[np.sort(first)]
 
         self.n_p2 = self.n_verts + self.n_edges
         self.n_p1 = self.n_verts
@@ -230,24 +237,17 @@ class DiscreteSpace:
         mids = 0.5 * (self.verts[self.edge_verts[:, 0]] + self.verts[self.edge_verts[:, 1]])
         self.p2_coords = np.vstack([self.verts, mids])
 
-        ii = np.arange(self.n_verts) % (nx + 1)
-        jj = np.arange(self.n_verts) // (nx + 1)
-        bverts = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
-        bedges = np.zeros(self.n_edges, dtype=bool)
-        bsegs = []  # (end dof, mid dof, end dof, normal, length)
-        sides = [
-            ([(vid(i, 0), vid(i + 1, 0)) for i in range(nx)], (0.0, -1.0), self.hx),
-            ([(vid(i, ny), vid(i + 1, ny)) for i in range(nx)], (0.0, 1.0), self.hx),
-            ([(vid(0, j), vid(0, j + 1)) for j in range(ny)], (-1.0, 0.0), self.hy),
-            ([(vid(nx, j), vid(nx, j + 1)) for j in range(ny)], (1.0, 0.0), self.hy),
-        ]
-        for seg_list, nrm, length in sides:
-            for (u, v) in seg_list:
-                e = edges[(min(u, v), max(u, v))]
-                bedges[e] = True
-                bsegs.append((u, self.n_verts + e, v, nrm, length))
-        self.boundary_segments = bsegs
-        bmask = np.concatenate([bverts, bedges])
+        # Boundary segments side by side: bottom (row 0), top (row ny), left
+        # (column 0), right (column nx), each in increasing x or y.
+        start = np.concatenate([grid[[0, -1], :-1].ravel(), grid[:-1, [0, -1]].T.ravel()])
+        end = np.concatenate([grid[[0, -1], 1:].ravel(), grid[1:, [0, -1]].T.ravel()])
+        mid = self.n_verts + number[np.searchsorted(keys, start * self.n_verts + end)]
+        self.boundary_seg_dofs = np.column_stack([start, mid, end])
+        counts = [nx, nx, ny, ny]
+        self.boundary_normals = np.repeat([[0.0, -1.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]], counts, axis=0)
+        self.boundary_lengths = np.repeat([self.hx, self.hx, self.hy, self.hy], counts)
+        bmask = np.zeros(self.n_p2, dtype=bool)
+        bmask[self.boundary_seg_dofs] = True
         self.boundary_p2 = np.flatnonzero(bmask)
         self.interior_p2 = np.flatnonzero(~bmask)
         self.boundary_vel_dofs = np.concatenate([self.boundary_p2, self.boundary_p2 + self.n_p2])
@@ -277,9 +277,6 @@ class DiscreteSpace:
         eye = np.eye(2)
         self.value_table = np.einsum("qm,ci->cmqi", self.p2_vals, eye).reshape(12, 2 * nq)
         self.grad_table = np.einsum("kqmj,ci->kcmqij", p2_grads, eye).reshape(2, 12, 4 * nq)
-
-        g1d, w1d = _gauss01(4)
-        self._bq_pts, self._bq_w = g1d, w1d
 
     @property
     def h(self):
@@ -363,33 +360,26 @@ class DiscreteSpace:
 
     # -- boundary -----------------------------------------------------------------
 
-    def boundary_quadrature(self):
-        """Per boundary segment: quadrature points, weights, normal, trace dofs."""
-        out = []
-        t1d, w1d = self._bq_pts, self._bq_w
-        basis = np.column_stack([(1 - t1d) * (1 - 2 * t1d), 4 * t1d * (1 - t1d), t1d * (2 * t1d - 1)])
-        for (d0, dm, d1, nrm, length) in self.boundary_segments:
-            a = self.p2_coords[d0]
-            b = self.p2_coords[d1]
-            pts = a[None, :] + np.outer(t1d, b - a)
-            out.append({
-                "dofs": (d0, dm, d1),
-                "pts": pts,
-                "w": w1d * length,
-                "normal": np.asarray(nrm),
-                "basis": basis,
-            })
-        return out
+    def boundary_trace(self, coeffs):
+        """Trace quadrature of a velocity coefficient vector on the S boundary segments.
+
+        Returns the points (S, T, 2), the weights (S, T) and the trace values
+        (S, T, 2) of ``coeffs``: a T = 4 point Gauss rule on each segment,
+        exact for products of two quadratic traces.  Only the boundary dofs
+        of ``coeffs`` are read.
+        """
+        t, w = _gauss01(4)
+        basis = np.column_stack([(1 - t) * (1 - 2 * t), 4 * t * (1 - t), t * (2 * t - 1)])
+        dofs = self.boundary_seg_dofs
+        a, b = self.p2_coords[dofs[:, 0]], self.p2_coords[dofs[:, 2]]
+        pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        vals = np.stack([coeffs[dofs] @ basis.T, coeffs[dofs + self.n_p2] @ basis.T], axis=-1)
+        return pts, np.outer(self.boundary_lengths, w), vals
 
     def boundary_flux(self, boundary_values):
         """Outward flux of a velocity boundary trace given by P2 boundary dofs."""
-        flux = 0.0
-        for seg in self.boundary_quadrature():
-            d = list(seg["dofs"])
-            vx = seg["basis"] @ boundary_values[d]
-            vy = seg["basis"] @ boundary_values[[k + self.n_p2 for k in d]]
-            flux += np.sum(seg["w"] * (vx * seg["normal"][0] + vy * seg["normal"][1]))
-        return float(flux)
+        _, w, vals = self.boundary_trace(boundary_values)
+        return float(np.einsum("st,stc,sc->", w, vals, self.boundary_normals))
 
     # -- point evaluation --------------------------------------------------------
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import assembly
 from .discretization import (
     Field,
+    _as_vec2,
     divergence_values,
     norm_W1p,
     sym_grad_norms,
@@ -106,28 +107,21 @@ class LiftField:
 
 def check_compatibility(data, space):
     """Signed defect int_Omega g1 dx - boundary flux of the g2 interpolant."""
-    vol = space.integrate(data.g1_values(space))
-    flux = space.boundary_flux(data.g2_dof_values(space))
-    return float(vol - flux)
+    return _compat_defect(space, data.g1_values(space), data.g2_dof_values(space))
 
 
-def _boundary_defect(data, space):
-    """L2 boundary distance between the g2 trace interpolant and g2 itself."""
-    fun = data.g2_callable()
+def _compat_defect(space, g1_vals, ghat):
+    return float(space.integrate(g1_vals) - space.boundary_flux(ghat))
+
+
+def _boundary_defect(space, ghat, fun):
+    """L2 boundary distance between the trace of ghat, the g2 interpolant, and g2 = fun itself."""
     if fun is None:
         return 0.0
-    coeffs = data.g2_dof_values(space)
-    err2 = 0.0
-    for seg in space.boundary_quadrature():
-        d = list(seg["dofs"])
-        vx = seg["basis"] @ coeffs[d]
-        vy = seg["basis"] @ coeffs[[k + space.n_p2 for k in d]]
-        x, y = seg["pts"][:, 0], seg["pts"][:, 1]
-        from .discretization import _as_vec2
-
-        gx, gy = _as_vec2(fun, x, y)
-        err2 += np.sum(seg["w"] * ((vx - gx) ** 2 + (vy - gy) ** 2))
-    return float(np.sqrt(err2))
+    pts, w, vals = space.boundary_trace(ghat)
+    gx, gy = _as_vec2(fun, pts[..., 0].ravel(), pts[..., 1].ravel())
+    err = vals - np.stack([gx, gy], axis=-1).reshape(vals.shape)
+    return float(np.sqrt(np.sum(w[..., None] * err**2)))
 
 
 def lift(data, space, p, s):
@@ -137,12 +131,12 @@ def lift(data, space, p, s):
     quadrature) and the divergence defect in the discrete L2 sense.
     """
     g1_vals = data.g1_values(space)
-    defect = check_compatibility(data, space)
+    ghat = data.g2_dof_values(space)
+    defect = _compat_defect(space, g1_vals, ghat)
     tol = COMPAT_TOL * (1.0 + space.integrate(np.abs(g1_vals)))
     if abs(defect) > tol:
         raise LiftingError(f"incompatible data: defect {defect:.3e} exceeds tolerance {tol:.3e}")
 
-    ghat = data.g2_dof_values(space)
     k = assembly.full_grad_stiffness(space)
     b = assembly.p1_load(space, g1_vals)
     try:
@@ -174,7 +168,7 @@ def lift(data, space, p, s):
         norms=norms,
         div_defect=div_defect,
         div_defect_pointwise=div_defect_pointwise,
-        boundary_defect=_boundary_defect(data, space),
+        boundary_defect=_boundary_defect(space, ghat, data.g2_callable()),
         compat_defect=defect,
     )
 

@@ -92,6 +92,9 @@ class TestRunConfig:
         {"certify": {"sweep_lambdas": "0.5"}},
         {"seed": "x"},
         {"seed": -1},
+        {"domain": {"quad_degree": -3}},
+        {"domain": {"quad_degree": 0}},
+        {"domain": {"quad_degree": 1}},
     ],
 )
 def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
@@ -354,9 +357,13 @@ _AMPLITUDE = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e3))
             "penalty": st.booleans(),
         }
     ),
+    corner=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    sides=st.tuples(_log_uniform(0.25, 4.0), _log_uniform(0.25, 4.0)),
+    cells=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+    quad_degree=st.integers(2, 10),
     override=st.booleans(),
 )
-def test_pipeline_exit_codes(tmp_path_factory, command, model, g1, g2, f, solver, override):
+def test_pipeline_exit_codes(tmp_path_factory, command, model, g1, g2, f, solver, corner, sides, cells, quad_degree, override):
     # an uncaught exception (a warning included, under the suite's filters) fails the example
     out = tmp_path_factory.mktemp("run")
     data = {
@@ -367,7 +374,15 @@ def test_pipeline_exit_codes(tmp_path_factory, command, model, g1, g2, f, solver
     cfg = {
         "out": str(out / "t"),
         "model": model,
-        "domain": {"nx": 4, "ny": 4},
+        "domain": {
+            "x0": corner[0],
+            "y0": corner[1],
+            "x1": corner[0] + sides[0],
+            "y1": corner[1] + sides[1],
+            "nx": cells[0],
+            "ny": cells[1],
+            "quad_degree": quad_degree,
+        },
         "characteristics": {"samples": 10000},
         "data": data,
         "solver": solver,

@@ -34,6 +34,9 @@ class TestBuildSpace:
     def test_degenerate_mesh_rejected(self, unit_domain):
         with pytest.raises(ValueError):
             build_space(unit_domain, 1, 4)
+        for quad_degree in (1, 0, -3):  # below the P2 stiffness integrand's degree
+            with pytest.raises(ValueError):
+                build_space(unit_domain, 4, 4, quad_degree=quad_degree)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -98,6 +101,69 @@ class TestBuildSpace:
         save_field(path, space4.zero_velocity())
         with pytest.raises(ValueError):
             load_field(path, space4, role="pressure")
+
+
+class TestMesh:
+    def test_numbering_oracle_3x2(self, unit_domain):
+        # the numbering of the per-cell loop and edge dictionary it replaced
+        s = build_space(unit_domain, 3, 2)
+        cells = [[0, 1, 5], [0, 5, 4], [1, 2, 6], [1, 6, 5], [2, 3, 7], [2, 7, 6],
+                 [4, 5, 9], [4, 9, 8], [5, 6, 10], [5, 10, 9], [6, 7, 11], [6, 11, 10]]
+        cell_mids = [[12, 13, 14], [14, 15, 16], [17, 18, 19], [19, 20, 13], [21, 22, 23], [23, 24, 18],
+                     [15, 25, 26], [26, 27, 28], [20, 29, 30], [30, 31, 25], [24, 32, 33], [33, 34, 29]]
+        edge_verts = [[0, 1], [1, 5], [0, 5], [4, 5], [0, 4], [1, 2], [2, 6], [1, 6], [5, 6], [2, 3], [3, 7], [2, 7],
+                      [6, 7], [5, 9], [4, 9], [8, 9], [4, 8], [6, 10], [5, 10], [9, 10], [7, 11], [6, 11], [10, 11]]
+        boundary_p2 = [0, 1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 16, 17, 21, 22, 27, 28, 31, 32, 34]
+        segments = [[0, 12, 1], [1, 17, 2], [2, 21, 3], [8, 27, 9], [9, 31, 10], [10, 34, 11],
+                    [0, 16, 4], [4, 28, 8], [3, 22, 7], [7, 32, 11]]
+        assert s.cells.tolist() == cells
+        assert s.cell_p2.tolist() == [c + m for c, m in zip(cells, cell_mids)]
+        assert s.edge_verts.tolist() == edge_verts
+        assert s.boundary_p2.tolist() == boundary_p2
+        assert s.boundary_seg_dofs.tolist() == segments
+
+    @pytest.fixture(
+        scope="class",
+        params=[((0.0, 0.0, 1.0, 1.0), 2, 2), ((0.0, 0.0, 1.0, 1.0), 3, 2), ((0.3, -0.2, 1.7, 0.4), 5, 7)],
+        ids=["2x2", "3x2", "translated5x7"],
+    )
+    def mesh(self, request):
+        domain, nx, ny = request.param
+        return build_space(RectDomain(*domain), nx, ny)
+
+    def test_edge_dofs_at_midpoints(self, mesh):
+        s = mesh
+        for k in range(3):  # local edge k joins local vertices k and k + 1
+            a, b = s.verts[s.cells[:, k]], s.verts[s.cells[:, (k + 1) % 3]]
+            assert np.abs(s.p2_coords[s.cell_p2[:, 3 + k]] - 0.5 * (a + b)).max() <= 1e-15
+        assert np.unique(s.cell_p2[:, 3:]).tolist() == list(range(s.n_verts, s.n_p2))
+
+    def test_boundary_dofs_found_by_coordinates(self, mesh):
+        s, dom = mesh, mesh.domain
+        x, y = s.p2_coords[:, 0], s.p2_coords[:, 1]
+        tol = 1e-12
+        on_rim = (np.abs(x - dom.x0) < tol) | (np.abs(x - dom.x1) < tol) | (np.abs(y - dom.y0) < tol) | (np.abs(y - dom.y1) < tol)
+        assert s.boundary_p2.tolist() == np.flatnonzero(on_rim).tolist()
+        assert s.interior_p2.tolist() == np.flatnonzero(~on_rim).tolist()
+        assert np.unique(s.boundary_seg_dofs).tolist() == s.boundary_p2.tolist()
+
+    def test_segments_and_outward_normals(self, mesh):
+        s, dom = mesh, mesh.domain
+        a, m, b = (s.p2_coords[s.boundary_seg_dofs[:, k]] for k in range(3))
+        assert np.abs(m - 0.5 * (a + b)).max() <= 1e-15
+        assert np.allclose(np.linalg.norm(b - a, axis=1), s.boundary_lengths, rtol=1e-14, atol=0.0)
+        assert np.all(np.einsum("sc,sc->s", b - a, s.boundary_normals) == 0.0)
+        out, inside = m + 1e-3 * s.boundary_normals, m - 1e-3 * s.boundary_normals
+        within = lambda p: (dom.x0 < p[:, 0]) & (p[:, 0] < dom.x1) & (dom.y0 < p[:, 1]) & (p[:, 1] < dom.y1)
+        assert not within(out).any() and within(inside).all()
+        perimeter = 2.0 * ((dom.x1 - dom.x0) + (dom.y1 - dom.y0))
+        assert abs(s.boundary_lengths.sum() - perimeter) <= 1e-14 * perimeter
+        assert len(s.boundary_lengths) == 2 * (s.nx + s.ny)
+
+    def test_flux_of_position_is_twice_the_area(self):
+        s = build_space(RectDomain(0.5, -0.3, 2.5, 0.7), 4, 3)  # 2 x 1, translated, nx != ny
+        pos = s.interpolate_velocity((lambda x, y: x, lambda x, y: y)).coeffs
+        assert abs(s.boundary_flux(pos) - 2.0 * s.domain.measure) <= 1e-13
 
 
 class TestField:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pdeltaflow import assembly
-from pdeltaflow.discretization import build_space, norm_Lp, norm_W1p
+from pdeltaflow.discretization import RectDomain, build_space, norm_Lp, norm_W1p
 from pdeltaflow.lifting import (
     BoundaryData,
     LiftingError,
+    _boundary_defect,
     check_compatibility,
     harmonic_extension,
     lift,
@@ -28,6 +29,19 @@ class TestCompatibility:
     def test_incompatible_data(self, space8):
         data = BoundaryData(g1=1.0, g2=None)
         assert abs(check_compatibility(data, space8) - 1.0) < 1e-12
+
+    def test_boundary_defect_is_the_trace_interpolation_error(self):
+        s = build_space(RectDomain(0.5, -0.3, 2.5, 0.7), 4, 3)
+
+        def defect(g2):
+            return _boundary_defect(s, BoundaryData(g2=g2).g2_dof_values(s), g2)
+
+        quadratic = (lambda x, y: x**2 - y, lambda x, y: x * y + y**2)
+        assert defect(quadratic) <= 1e-13
+        assert defect(lambda x, y: np.column_stack([x**2 - y, x * y + y**2])) <= 1e-13
+        cubic = (lambda x, y: x**3, lambda x, y: 0.0 * x)
+        assert defect(cubic) > 1e-3
+        assert defect(cubic) == defect(lambda x, y: np.column_stack([x**3, 0.0 * x]))
 
     def test_lift_rejects_incompatible(self, space8):
         with pytest.raises(LiftingError):
