@@ -366,19 +366,22 @@ _AMPLITUDE = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e3))
 def test_pipeline_exit_codes(tmp_path_factory, command, model, g1, g2, f, solver, corner, sides, cells, quad_degree, override):
     # an uncaught exception (a warning included, under the suite's filters) fails the example
     out = tmp_path_factory.mktemp("run")
+    (x0, y0), (x1, y1) = corner, (corner[0] + sides[0], corner[1] + sides[1])
+    # the data in the drawn rectangle's unit coordinates: int g1 = 0 and g2.n = 0 on every domain
+    X, Y = f"((x - ({x0!r})) / {x1 - x0!r})", f"((y - ({y0!r})) / {y1 - y0!r})"
     data = {
-        "g1": f"{g1!r} * sin(2*pi*x) * sin(2*pi*y)",
-        "g2": [f"{g2!r} * pi * sin(pi*x) * cos(pi*y)", f"-{g2!r} * pi * cos(pi*x) * sin(pi*y)"],
+        "g1": f"{g1!r} * sin(2*pi*{X}) * sin(2*pi*{Y})",
+        "g2": [f"{g2!r} * pi * sin(pi*{X}) * cos(pi*{Y})", f"-{g2!r} * pi * cos(pi*{X}) * sin(pi*{Y})"],
         "f": [f"{f!r} * sin(pi*y)", f"{f!r} * x"],
     }
     cfg = {
         "out": str(out / "t"),
         "model": model,
         "domain": {
-            "x0": corner[0],
-            "y0": corner[1],
-            "x1": corner[0] + sides[0],
-            "y1": corner[1] + sides[1],
+            "x0": x0,
+            "y0": y0,
+            "x1": x1,
+            "y1": y1,
             "nx": cells[0],
             "ny": cells[1],
             "quad_degree": quad_degree,
@@ -389,3 +392,6 @@ def test_pipeline_exit_codes(tmp_path_factory, command, model, g1, g2, f, solver
     }
     argv = [command, "--config", _write_cfg(out, "c.json", cfg)] + ["--override-certification"] * override
     assert main(argv) in (EXIT_OK, EXIT_CONDITION_FAILED, EXIT_NUMERICAL, EXIT_INVALID_CONFIG)
+    # nonzero data must reach the lift solve, not stop at the compatibility check
+    errors = [str(json.loads(r.read_text()).get("error", "")) for r in (out / "t").glob("*.json")]
+    assert not any("incompatible data" in e for e in errors), errors

@@ -77,6 +77,7 @@ class TestConstructUn:
         field, theta, y = construct_u_n(family3, n, R, y_lo)
         assert theta < 1e-6
         assert abs(y - y_lo) < 1e-8 * y_lo
+        assert abs(norm_sym_grad_p(field, 3.0) - y_lo) < 1e-8 * y_lo  # the field itself, not the bisection's read
 
     def test_midpoint_target(self, family3):
         n, R = 16.0, 1.0
@@ -87,6 +88,7 @@ class TestConstructUn:
         target = 0.5 * (y_lo + y_hi)
         field, theta, y = construct_u_n(family3, n, R, target)
         assert abs(y - target) <= 1e-8 * target
+        assert abs(norm_sym_grad_p(field, 3.0) - target) <= 1e-8 * target
         assert abs(level_norm(field, 1.5, 3.0, n) - R) <= 1e-10 * R
 
     def test_out_of_range(self, family3):
