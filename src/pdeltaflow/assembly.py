@@ -33,7 +33,6 @@ __all__ = [
     "FactorHolder",
     "dirichlet_solve",
     "solve_saddle",
-    "infsup_proxy",
 ]
 
 
@@ -303,27 +302,3 @@ def solve_saddle(space, a_mat, rhs_vel, div_rhs, fixed_vals=None, factor=None):
     lam[1:] = lam_pinned
     return u, lam
 
-
-def infsup_proxy(space):
-    """Second-smallest singular value of the scaled divergence coupling.
-
-    The coupling is scaled by the lumped pressure mass and the diagonal of
-    the zero-boundary vector Laplacian; the smallest singular value is the
-    constant-pressure null mode, so the next one is the stability proxy.
-    """
-    free = space.free_vel_dofs
-    b = div_coupling(space)[:, free]
-    kdiag = full_grad_stiffness(space).diagonal()[free]
-    mlump = np.asarray(p1_mass(space).sum(axis=1)).ravel()
-    bs = sp.diags(1.0 / np.sqrt(mlump)) @ b @ sp.diags(1.0 / np.sqrt(kdiag))
-    s = (bs @ bs.T).tocsc()
-    npress = s.shape[0]
-    if npress <= 1500:
-        vals = np.linalg.eigvalsh(s.toarray())
-        second = vals[1]
-    else:
-        vals = spla.eigsh(
-            s, k=2, sigma=-1e-10, which="LM", v0=np.ones(npress), return_eigenvectors=False
-        )
-        second = np.sort(vals)[1]
-    return float(np.sqrt(max(second, 0.0)))

@@ -31,7 +31,7 @@ from .discretization import (
     save_field,
 )
 from .expressions import ExpressionError, compile_expression
-from .lifting import BoundaryData, LiftingError, check_compatibility, lift
+from .lifting import BoundaryData, LiftingError, lift
 
 __all__ = ["RunConfig", "ConfigError", "main", "DEFAULT_CONFIG"]
 
@@ -305,11 +305,10 @@ def cmd_lift(cfg, out):
     space = _space(cfg)
     s = certifier.compute_s(model.p, 2)
     data = _boundary_data(cfg)
-    defect = check_compatibility(data, space)
     try:
         lf = lift(data, space, model.p, s)
     except LiftingError as exc:
-        _write_json(os.path.join(out, "lift_report.json"), {"error": str(exc), "compat_defect": defect})
+        _write_json(os.path.join(out, "lift_report.json"), {"error": str(exc), "compat_defect": exc.compat_defect})
         return EXIT_NUMERICAL
     save_field(os.path.join(out, "lift_g.txt"), lf.g)
     _write_json(os.path.join(out, "lift_report.json"), lf.to_json())

@@ -38,7 +38,11 @@ COMPAT_TOL = 1e-8
 
 
 class LiftingError(RuntimeError):
-    """Data incompatibility or saddle-solver breakdown during lifting."""
+    """Data incompatibility or saddle-solver breakdown during lifting, with the data's compatibility defect."""
+
+    def __init__(self, message, compat_defect):
+        super().__init__(message)
+        self.compat_defect = compat_defect
 
 
 @dataclass
@@ -61,7 +65,7 @@ class BoundaryData:
         return np.asarray(self.g1(x, y), dtype=float) + np.zeros_like(space.qw)
 
     def g2_dof_values(self, space):
-        """Full velocity coefficient array carrying the boundary interpolant."""
+        """Full velocity coefficient array carrying the boundary interpolant; a callable is evaluated at the boundary nodes."""
         out = np.zeros(space.n_vel)
         if self.g2 is None:
             return out
@@ -71,9 +75,8 @@ class BoundaryData:
             bnd = space.boundary_vel_dofs
             out[bnd] = self.g2[bnd]
             return out
-        interp = space.interpolate_velocity(self.g2)
-        bnd = space.boundary_vel_dofs
-        out[bnd] = interp.coeffs[bnd]
+        bnd = space.boundary_p2
+        out[bnd], out[bnd + space.n_p2] = _as_vec2(self.g2, *space.p2_coords[bnd].T)
         return out
 
     def g2_callable(self):
@@ -135,14 +138,14 @@ def lift(data, space, p, s):
     defect = _compat_defect(space, g1_vals, ghat)
     tol = COMPAT_TOL * (1.0 + space.integrate(np.abs(g1_vals)))
     if abs(defect) > tol:
-        raise LiftingError(f"incompatible data: defect {defect:.3e} exceeds tolerance {tol:.3e}")
+        raise LiftingError(f"incompatible data: defect {defect:.3e} exceeds tolerance {tol:.3e}", defect)
 
     k = assembly.full_grad_stiffness(space)
     b = assembly.p1_load(space, g1_vals)
     try:
         g_coeffs, _ = assembly.solve_saddle(space, k, np.zeros(space.n_vel), b, fixed_vals=ghat)
     except RuntimeError as exc:  # singular coupling
-        raise LiftingError(f"saddle-point solve failed (inf-sup {space.inf_sup:.3e}): {exc}") from exc
+        raise LiftingError(f"saddle-point solve failed: {exc}", defect) from exc
 
     g = space.velocity_field(g_coeffs)
     resid = assembly.div_coupling(space) @ g_coeffs - b

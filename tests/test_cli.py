@@ -14,6 +14,7 @@ from pdeltaflow.cli import (
     RunConfig,
     main,
 )
+from pdeltaflow.lifting import BoundaryData
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -266,6 +267,28 @@ class TestExitCodes:
         rep = json.loads((tmp_path / "t" / "lift_report.json").read_text())
         assert rep["div_defect"] <= 1e-8
         assert (tmp_path / "t" / "lift_g.txt").exists()
+
+    def test_lift_evaluates_the_data_once(self, tmp_path, monkeypatch):
+        calls = {"g1_values": 0, "g2_dof_values": 0}
+        for name in calls:
+            method = getattr(BoundaryData, name)
+
+            def counted(self, space, name=name, method=method):
+                calls[name] += 1
+                return method(self, space)
+
+            monkeypatch.setattr(BoundaryData, name, counted)
+        cfg = dict(QUICK, out=str(tmp_path / "t"))
+        assert main(["lift", "--config", _write_cfg(tmp_path, "c.json", cfg)]) == EXIT_OK
+        assert calls == {"g1_values": 1, "g2_dof_values": 1}
+
+    def test_lift_incompatible_data(self, tmp_path):
+        cfg = dict(QUICK, out=str(tmp_path / "t"))
+        cfg["data"] = {"g1": "1", "g2": ["0", "0"], "f": ["0", "0"]}
+        assert main(["lift", "--config", _write_cfg(tmp_path, "c.json", cfg)]) == EXIT_NUMERICAL
+        rep = json.loads((tmp_path / "t" / "lift_report.json").read_text())
+        assert "incompatible data" in rep["error"]
+        assert abs(rep["compat_defect"] - 1.0) < 1e-12
 
 
 def test_reports_deterministic(tmp_path):

@@ -44,8 +44,28 @@ class TestCompatibility:
         assert defect(cubic) == defect(lambda x, y: np.column_stack([x**3, 0.0 * x]))
 
     def test_lift_rejects_incompatible(self, space8):
-        with pytest.raises(LiftingError):
+        with pytest.raises(LiftingError) as err:
             lift(BoundaryData(g1=1.0, g2=None), space8, 2.0, 2.0)
+        assert abs(err.value.compat_defect - 1.0) < 1e-12  # the defect travels with the error
+
+    def test_g2_interpolated_at_boundary_nodes_only(self):
+        # a callable g2 is evaluated at the boundary P2 nodes only, to the full interpolant's values there
+        s = build_space(RectDomain(0.5, -0.3, 2.5, 0.7), 4, 3)
+        sizes = []
+
+        def gx(x, y):
+            sizes.append(x.size)
+            return np.sin(x) * y
+
+        pair = (gx, lambda x, y: np.exp(x - y))
+        vector = lambda x, y: np.column_stack([np.cos(x + y), x * y**2])  # noqa: E731
+        for g2 in (pair, vector):
+            full = s.interpolate_velocity(g2).coeffs
+            ref = np.zeros(s.n_vel)
+            ref[s.boundary_vel_dofs] = full[s.boundary_vel_dofs]
+            sizes.clear()
+            assert np.array_equal(BoundaryData(g2=g2).g2_dof_values(s), ref)
+            assert sizes == ([s.boundary_p2.size] if g2 is pair else [])
 
 
 class TestLift:
