@@ -5,11 +5,13 @@ returns scipy sparse matrices / dense load vectors.  Velocity dofs use the
 block layout [all x-dofs, all y-dofs].  The mesh has two triangle shapes,
 so local matrices are GEMMs of per-cell quadrature weights against the
 shape's integrand table, and loads are GEMMs of the point values against
-the shape's basis table.  The CSR pattern of each matrix and the map from
+the shape's basis table.  A stiffness on symmetric gradients, the Newton
+tangent's included, is one symmetric 3x3 modulus per point
+(``modulus_stiffness``).  The CSR pattern of each matrix and the map from
 local entries to its data are cached on the space, so re-assembly with new
-coefficient weights (the Newton loop) only recomputes values.  The
-Dirichlet and saddle-point solves gather their free-dof block the same
-way and can reuse the sparse LU of an earlier, similar system.
+coefficients (the Newton loop) only recomputes values.  The Dirichlet and
+saddle-point solves gather their free-dof block the same way and can reuse
+the sparse LU of an earlier, similar system.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ __all__ = [
     "full_grad_stiffness",
     "div_coupling",
     "transport_matrix",
-    "rank_one_stiffness",
+    "modulus_stiffness",
+    "mandel",
     "p1_mass",
     "velocity_load",
     "stress_load",
@@ -59,9 +62,10 @@ def _assemble(space, loc, rows, cols):
 def _table(space, name):
     """Per-shape integrand table (2, K, R*S) of one form, built once per space.
 
-    Rows are the points for sym/full/div, (point, b_0 | b_1 | g1) for
-    transport and (point, alpha, beta) for rank_one, where alpha and beta
-    index the ``_mandel`` components of a symmetric gradient.
+    Rows are the points for full/div, (point, b_0 | b_1 | g1) for transport
+    and (point, alpha, beta) for modulus, where alpha and beta index the
+    ``mandel`` components of a symmetric gradient.  The modulus table
+    carries the quadrature weights; the others take them with their rows.
     """
     key = ("table", name)
     if key not in space._cache:
@@ -74,30 +78,45 @@ def _table(space, name):
             conv = -np.einsum("sqi,krqij->kqjrs", v, d)
             mass = np.broadcast_to(-np.einsum("sqi,rqi->qrs", v, v)[:, None], (2, nq, 1, 12, 12))
             table = np.concatenate([conv, mass], axis=2).reshape(2, 3 * nq, 144)
-        elif name == "rank_one":
-            comp = _mandel(d)
-            table = np.einsum("krqa,ksqb->kqabrs", comp, comp).reshape(2, 9 * nq, 144)
+        elif name == "modulus":
+            comp = mandel(d)
+            table = np.einsum("q,krqa,ksqb->kqabrs", space.cell_qw, comp, comp).reshape(2, 9 * nq, 144)
         elif name == "div":
             table = np.einsum("qa,ksqii->kqas", space.p1_vals, g).reshape(2, nq, 36)
         else:
-            a = {"sym": d, "full": g}[name]
-            table = np.einsum("krqij,ksqij->kqrs", a, a).reshape(2, nq, 144)
+            table = np.einsum("krqij,ksqij->kqrs", g, g).reshape(2, nq, 144)
         space._cache[key] = table
     return space._cache[key]
 
 
-def _weighted(space, weight):
-    return space.qw if weight is None else space.qw * weight
+def mandel(m):
+    """Components (M_00, M_11, sqrt(2) M_01) of symmetric 2x2 matrices, in which A:B is a dot product."""
+    return np.stack([m[..., 0, 0], m[..., 1, 1], np.sqrt(2.0) * m[..., 0, 1]], axis=-1)
+
+
+def modulus_stiffness(space, modulus, b_vals=None, g1_vals=None):
+    """int (M Dw) . Dphi for a symmetric modulus M (C, Q, 3, 3) on ``mandel`` components.
+
+    With ``b_vals`` the transport form of ``transport_matrix(space, b_vals,
+    g1_vals)`` is added to the local blocks, so the sum is assembled once.
+    """
+    loc = space.shape_gemm(modulus.reshape(space.n_cells, -1), _table(space, "modulus"))
+    del modulus  # a caller's temporary modulus goes before the assembly's own temporaries
+    if b_vals is not None:
+        loc += _transport_blocks(space, b_vals, g1_vals)
+    return _assemble(space, loc, "vel", "vel")
 
 
 def sym_grad_stiffness(space, weight=None):
-    """int w Du : Dphi over velocity dofs."""
-    return _assemble(space, space.shape_gemm(_weighted(space, weight), _table(space, "sym")), "vel", "vel")
+    """int w Du : Dphi over velocity dofs: the modulus w I."""
+    w = np.ones_like(space.qw) if weight is None else weight
+    return modulus_stiffness(space, w[..., None, None] * np.eye(3))
 
 
 def full_grad_stiffness(space, weight=None):
     """int w grad u : grad phi (component-wise Laplacian)."""
-    return _assemble(space, space.shape_gemm(_weighted(space, weight), _table(space, "full")), "vel", "vel")
+    w = space.qw if weight is None else space.qw * weight
+    return _assemble(space, space.shape_gemm(w, _table(space, "full")), "vel", "vel")
 
 
 def div_coupling(space):
@@ -108,6 +127,14 @@ def div_coupling(space):
     return cache["div_mat"]
 
 
+def _transport_blocks(space, b_vals, g1_vals):
+    """Local blocks (C, 144) of the transport form of ``transport_matrix``."""
+    w = np.empty((space.n_cells, space.nq, 3))
+    w[..., :2] = space.qw[..., None] * b_vals
+    w[..., 2] = space.qw * g1_vals
+    return space.shape_gemm(w.reshape(space.n_cells, -1), _table(space, "transport"))
+
+
 def transport_matrix(space, b_vals, g1_vals):
     """Linearized convective operator against a frozen transport field b.
 
@@ -115,38 +142,7 @@ def transport_matrix(space, b_vals, g1_vals):
     which is the frozen-coefficient form of
     -<(u+g) x b, D phi> - <g1 (u+g), phi> restricted to the unknown u.
     """
-    w = np.empty((space.n_cells, space.nq, 3))
-    w[..., :2] = space.qw[..., None] * b_vals
-    w[..., 2] = space.qw * g1_vals
-    loc = space.shape_gemm(w.reshape(space.n_cells, -1), _table(space, "transport"))
-    return _assemble(space, loc, "vel", "vel")
-
-
-def _mandel(m):
-    """Components (M_00, M_11, sqrt(2) M_01) of symmetric 2x2 matrices, in which A:B is a dot product."""
-    return np.stack([m[..., 0, 0], m[..., 1, 1], np.sqrt(2.0) * m[..., 0, 1]], axis=-1)
-
-
-def rank_one_stiffness(space, weight, a_vals):
-    """int w (A:Du)(A:Dphi) for a weight w (C, Q) and a symmetric matrix field A (C, Q, 2, 2).
-
-    With a and d the ``_mandel`` components of A and D phi, A:D phi = a . d,
-    so the per-point weights are w a_alpha a_beta.
-    """
-    loc = space.shape_gemm(_outer_weights(space, weight, a_vals), _table(space, "rank_one"))
-    return _assemble(space, loc, "vel", "vel")
-
-
-def _outer_weights(space, weight, a_vals):
-    """Rows (C, Q*9) of qw w a_alpha a_beta.
-
-    The largest array of the assembly: built in place, and freed as soon
-    as the GEMM has consumed it.
-    """
-    a = _mandel(a_vals)
-    w = a[..., :, None] * a[..., None, :]
-    w *= (space.qw * weight)[..., None, None]
-    return w.reshape(space.n_cells, -1)
+    return _assemble(space, _transport_blocks(space, b_vals, g1_vals), "vel", "vel")
 
 
 def p1_mass(space):

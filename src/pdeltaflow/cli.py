@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import certifier, counterexample, solver
-from .constitutive import PDeltaModel, estimate_characteristics, inequality_sweep, young_gap
+from .constitutive import PDeltaModel, _check_tensor, estimate_characteristics, young_gap
 from .discretization import (
     ASCENT_ITERS,
     RectDomain,
@@ -287,10 +287,7 @@ def _solver_config(cfg, s):
 
 def cmd_check_tensor(cfg, out):
     model = _model(cfg)
-    report = inequality_sweep(
-        model, samples=cfg["characteristics"]["samples"], seed=cfg["seed"], dim=cfg["characteristics"]["dim"]
-    )
-    chars = estimate_characteristics(
+    report, chars = _check_tensor(
         model, samples=cfg["characteristics"]["samples"], seed=cfg["seed"], dim=cfg["characteristics"]["dim"]
     )
     payload = {"inequalities": report, "characteristics": chars.to_json()}

@@ -76,7 +76,6 @@ class SolverConfig:
     n_schedule: tuple
     picard_tol: float = 1e-9
     picard_max: int = 50
-    damping: float = 1.0
     include_convective: bool = True
     penalty: bool = True
 
@@ -92,8 +91,6 @@ class SolverConfig:
             raise ValueError("n_schedule must be non-empty with positive entries")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise ValueError("n_schedule must be strictly increasing")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must lie in (0, 1]")
         for key in ("include_convective", "penalty"):
             if not isinstance(getattr(self, key), (bool, np.bool_)):
                 raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
@@ -320,41 +317,52 @@ def _residual(inst, r0, u_coeffs, lam):
     return np.sqrt(np.linalg.norm(res[space.free_vel_dofs]) ** 2 + np.linalg.norm(div_res) ** 2)
 
 
+def _modulus(inst, cfg, n, du, tangent):
+    """Per-point Mandel modulus (C, Q, 3, 3) of the stress part of J at Du = du.
+
+    With A = Du + Dg and a, d the ``mandel`` components of A and Du, it is
+    (nu(|A|) + |Du|^(q-2)/n) I + nu'(|A|)/|A| a a^T + (q-2)/n |Du|^(q-4) d d^T,
+    the penalty terms only at a finite n and the rank-one terms only with
+    ``tangent``.  The strain temporaries end with the call.
+    """
+    a = du + inst.g_sym
+    mag = frobenius(a)
+    nu, slope = _stress_weight(inst.model, mag)
+    penalty = cfg.penalty and np.isfinite(n)
+    if penalty:
+        mag_u = frobenius(du)
+        nu += mag_u ** (cfg.q - 2.0) / n  # the penalty weights Du only
+    if tangent:
+        a = assembly.mandel(a)
+        mod = (_over(slope, mag)[..., None] * a)[..., :, None] * a[..., None, :]
+        if penalty:
+            d = assembly.mandel(du)
+            mod += ((cfg.q - 2.0) / n * _over(mag_u ** (cfg.q - 2.0), mag_u**2)[..., None] * d)[..., :, None] * d[..., None, :]
+    else:
+        mod = np.zeros(nu.shape + (3, 3))
+    mod.reshape(nu.shape + (9,))[..., ::4] += nu[..., None]
+    return mod
+
+
 def _linearize(inst, cfg, n, u, tangent=True, state=None):
     """Newton system (J, J u - R0(u)) at the velocity coefficients u.
 
     J is the derivative of the momentum residual R0 at u, so the saddle
-    solve J u_new + C^T lam = J u - R0(u) is one Newton step.  With
-    A = Du + Dg, J is the sum of
-      the scalar-weight stiffness  int (nu(|A|) + |Du|^(q-2)/n) Dw : Dphi,
-      the rank-one stress term     int nu'(|A|)/|A| (A:Dw)(A:Dphi),
-      the rank-one penalty term    int (q-2)/n |Du|^(q-4) (Du:Dw)(Du:Dphi),
-      the convective derivative    transport_matrix(2 (u + g), div g),
-    the penalty terms only at a finite n and the last only with the
-    convective term.  Dphi is symmetric, so (w x b + b x w) : Dphi =
-    2 (w x b) : Dphi gives the factor 2.  With ``tangent=False`` the
-    derivative terms are left out: the weights and the transport field are
-    frozen at u, and the step is the Picard (Kacanov) step.  ``state`` is
-    the ``_state`` at u when the caller has it already.
+    solve J u_new + C^T lam = J u - R0(u) is one Newton step.  Its stress
+    part is the ``_modulus`` M at u, int (M Dw) . Dphi on Mandel
+    components, and with the convective term J adds the transport form of
+    ``transport_matrix(2 (u + g), div g)``; both go through one
+    ``assembly.modulus_stiffness`` call.  Dphi is symmetric, so (w x b +
+    b x w) : Dphi = 2 (w x b) : Dphi gives the factor 2.  With
+    ``tangent=False`` the derivative terms are left out: the weights and
+    the transport field are frozen at u, and the step is the Picard
+    (Kacanov) step.  ``state`` is the ``_state`` at u when the caller has
+    it already.
     """
-    space = inst.space
-    # the state before the matrices, so their temporaries do not add up
+    # the state before the matrix, so their temporaries do not add up
     du, v, r0 = _state(inst, cfg, n, u) if state is None else state
-    a = du + inst.g_sym
-    mag = frobenius(a)
-    nu, slope = _stress_weight(inst.model, mag)
-    weight, rank_one = nu, [(_over(slope, mag), a)]
-    if cfg.penalty and np.isfinite(n):
-        mag_u = frobenius(du)
-        weight = nu + mag_u ** (cfg.q - 2.0) / n  # the penalty weights Du only
-        rank_one.append(((cfg.q - 2.0) / n * _over(mag_u ** (cfg.q - 2.0), mag_u**2), du))
-    # every matrix below shares the cached velocity pattern; `+` would prune cancelled entries
-    a_mat = assembly.sym_grad_stiffness(space, weight)
-    if tangent:
-        for w, dir_vals in rank_one:
-            a_mat.data += assembly.rank_one_stiffness(space, w, dir_vals).data
-    if cfg.include_convective:
-        a_mat.data += assembly.transport_matrix(space, 2.0 * v if tangent else v, inst.g1_vals).data
+    b = None if v is None else (2.0 * v if tangent else v)
+    a_mat = assembly.modulus_stiffness(inst.space, _modulus(inst, cfg, n, du, tangent), b, inst.g1_vals)
     return a_mat, a_mat @ u - r0
 
 
@@ -390,13 +398,12 @@ def solve_regularized(inst, cfg, n, warm_start=None):
                 raise SolverError(f"linear saddle solve broke down at level n={n}: {exc}") from exc
             if not np.all(np.isfinite(u_new)):
                 raise SolverError(f"linear solve returned non-finite values at level n={n}")
-            step = u + cfg.damping * (u_new - u)
-            step_state = _state(inst, cfg, n, step)
-            rel = _residual(inst, step_state[2], step, lam) / scale
+            step_state = _state(inst, cfg, n, u_new)
+            rel = _residual(inst, step_state[2], u_new, lam) / scale
             if not tangent or not history or rel <= history[-1]:
                 break
             fallbacks += 1
-        u, state = step, step_state
+        u, state = u_new, step_state
         history.append(rel)
         if rel < cfg.picard_tol:
             converged = True

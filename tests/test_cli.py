@@ -166,6 +166,20 @@ class TestExitCodes:
         assert rep["verdict"] == "pass"
         assert abs(rep["characteristics"]["C1"] - 1.0) < 1e-10
 
+    def test_check_tensor_draws_one_sample(self, tmp_path, monkeypatch):
+        from pdeltaflow import constitutive
+
+        calls = []
+        for name in ("_sample_pairs", "_growth_ratios"):
+            def counted(*args, _real=getattr(constitutive, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(constitutive, name, counted)
+        path = _write_cfg(tmp_path, "c.json", dict(QUICK, out=str(tmp_path / "t")))
+        assert main(["check-tensor", "--config", path]) == EXIT_OK
+        assert sorted(calls) == ["_growth_ratios", "_sample_pairs"]
+
     def test_check_tensor_power_law(self, tmp_path):
         cfg = dict(QUICK, out=str(tmp_path / "t"), model={"p": 1.5, "delta": 0.1, "mu0": 0.0, "mu": 1.0})
         path = _write_cfg(tmp_path, "c.json", cfg)
@@ -375,7 +389,6 @@ _AMPLITUDE = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e3))
             "levels": st.integers(1, 3),
             "picard_tol": _log_uniform(1e-12, 1e-3),
             "picard_max": st.integers(1, 40),
-            "damping": _log_uniform(1e-3, 1.0),
             "include_convective": st.booleans(),
             "penalty": st.booleans(),
         }

@@ -666,8 +666,8 @@ class TestTwoShapeEvaluation:
         self._close(assembly.full_grad_stiffness(s, d["w"]).toarray(), self._dense(s, full))
         self._close(assembly.sym_grad_stiffness(s, d["w"]).toarray(), self._dense(s, sym))
 
-    def test_transport(self, case):
-        s, grads, qw, d = case
+    @staticmethod
+    def _transport_loc(s, grads, qw, d):
         v, b = s.p2_vals, d["b"]
         bdot = np.einsum("cqia,cqa->cqi", grads, b)
         a1 = np.einsum("cq,qm,cqi->cim", qw, v, bdot)
@@ -677,14 +677,28 @@ class TestTwoShapeEvaluation:
         for e in range(2):
             for c in range(2):
                 loc[:, e * 6:(e + 1) * 6, c * 6:(c + 1) * 6] = -0.5 * y[:, :, :, e, c] - (e == c) * (0.5 * a1 + mg)
-        self._close(assembly.transport_matrix(s, b, d["g1"]).toarray(), self._dense(s, loc))
+        return loc
 
-    def test_rank_one(self, case):
+    def test_transport(self, case):
         s, grads, qw, d = case
-        a = 0.5 * (d["S"] + np.swapaxes(d["S"], -1, -2))
-        proj = np.einsum("cqea,cqma->cqem", a, grads).reshape(s.n_cells, s.nq, 12)  # A : D phi_(e,m)
-        loc = np.einsum("cq,cqr,cqs->crs", qw * d["w"], proj, proj)
-        self._close(assembly.rank_one_stiffness(s, d["w"], a).toarray(), self._dense(s, loc))
+        loc = self._transport_loc(s, grads, qw, d)
+        self._close(assembly.transport_matrix(s, d["b"], d["g1"]).toarray(), self._dense(s, loc))
+
+    def test_modulus_stiffness(self, case):
+        """A general symmetric modulus per point, on both shapes, plus the transport form."""
+        s, grads, qw, d = case
+        dphi = np.zeros((s.n_cells, s.nq, 2, 6, 2, 2))  # D phi_(e,m) = sym(e_e x grad N_m)
+        for e in range(2):
+            dphi[:, :, e, :, e, :] = 0.5 * grads
+            dphi[:, :, e, :, :, e] += 0.5 * grads
+        dphi = dphi.reshape(s.n_cells, s.nq, 12, 2, 2)
+        comp = np.stack([dphi[..., 0, 0], dphi[..., 1, 1], np.sqrt(2.0) * dphi[..., 0, 1]], axis=-1)
+        m = np.random.default_rng(12).standard_normal(s.qw.shape + (3, 3))
+        m += np.swapaxes(m, -1, -2)
+        loc = np.einsum("cq,cqab,cqra,cqsb->crs", qw, m, comp, comp)
+        self._close(assembly.modulus_stiffness(s, m).toarray(), self._dense(s, loc))
+        loc += self._transport_loc(s, grads, qw, d)
+        self._close(assembly.modulus_stiffness(s, m, d["b"], d["g1"]).toarray(), self._dense(s, loc))
 
     def test_div_coupling(self, case):
         s, grads, qw, _ = case

@@ -164,6 +164,31 @@ class TestProbe:
             bound = probe["c_lift_est"] * (1 + probe["c_bog_est"]) * bnorm + probe["c_bog_est"] * g1norm
             assert lf.norms["W1p"] <= bound * (1 + 1e-9)
 
+    def test_probe_evaluates_each_trial_once(self, space8, monkeypatch):
+        from pdeltaflow import lifting
+
+        counts = {"g1": 0, "g2": 0}
+        as_vec2, g1_values = lifting._as_vec2, BoundaryData.g1_values
+
+        def vec2(fun, x, y):
+            counts["g2"] += 1
+            return as_vec2(fun, x, y)
+
+        def values(self, space):
+            counts["g1"] += callable(self.g1)
+            return g1_values(self, space)
+
+        monkeypatch.setattr(lifting, "_as_vec2", vec2)
+        monkeypatch.setattr(BoundaryData, "g1_values", values)
+        operator_norm_probe(space8, trials=3, seed=0)
+        assert counts == {"g1": 3, "g2": 3}
+
+    def test_g1_quadrature_values(self, space4):
+        vals = np.random.default_rng(4).standard_normal(space4.qw.shape)
+        assert BoundaryData(g1=vals).g1_values(space4) is vals
+        with pytest.raises(ValueError):
+            BoundaryData(g1=vals[:, :-1]).g1_values(space4)
+
     def test_probe_nondecreasing_under_refinement(self, space4, space8):
         a = operator_norm_probe(space4, trials=3, p=2.0, s=2.0, seed=2)
         b = operator_norm_probe(space8, trials=3, p=2.0, s=2.0, seed=2)

@@ -56,7 +56,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(q=3.0, n_schedule=(10,), picard_tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(q=3.0, n_schedule=(10,), damping=0.0)
+            SolverConfig(q=3.0, n_schedule=(10,), picard_max=0)
+        with pytest.raises(TypeError):  # the step is the full solve; there is no damping
+            SolverConfig(q=3.0, n_schedule=(10,), damping=0.5)
 
 
 class TestOperators:
@@ -321,14 +323,14 @@ class TestFactorReuse:
         zero.data[:] = 0.0
         with pytest.raises(RuntimeError):
             assembly.solve_saddle(s, zero, rhs, div_rhs)
-        stiffness = assembly.sym_grad_stiffness
+        stiffness = assembly.modulus_stiffness
 
-        def zero_stiffness(space, weight=None):
-            k = stiffness(space, weight)
+        def zero_stiffness(space, modulus, b_vals=None, g1_vals=None):
+            k = stiffness(space, modulus, b_vals, g1_vals)
             k.data[:] = 0.0
             return k
 
-        monkeypatch.setattr(assembly, "sym_grad_stiffness", zero_stiffness)
+        monkeypatch.setattr(assembly, "modulus_stiffness", zero_stiffness)
         f_vec = np.zeros(s.n_vel)
         f_vec[s.free_vel_dofs] = 1.0
         inst = make_instance(PDeltaModel(p=1.8, delta=0.1), s, f=f_vec)
@@ -389,6 +391,25 @@ class TestNewton:
         h = 1e-5
         fd = (r0(u + h * w) - r0(u - h * w)) / (2.0 * h)
         assert np.linalg.norm(jac @ w - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("tangent", [True, False], ids=["newton", "picard"])
+    @pytest.mark.parametrize(
+        "penalty,convective", [(False, False), (True, False), (False, True), (True, True)],
+        ids=["stress", "penalty", "convective", "all"],
+    )
+    def test_one_assembly_per_linearization(self, space4, monkeypatch, penalty, convective, tangent):
+        inst = _newton_case(space4)
+        cfg = SolverConfig(q=3.0, n_schedule=(1,), penalty=penalty, include_convective=convective)
+        u = _random_zero_boundary(space4, 31).coeffs
+        assemble, calls = assembly._assemble, []
+
+        def counting(*args):
+            calls.append(args[2:])
+            return assemble(*args)
+
+        monkeypatch.setattr(assembly, "_assemble", counting)
+        _linearize(inst, cfg, 0.5, u, tangent=tangent)
+        assert calls == [("vel", "vel")]
 
     def test_rising_step_is_retaken_frozen(self, space8, monkeypatch):
         case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
