@@ -10,13 +10,17 @@ tangent's included, is one symmetric 3x3 modulus per point
 (``modulus_stiffness``).  The CSR pattern of each matrix and the map from
 local entries to its data are cached on the space, so re-assembly with new
 coefficients (the Newton loop) only recomputes values.  The Dirichlet and
-saddle-point solves gather their free-dof block the same way and can reuse
-the sparse LU of an earlier, similar system.
+saddle-point solves gather their free-dof block the same way, already in a
+nested-dissection order of the structured mesh's P2 node lattice, and
+factor it in that order.  A later, similar system reuses the held LU as
+the preconditioner of a short GMRES; every solve ends on a checked
+residual.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -62,10 +66,12 @@ def _assemble(space, loc, rows, cols):
 def _table(space, name):
     """Per-shape integrand table (2, K, R*S) of one form, built once per space.
 
-    Rows are the points for full/div, (point, b_0 | b_1 | g1) for transport
-    and (point, alpha, beta) for modulus, where alpha and beta index the
-    ``mandel`` components of a symmetric gradient.  The modulus table
-    carries the quadrature weights; the others take them with their rows.
+    Rows are the points for full/div/isotropic, (point, b_0 | b_1 | g1) for
+    transport and (point, alpha, beta) for modulus, where alpha and beta
+    index the ``mandel`` components of a symmetric gradient; the isotropic
+    row of a point is the sum of its three modulus rows with alpha = beta.
+    The modulus tables carry the quadrature weights; the others take them
+    with their rows.
     """
     key = ("table", name)
     if key not in space._cache:
@@ -81,6 +87,8 @@ def _table(space, name):
         elif name == "modulus":
             comp = mandel(d)
             table = np.einsum("q,krqa,ksqb->kqabrs", space.cell_qw, comp, comp).reshape(2, 9 * nq, 144)
+        elif name == "isotropic":
+            table = np.ascontiguousarray(_table(space, "modulus").reshape(2, nq, 9, 144)[:, :, ::4].sum(axis=2))
         elif name == "div":
             table = np.einsum("qa,ksqii->kqas", space.p1_vals, g).reshape(2, nq, 36)
         else:
@@ -97,10 +105,13 @@ def mandel(m):
 def modulus_stiffness(space, modulus, b_vals=None, g1_vals=None):
     """int (M Dw) . Dphi for a symmetric modulus M (C, Q, 3, 3) on ``mandel`` components.
 
-    With ``b_vals`` the transport form of ``transport_matrix(space, b_vals,
+    A modulus of shape (C, Q) is the isotropic modulus w I, whose GEMM runs
+    against the modulus table's diagonal rows (alpha = beta) only.  With
+    ``b_vals`` the transport form of ``transport_matrix(space, b_vals,
     g1_vals)`` is added to the local blocks, so the sum is assembled once.
     """
-    loc = space.shape_gemm(modulus.reshape(space.n_cells, -1), _table(space, "modulus"))
+    table = _table(space, "modulus" if modulus.ndim == 4 else "isotropic")
+    loc = space.shape_gemm(modulus.reshape(space.n_cells, -1), table)
     del modulus  # a caller's temporary modulus goes before the assembly's own temporaries
     if b_vals is not None:
         loc += _transport_blocks(space, b_vals, g1_vals)
@@ -109,8 +120,7 @@ def modulus_stiffness(space, modulus, b_vals=None, g1_vals=None):
 
 def sym_grad_stiffness(space, weight=None):
     """int w Du : Dphi over velocity dofs: the modulus w I."""
-    w = np.ones_like(space.qw) if weight is None else weight
-    return modulus_stiffness(space, w[..., None, None] * np.eye(3))
+    return modulus_stiffness(space, np.ones_like(space.qw) if weight is None else weight)
 
 
 def full_grad_stiffness(space, weight=None):
@@ -169,17 +179,19 @@ def p1_load(space, vals):
     return np.bincount(space.cell_p1.ravel(), weights=loc.ravel(), minlength=space.n_p1)
 
 
-# A held factor is refined until |rhs - K x| <= REFINE_RTOL |rhs|; a sweep
-# that leaves more than REFINE_GAIN of the residual marks it too stale.
+# A solve ends when |rhs - K x| <= REFINE_RTOL |rhs|.  A held factor on
+# which GMRES needs more than GMRES_CAP iterations is too stale to keep.
 REFINE_RTOL = 1e-12
-REFINE_GAIN = 0.5
+GMRES_CAP = 30
+# A box of the node lattice whose sides are at most ND_LEAF points is not cut.
+ND_LEAF = 3
 
 
 class FactorHolder:
     """The last LU factor of a free-dof system and its last solution, kept for later solves.
 
     ``factorizations`` counts the fresh factors made through the holder and
-    ``refinements`` the refinement sweeps made with a held factor.
+    ``refinements`` the GMRES iterations run on a held or a fresh factor.
     """
 
     def __init__(self):
@@ -189,11 +201,73 @@ class FactorHolder:
         self.refinements = 0
 
 
-def _free_block(space, a_mat, c_mat=None):
-    """Free-dof block of A, bordered by the free columns of C when given, in CSC.
+def _mesh_line(a, b):
+    """An even index strictly inside a..b-1 (b - a > 3), at its middle."""
+    s = (a + b - 1) // 2
+    s -= s % 2
+    return s if s > a else s + 2
 
-    The block's pattern and the gather from the data of A (and C) are built
-    once per space and kept while the inputs' patterns stay the same.
+
+def _dissection_rank(nx, ny):
+    """Rank of every point of the (2 nx + 1) x (2 ny + 1) P2 node lattice in nested-dissection order.
+
+    Point (ix, iy) is number iy (2 nx + 1) + ix.  A box of points is cut
+    across its longer side by the mesh line (even index) at its middle.
+    No cell holds points on both sides of a mesh line, so the line
+    separates the two halves, and its points are numbered after both
+    (George, SIAM J. Numer. Anal. 10, 1973).  A box with no side longer
+    than ND_LEAF is not cut.  Uncut boxes and separators are numbered with
+    the index across their shorter side running fastest.
+    """
+    w, h = 2 * nx + 1, 2 * ny + 1
+    grid = np.arange(w * h).reshape(h, w)
+    order = []
+    # half-open boxes [x0, x1) x [y0, y1) and whether they may be cut; a
+    # stack, not a recursive closure, so no reference cycle outlives the call
+    stack = [(0, w, 0, h, True)]
+    while stack:
+        x0, x1, y0, y1, cut = stack.pop()
+        if cut and max(x1 - x0, y1 - y0) > ND_LEAF:
+            if x1 - x0 >= y1 - y0:
+                s = _mesh_line(x0, x1)
+                stack += [(s, s + 1, y0, y1, False), (s + 1, x1, y0, y1, True), (x0, s, y0, y1, True)]
+            else:
+                s = _mesh_line(y0, y1)
+                stack += [(x0, x1, s, s + 1, False), (x0, x1, s + 1, y1, True), (x0, x1, y0, s, True)]
+        else:
+            box = grid[y0:y1, x0:x1]
+            order.append((box if x1 - x0 <= y1 - y0 else box.T).ravel())
+    rank = np.empty(w * h, dtype=np.intp)
+    rank[np.concatenate(order)] = np.arange(w * h)
+    return rank
+
+
+def _free_order(space, n_border):
+    """Nested-dissection order of the free system's unknowns: unknown perm[i] is numbered i.
+
+    The free velocity dofs (x components, then y) sit at their P2 nodes and
+    border row j (pressure dof j + 1) at vertex j + 1.  Unknowns are sorted
+    by their node's ``_dissection_rank``, and at one node as x, y, pressure.
+    """
+    nx = space.nx
+    lattice = np.empty((space.n_p2, 2), dtype=np.intp)  # (ix, iy) of every P2 node
+    iy, ix = np.divmod(np.arange(space.n_verts), nx + 1)
+    lattice[: space.n_verts] = 2 * np.column_stack([ix, iy])
+    lattice[space.n_verts:] = lattice[space.edge_verts].sum(axis=1) // 2
+    point = lattice[:, 1] * (2 * nx + 1) + lattice[:, 0]
+    inner = space.interior_p2
+    node = np.concatenate([inner, inner, np.arange(1, n_border + 1)])
+    comp = np.repeat([0, 1, 2], [inner.size, inner.size, n_border])
+    return np.lexsort((comp, _dissection_rank(nx, space.ny)[point[node]]))
+
+
+def _free_block(space, a_mat, c_mat=None):
+    """Free-dof block of A, bordered by the free columns of C when given, in CSC and in ``_free_order``.
+
+    Returns ``(K, perm)``: row and column i of K belong to unknown perm[i]
+    of the free system.  The block's pattern, its order and the gather from
+    the data of A (and C) are built once per space and kept while the
+    inputs' patterns stay the same.
     """
     mats = [a_mat.tocsr()] if c_mat is None else [a_mat.tocsr(), c_mat.tocsr()]
     key = ("free_block", len(mats))
@@ -212,42 +286,86 @@ def _free_block(space, a_mat, c_mat=None):
         if c_mat is not None:
             c_f = tagged[1][:, free]
             blk = sp.bmat([[blk, c_f.T], [c_f, None]])
-        blk = blk.tocsc()
+        perm = _free_order(space, 0 if c_mat is None else c_mat.shape[0])
+        blk = blk.tocsr()[perm][:, perm].tocsc()
         patterns = [(m.indptr.copy(), m.indices.copy()) for m in mats]
-        hit = space._cache[key] = (patterns, blk.indptr, blk.indices, blk.data.astype(np.intp) - 1)
-    _, indptr, indices, gather = hit
+        hit = space._cache[key] = (patterns, blk.indptr, blk.indices, blk.data.astype(np.intp) - 1, perm)
+    _, indptr, indices, gather, perm = hit
     data = np.concatenate([m.data for m in mats])[gather]
-    return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+    return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2), perm
+
+
+def _gmres(k, lu, rhs, x):
+    """GMRES on K x = rhs from x, right-preconditioned by ``lu.solve``.
+
+    Saad-Schultz (SIAM J. Sci. Stat. Comput. 7, 1986), with Givens
+    rotations and Gram-Schmidt run twice.  A cycle ends when its residual
+    estimate reaches REFINE_RTOL |rhs| or GMRES_CAP iterations are spent in
+    all; a cycle whose true residual misses the target restarts from its x.
+    Returns ``(x, whether |rhs - K x| met the target, iterations)``.
+    """
+    target = REFINE_RTOL * np.linalg.norm(rhs)
+    r = rhs - k @ x
+    res = np.linalg.norm(r)
+    its = 0
+    while res > target and its < GMRES_CAP:
+        m = GMRES_CAP - its
+        v = np.empty((m + 1, r.size))
+        h = np.zeros((m + 1, m))
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        v[0], g[0] = r / res, res
+        j = 0
+        while j < m and abs(g[j]) > target:
+            w = k @ lu.solve(v[j])
+            for _ in range(2):
+                c = v[: j + 1] @ w
+                w -= c @ v[: j + 1]
+                h[: j + 1, j] += c
+            beta = np.linalg.norm(w)
+            for i in range(j):
+                h[i, j], h[i + 1, j] = cs[i] * h[i, j] + sn[i] * h[i + 1, j], cs[i] * h[i + 1, j] - sn[i] * h[i, j]
+            d = np.hypot(h[j, j], beta)
+            if d == 0.0:  # K maps the new direction to zero: no progress from here
+                break
+            cs[j], sn[j] = h[j, j] / d, beta / d
+            h[j, j] = d
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            if beta > 0.0:
+                v[j + 1] = w / beta
+            j += 1
+        if j == 0:
+            break
+        y = sla.solve_triangular(h[:j, :j], g[:j])
+        x = x + lu.solve(y @ v[:j])
+        its += j
+        r = rhs - k @ x
+        res = np.linalg.norm(r)
+    return x, res <= target, its
 
 
 def _factor_solve(k, rhs, held):
-    """Solve K x = rhs with the held factor refined, or with a fresh factor of K.
+    """Solve K x = rhs by GMRES on the held factor, or on a fresh factor of K.
 
-    A held factor is refined from the held solution, ``x += lu.solve(rhs - K x)``,
-    until the residual reaches REFINE_RTOL |rhs|.  When a sweep fails to
-    shrink it by REFINE_GAIN, K is factored afresh and the new factor
-    replaces the held one; the fresh solve is ``splu(K).solve(rhs)``.  A
-    singular K raises RuntimeError.
+    GMRES (``_gmres``) runs from the held solution.  When it misses
+    REFINE_RTOL |rhs| within GMRES_CAP iterations, K is factored afresh,
+    ``splu`` in the given order with threshold pivoting, and the new
+    factor replaces the held one.  GMRES then polishes the fresh solve
+    ``lu.solve(rhs)``; if the polish misses the target, the fresh solve is
+    kept.  A singular K raises RuntimeError.
     """
     if held.lu is not None:
-        x = held.x.copy()
-        r = rhs - k @ x
-        res = np.linalg.norm(r)
-        target = REFINE_RTOL * np.linalg.norm(rhs)
-        while res > target:
-            x += held.lu.solve(r)
-            held.refinements += 1
-            r = rhs - k @ x
-            res, prev = np.linalg.norm(r), res
-            if res > REFINE_GAIN * prev:
-                break
-        if res <= target:
+        x, ok, its = _gmres(k, held.lu, rhs, held.x)
+        held.refinements += its
+        if ok:
             held.x = x
             return x
         held.lu = None  # drop the stale factor before the new one is built
-    held.lu = spla.splu(k)
+    held.lu = spla.splu(k, permc_spec="NATURAL", diag_pivot_thresh=1e-3)
     held.factorizations += 1
-    held.x = held.lu.solve(rhs)
+    x0 = held.lu.solve(rhs)
+    x, ok, its = _gmres(k, held.lu, rhs, x0)
+    held.refinements += its
+    held.x = x if ok else x0
     return held.x
 
 
@@ -255,11 +373,14 @@ def dirichlet_solve(space, a_mat, rhs_vel, fixed_vals=None, c_mat=None, c_rhs=No
     """Solve A u = rhs_vel on the free velocity dofs with u = fixed_vals on the boundary.
 
     With a constraint block C (rows against all velocity dofs) the system is
-    bordered: A u + C^T lam = rhs_vel, C u = c_rhs.  The boundary values are
-    eliminated from both right-hand sides.  ``factor`` is a FactorHolder
-    whose LU, from an earlier and similar system, is refined to
-    ``REFINE_RTOL`` and replaced by a fresh one when too stale; without it
-    the system is factored and solved directly.  A singular system raises
+    bordered: A u + C^T lam = rhs_vel, C u = c_rhs.  C has at most
+    ``n_p1 - 1`` rows, and row j is ordered as if it sat at vertex j + 1, as
+    the pinned divergence rows of ``solve_saddle`` do; the order steers the
+    fill, not the solution.  The boundary values are eliminated from both
+    right-hand sides.  ``factor`` is a FactorHolder
+    whose LU, from an earlier and similar system, preconditions GMRES to
+    ``REFINE_RTOL`` and is replaced by a fresh one when too stale; without
+    it the system is factored afresh.  A singular system raises
     RuntimeError.  Returns ``(u, lam)``: the full-length velocity and the
     multiplier (empty without C).
     """
@@ -272,7 +393,9 @@ def dirichlet_solve(space, a_mat, rhs_vel, fixed_vals=None, c_mat=None, c_rhs=No
     if c_mat is not None:
         rhs = np.concatenate([rhs, c_rhs - c_mat @ u])
     held = FactorHolder() if factor is None else factor
-    sol = _factor_solve(_free_block(space, a_mat, c_mat), rhs, held)
+    k, perm = _free_block(space, a_mat, c_mat)
+    sol = np.empty(rhs.size)
+    sol[perm] = _factor_solve(k, rhs[perm], held)
     u[free] = sol[: free.size]
     return u, sol[free.size:]
 

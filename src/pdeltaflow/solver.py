@@ -13,12 +13,13 @@ stress part is nu I + nu'(|A|) A x A / |A| at A = Du + Dg.  A step that
 raises the residual is retaken as a Picard (Kacanov) step, with the
 scalar stress weight, the penalty weight and the transport field frozen
 at the iterate.  The saddle systems are solved with a sparse LU held on
-the instance: a later solve refines the held factor to its own matrix
-until it turns too stale to refine; only then is the current matrix
-factored.  A continuation run walks an increasing schedule of n,
-warm-starting each level from the last (and keeping its LU) and
-recording the uniform-bound and penalty-decay monitors; the pressure
-recovery at the converged velocity refines the same LU.
+the instance: a later solve runs GMRES on its own matrix, preconditioned
+by the held factor, and the current matrix is factored only when GMRES
+needs more than ``assembly.GMRES_CAP`` iterations.  A continuation run
+walks an increasing schedule of n, warm-starting each level from the
+last (and keeping its LU) and recording the uniform-bound and
+penalty-decay monitors; the pressure recovery at the converged velocity
+solves on the same LU.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class ProblemInstance:
 
     ``factor`` holds the saddle LU of the instance's last linear solve.
     Every later solve on the instance (the next Newton step, the next
-    penalty level, the pressure recovery) refines from it.
+    penalty level, the pressure recovery) starts GMRES on it.
     """
 
     model: object
@@ -230,7 +231,7 @@ class LevelRecord:
     u: Field = field(repr=False, default=None)
     pi: Field = field(repr=False, default=None)
     factorizations: int = 0  # fresh saddle LUs made in this level
-    refinements: int = 0  # refinement sweeps made with a held LU
+    refinements: int = 0  # GMRES iterations run on a held or a fresh LU
     fallbacks: int = 0  # Newton steps retaken as Picard steps; the level made iters + fallbacks saddle solves
 
     def row(self):
@@ -373,8 +374,8 @@ def solve_regularized(inst, cfg, n, warm_start=None):
     raises the residual above the last step's (the level's first step has
     none to compare with) is retaken from the same iterate with the
     frozen-weight (Picard) matrix, and that step is kept;
-    ``LevelRecord.fallbacks`` counts them.  The saddle solves refine the
-    LU held in ``inst.factor`` and factor afresh only when it is too stale.
+    ``LevelRecord.fallbacks`` counts them.  The saddle solves run GMRES on
+    the LU held in ``inst.factor`` and factor afresh only when it is too stale.
     """
     space = inst.space
     model = inst.model
@@ -488,10 +489,10 @@ def recover_pressure(inst, u, cfg=None, n=np.inf):
     """Pressure from the mixed system's multiplier at the converged state.
 
     One Newton saddle solve at u returns the multiplier; the pressure is
-    its negative, normalized to mean zero.  The solve refines the LU held
-    in ``inst.factor``: after ``solve_regularized`` has converged to u,
-    the matrix at u is the last step's up to the last correction, so the
-    held LU refines to it without a new factor.  The returned
+    its negative, normalized to mean zero.  The solve runs GMRES on the LU
+    held in ``inst.factor``: after ``solve_regularized`` has converged to
+    u, the matrix at u is the last step's up to the last correction, so
+    the held LU serves it without a new factor.  The returned
     residual is the full momentum defect against unconstrained test
     functions, relative to the data scale.
     """

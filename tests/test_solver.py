@@ -1,10 +1,14 @@
+import gc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pdeltaflow import assembly, solver
 from pdeltaflow.certifier import check_smallness, compute_constants, weighted_shear_norm
 from pdeltaflow.constitutive import PDeltaModel
-from pdeltaflow.discretization import build_space, divergence_values, norm_Lp, norm_sym_grad_p
+from pdeltaflow.discretization import RectDomain, build_space, divergence_values, norm_Lp, norm_sym_grad_p
 from pdeltaflow.lifting import BoundaryData, lift
 from pdeltaflow.solver import (
     CertificationRequired,
@@ -363,6 +367,101 @@ class TestFactorReuse:
         assert np.abs(held.pi.coeffs - fresh.pi.coeffs).max() <= 1e-8 * np.abs(fresh.pi.coeffs).max()
 
 
+def _natural_block(s, a, c=None):
+    """The free-dof block in the free system's own numbering (free velocity dofs, then the rows of C)."""
+    free = s.free_vel_dofs
+    blk = a.tocsr()[free][:, free]
+    if c is not None:
+        c_f = c.tocsr()[:, free]
+        blk = sp.bmat([[blk, c_f.T], [c_f, None]])
+    return blk.tocsc()
+
+
+def _lu_fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize(
+        "domain, nx, ny",
+        [(RectDomain(), 20, 20), (RectDomain(x0=-0.7, x1=0.3, y0=1.2, y1=2.2), 20, 20), (RectDomain(x1=4.0, y1=0.25), 16, 2)],
+    )
+    def test_order_is_a_permutation_of_the_free_block(self, domain, nx, ny):
+        s = build_space(domain, nx, ny)
+        a, _, _, _ = _oracle_system(s)
+        c = assembly.div_coupling(s)[1:]
+        for border in (None, c):
+            k, perm = assembly._free_block(s, a, border)
+            n = s.free_vel_dofs.size + (0 if border is None else s.n_p1 - 1)
+            assert np.array_equal(np.sort(perm), np.arange(n))
+            natural = _natural_block(s, a, border)
+            assert (k != natural[perm][:, perm]).nnz == 0
+
+    def test_middle_mesh_line_is_numbered_last(self, unit_domain):
+        s = build_space(unit_domain, 20, 20)
+        _, perm = assembly._free_block(s, assembly.sym_grad_stiffness(s))
+        inner = s.interior_p2
+        x = s.p2_coords[np.concatenate([inner, inner]), 0][perm]
+        on_line = np.isclose(x, 0.5)
+        assert on_line.sum() == 2 * 39  # the 39 interior P2 nodes on x = 1/2, two components each
+        assert on_line[-on_line.sum():].all()
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_fill_at_most_colamd_on_the_square(self, unit_domain, n):
+        s = build_space(unit_domain, n, n)
+        a, _, _, _ = _oracle_system(s)
+        for border in (None, assembly.div_coupling(s)[1:]):
+            k, _ = assembly._free_block(s, a, border)
+            nd = spla.splu(k, permc_spec="NATURAL", diag_pivot_thresh=1e-3)
+            assert _lu_fill(nd) <= _lu_fill(spla.splu(_natural_block(s, a, border)))
+
+    @pytest.mark.parametrize("nx, ny, bordered, worst", [(16, 2, 1.25, 1.35), (32, 4, 1.05, 1.37)])
+    def test_fill_on_a_thin_strip_is_pinned(self, nx, ny, bordered, worst):
+        """On the 4 x 0.25 strip the order fills more than COLAMD (1.22 / 1.32 at 16x2, 1.02 / 1.34 at 32x4)."""
+        s = build_space(RectDomain(x1=4.0, y1=0.25), nx, ny)
+        a, _, _, _ = _oracle_system(s)
+        for border, bound in ((assembly.div_coupling(s)[1:], bordered), (None, worst)):
+            k, _ = assembly._free_block(s, a, border)
+            nd = spla.splu(k, permc_spec="NATURAL", diag_pivot_thresh=1e-3)
+            assert _lu_fill(nd) <= bound * _lu_fill(spla.splu(_natural_block(s, a, border)))
+
+    def test_saddle_solve_leaves_no_reference_cycle(self, unit_domain):
+        """A fresh space's order, block and factor are freed by reference counts alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            s = build_space(unit_domain, 6, 6)
+            a, rhs, div_rhs, u_data = _oracle_system(s)
+            held = assembly.FactorHolder()
+            assembly.solve_saddle(s, a, rhs, div_rhs, fixed_vals=u_data, factor=held)
+            assembly.solve_saddle(s, 1.01 * a, rhs, div_rhs, fixed_vals=u_data, factor=held)
+            assert held.factorizations == 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+@pytest.fixture(scope="module")
+def manufactured20(unit_domain):
+    """The cold-started 20x20 manufactured solve, with (fresh LUs, GMRES iterations, residual target met) per solve."""
+    case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
+    inst = make_instance(case["model"], build_space(unit_domain, 20, 20), f=case["f"])
+    cfg = SolverConfig(q=3.0, n_schedule=(1,), penalty=False, picard_tol=1e-10)
+    factor_solve, solves = assembly._factor_solve, []
+
+    def counting(k, rhs, held):
+        made, swept = held.factorizations, held.refinements
+        x = factor_solve(k, rhs, held)
+        met = np.linalg.norm(rhs - k @ x) <= assembly.REFINE_RTOL * np.linalg.norm(rhs)
+        solves.append((held.factorizations - made, held.refinements - swept, met))
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_factor_solve", counting)
+        rec = solve_regularized(inst, cfg, np.inf)
+    return rec, solves
+
+
 def _newton_case(space):
     """p = 1.6, delta = 0.01 with a lift carrying nonzero divergence and boundary data, and a load."""
     lf = lift(BoundaryData(g1=lambda x, y: 0.5 * np.cos(np.pi * x), g2=tangential_g2(0.3)), space, 1.6, 1.6)
@@ -446,12 +545,21 @@ class TestNewton:
         assert rec.fallbacks == 1 and rec.converged
         assert len(solves) == rec.iters + rec.fallbacks == len(calls)
 
-    def test_manufactured_20_converges_in_six_steps(self, unit_domain):
-        case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
-        inst = make_instance(case["model"], build_space(unit_domain, 20, 20), f=case["f"])
-        cfg = SolverConfig(q=3.0, n_schedule=(1,), penalty=False, picard_tol=1e-10)
-        rec = solve_regularized(inst, cfg, np.inf)
+    def test_manufactured_20_converges_in_six_steps(self, manufactured20):
+        rec, _ = manufactured20
         assert rec.converged and rec.iters <= 6 and rec.fallbacks == 0
+        assert rec.factorizations == 1
+
+    def test_cold_start_factor_serves_step_two(self, manufactured20):
+        """The LU of step 1 (uniform viscosity, no transport) preconditions step 2 within the cap."""
+        _, solves = manufactured20
+        assert [made for made, _, _ in solves[:2]] == [1, 0]
+        assert 0 < solves[1][1] <= assembly.GMRES_CAP
+
+    def test_held_factor_solves_meet_the_residual_target(self, manufactured20):
+        _, solves = manufactured20
+        held = [met for made, _, met in solves if not made]
+        assert len(held) == len(solves) - 1 and all(held)
 
     def test_recover_pressure_refines_the_held_factor(self, space8):
         case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
