@@ -399,13 +399,14 @@ def cmd_counterexample(cfg, out):
     )
     _write_csv(
         os.path.join(out, "counterexample.csv"),
-        ["n", "branch", "y_n", "y_achieved", "P_n", "margin", "member_mix"],
+        ["n", "branch", "y_n", "y_achieved", "P_n", "margin", "member_mix", "sign"],
         [r.row() for r in scan["records"]],
     )
     _write_json(
         os.path.join(out, "counterexample.json"),
         {
             "N0": scan["N0"],
+            "signs": [r.sign for r in scan["records"]],
             "ratios": fam.ratios,
             "meshes": fam.meshes,
             "c1": scan["c1"],

@@ -41,7 +41,13 @@ __all__ = [
     "construct_u_n",
     "evaluate_P_n",
     "counterexample_scan",
+    "BISECT_RTOL",
 ]
+
+# Relative tolerance of construct_u_n's bisection on the sphere's q-norm.  A
+# P_n within the change that slips of this size in y and ||Du||_p can make
+# is classed as zero, not by its sign.
+BISECT_RTOL = 1e-9
 
 
 class FamilyError(RuntimeError):
@@ -84,6 +90,7 @@ class CounterexampleRecord:
     P_n: float
     margin: float
     member_mix: str
+    sign: str  # of P_n: negative, zero (within the bisection tolerance) or positive
 
     def row(self):
         return {
@@ -94,6 +101,7 @@ class CounterexampleRecord:
             "P_n": self.P_n,
             "margin": self.margin,
             "member_mix": self.member_mix,
+            "sign": self.sign,
         }
 
 
@@ -175,7 +183,7 @@ def _sphere_y(family, theta, n, R):
     return norm_q * (R / combine_level_norm(norm_p, norm_q, family.q, n))
 
 
-def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=1e-9):
+def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=BISECT_RTOL):
     """Field on the level-norm sphere with prescribed q-gradient norm.
 
     Interpolates between the extreme family members along the sphere; the
@@ -216,6 +224,16 @@ def _P_n(norm_p, y, n, G1, F1, p, q):
     return G1 * norm_p**p + y**q / n - F1 * y
 
 
+def _sign(val, norm_p, y, n, G1, F1, p, q):
+    """Sign of P_n, or ``zero`` when |P_n| is within what relative slips of BISECT_RTOL in y and ||Du||_p can change.
+
+    That change is at most BISECT_RTOL (p G1 ||Du||_p^p + q y^q / n + F1 y).
+    """
+    if abs(val) <= BISECT_RTOL * (p * G1 * norm_p**p + q * y**q / n + F1 * y):
+        return "zero"
+    return "negative" if val < 0 else "positive"
+
+
 def evaluate_P_n(field, n, G1, F1, p, q):
     """G1 ||Du||_p^p + (1/n) ||Du||_q^q - F1 ||Du||_q."""
     return _P_n(*sym_grad_norms(field, (p, q)), n, G1, F1, p, q)
@@ -233,8 +251,8 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
 
     Dispatches per n between the large-f branch (scale the highest-ratio
     member onto the sphere) and the root-placement branch (bisect to the
-    q-norm root y_n); reports the first n after which every value stays
-    negative.
+    q-norm root y_n).  Each P_n is classed by ``_sign``, and N0 is the first
+    n after which every P_n is negative beyond the bisection tolerance.
     """
     if c2 <= 1.0:
         raise ValueError("c2 must exceed 1")
@@ -267,11 +285,12 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
                 P_n=float(val),
                 margin=float(-val),
                 member_mix=f"theta={theta:.6f}",
+                sign=_sign(val, norm_p, y, n, G1, F1, family.p, family.q),
             )
         )
     n0 = None
     for i in range(len(records)):
-        if all(r.P_n < 0 for r in records[i:]):
+        if all(r.sign == "negative" for r in records[i:]):
             n0 = records[i].n
             break
     return {"records": records, "N0": n0, "c1": c1, "c2": c2, "R": R, "F1": F1, "G1": G1}

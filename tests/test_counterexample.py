@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ class TestScan:
     def test_c2_validation(self, family3):
         with pytest.raises(ValueError):
             counterexample_scan(family3, [10], c2=1.0)
+
+    def test_signs_and_N0_do_not_depend_on_the_bisection_tolerance(self, monkeypatch):
+        # P_8 is 0 analytically: its raw value is a bisection residue whose
+        # sign flips between these tolerances, so it must be classed as zero
+        family = build_family(3, base_n=6)
+        outcomes = []
+        for rel_tol in (1e-9, 2.2e-10):
+            monkeypatch.setattr(counterexample, "construct_u_n", functools.partial(construct_u_n, rel_tol=rel_tol))
+            scan = counterexample_scan(family, [2, 4, 8, 12])
+            outcomes.append((scan["N0"], [r.sign for r in scan["records"]]))
+        assert outcomes[0] == outcomes[1] == (12.0, ["positive", "negative", "zero", "negative"])
 
 
 def _mix(family, theta):
