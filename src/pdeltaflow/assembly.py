@@ -5,16 +5,17 @@ returns scipy sparse matrices / dense load vectors.  Velocity dofs use the
 block layout [all x-dofs, all y-dofs].  The mesh has two triangle shapes,
 so local matrices are GEMMs of per-cell quadrature weights against the
 shape's integrand table, and loads are GEMMs of the point values against
-the shape's basis table.  A stiffness on symmetric gradients, the Newton
-tangent's included, is one symmetric 3x3 modulus per point
-(``modulus_stiffness``).  The CSR pattern of each matrix and the map from
-local entries to its data are cached on the space, so re-assembly with new
-coefficients (the Newton loop) only recomputes values.  The Dirichlet and
-saddle-point solves gather their free-dof block the same way, already in a
-nested-dissection order of the structured mesh's P2 node lattice, and
-factor it in that order.  A later, similar system reuses the held LU as
-the preconditioner of a short GMRES; every solve ends on a checked
-residual.
+the shape's basis table.  Symmetric gradients are Mandel components against
+the space's ``sym_table``: a load on them is one GEMM against it, and a
+stiffness on them, the Newton tangent's included, is one symmetric 3x3
+modulus per point (``modulus_stiffness``).  The CSR pattern of each matrix
+and the map from local entries to its data are cached on the space, so
+re-assembly with new coefficients (the Newton loop) only recomputes values.
+The Dirichlet and saddle-point solves gather their free-dof block the same
+way, already in a nested-dissection order of the structured mesh's P2 node
+lattice, and factor it in that order.  A later, similar system reuses the
+held LU as the preconditioner of a short GMRES; every solve ends on a
+checked residual.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ __all__ = [
     "sym_grad_stiffness",
     "full_grad_stiffness",
     "div_coupling",
-    "transport_matrix",
     "modulus_stiffness",
-    "mandel",
     "p1_mass",
     "velocity_load",
     "stress_load",
@@ -68,8 +67,8 @@ def _table(space, name):
 
     Rows are the points for full/div/isotropic, (point, b_0 | b_1 | g1) for
     transport and (point, alpha, beta) for modulus, where alpha and beta
-    index the ``mandel`` components of a symmetric gradient; the isotropic
-    row of a point is the sum of its three modulus rows with alpha = beta.
+    index the Mandel components of ``space.sym_table``; the isotropic row
+    of a point is the sum of its three modulus rows with alpha = beta.
     The modulus tables carry the quadrature weights; the others take them
     with their rows.
     """
@@ -77,15 +76,14 @@ def _table(space, name):
     if key not in space._cache:
         nq = space.nq
         g = space.grad_table.reshape(2, 12, nq, 2, 2)
-        d = symmetrize(g)
         v = space.value_table.reshape(12, nq, 2)
         if name == "transport":
             # -(phi_s x b) : D phi_r = -sum_j b_j phi_s . (D phi_r)_{:, j};  -g1 phi_s . phi_r
-            conv = -np.einsum("sqi,krqij->kqjrs", v, d)
+            conv = -np.einsum("sqi,krqij->kqjrs", v, symmetrize(g))
             mass = np.broadcast_to(-np.einsum("sqi,rqi->qrs", v, v)[:, None], (2, nq, 1, 12, 12))
             table = np.concatenate([conv, mass], axis=2).reshape(2, 3 * nq, 144)
         elif name == "modulus":
-            comp = mandel(d)
+            comp = space.sym_table.reshape(2, 12, nq, 3)
             table = np.einsum("q,krqa,ksqb->kqabrs", space.cell_qw, comp, comp).reshape(2, 9 * nq, 144)
         elif name == "isotropic":
             table = np.ascontiguousarray(_table(space, "modulus").reshape(2, nq, 9, 144)[:, :, ::4].sum(axis=2))
@@ -97,18 +95,14 @@ def _table(space, name):
     return space._cache[key]
 
 
-def mandel(m):
-    """Components (M_00, M_11, sqrt(2) M_01) of symmetric 2x2 matrices, in which A:B is a dot product."""
-    return np.stack([m[..., 0, 0], m[..., 1, 1], np.sqrt(2.0) * m[..., 0, 1]], axis=-1)
-
-
 def modulus_stiffness(space, modulus, b_vals=None, g1_vals=None):
-    """int (M Dw) . Dphi for a symmetric modulus M (C, Q, 3, 3) on ``mandel`` components.
+    """int (M Dw) . Dphi for a symmetric modulus M (C, Q, 3, 3) on the Mandel components of D.
 
     A modulus of shape (C, Q) is the isotropic modulus w I, whose GEMM runs
     against the modulus table's diagonal rows (alpha = beta) only.  With
-    ``b_vals`` the transport form of ``transport_matrix(space, b_vals,
-    g1_vals)`` is added to the local blocks, so the sum is assembled once.
+    ``b_vals`` (C, Q, 2) and ``g1_vals`` (C, Q) the convective form
+    -int (w x b) : D phi - int g1 w . phi, frozen at b, is added to the
+    local blocks, so the sum is assembled once.
     """
     table = _table(space, "modulus" if modulus.ndim == 4 else "isotropic")
     loc = space.shape_gemm(modulus.reshape(space.n_cells, -1), table)
@@ -138,21 +132,11 @@ def div_coupling(space):
 
 
 def _transport_blocks(space, b_vals, g1_vals):
-    """Local blocks (C, 144) of the transport form of ``transport_matrix``."""
+    """Local blocks (C, 144) of the transport form of ``modulus_stiffness``."""
     w = np.empty((space.n_cells, space.nq, 3))
     w[..., :2] = space.qw[..., None] * b_vals
     w[..., 2] = space.qw * g1_vals
     return space.shape_gemm(w.reshape(space.n_cells, -1), _table(space, "transport"))
-
-
-def transport_matrix(space, b_vals, g1_vals):
-    """Linearized convective operator against a frozen transport field b.
-
-    Entry[(i,e),(m,c)] = -int (phi_mc x b) : D phi_ie  -  int g1 phi_mc . phi_ie,
-    which is the frozen-coefficient form of
-    -<(u+g) x b, D phi> - <g1 (u+g), phi> restricted to the unknown u.
-    """
-    return _assemble(space, _transport_blocks(space, b_vals, g1_vals), "vel", "vel")
 
 
 def p1_mass(space):
@@ -168,8 +152,9 @@ def velocity_load(space, f_vals):
 
 
 def stress_load(space, s_vals):
-    """<S, grad phi> for a matrix field S of shape (C, Q, 2, 2); <S, D phi> if S is symmetric."""
-    table = space.grad_table * np.repeat(space.cell_qw, 4)
+    """<S, grad phi> for S (C, Q, 2, 2); <S, D phi> for the Mandel components S (C, Q, 3) of a symmetric S."""
+    basis = space.grad_table if s_vals.ndim == 4 else space.sym_table
+    table = basis * np.repeat(space.cell_qw, basis.shape[-1] // space.nq)
     loc = space.shape_gemm(s_vals.reshape(space.n_cells, -1), table.transpose(0, 2, 1))
     return np.bincount(space.cell_vel.ravel(), weights=loc.ravel(), minlength=space.n_vel)
 

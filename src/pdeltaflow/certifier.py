@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constitutive import frobenius, symmetrize
+from .discretization import mandel_norm
 
 __all__ = [
     "CoercivityReport",
@@ -122,7 +122,7 @@ class AlternativeBound:
 def weighted_shear_norm(lift_field, p, delta):
     """|| |Dg| + delta ||_p evaluated by quadrature on the lift's space."""
     space = lift_field.g.space
-    mag = frobenius(symmetrize(space.velocity_gradients(lift_field.g.coeffs)))
+    mag = mandel_norm(space.sym_gradients(lift_field.g.coeffs))
     return space.lr_norm(p, mag + delta)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "frobenius",
     "random_sym",
     "eval_stress",
+    "sym_stress",
     "shifted_stress",
     "young_int",
     "young_gap",
@@ -143,14 +144,14 @@ def eval_stress(model, a):
     ever formed).
     """
     a = symmetrize(np.asarray(a, dtype=float))
-    return _sym_stress(model, a, frobenius(a))
+    return sym_stress(model, a, frobenius(a))
 
 
-def _sym_stress(model, a, nrm):
-    """S(a) of symmetric matrices a with Frobenius norms nrm."""
+def sym_stress(model, a, nrm):
+    """S(a) of symmetric a, as (d, d) matrices or as Mandel components, with Frobenius norms nrm."""
     with np.errstate(divide="ignore"):
         w = np.where(nrm > 0.0, model.mu * (model.delta + nrm) ** (model.p - 2.0), 0.0)
-    return (model.mu0 + w)[..., None, None] * a
+    return (model.mu0 + w).reshape(nrm.shape + (1,) * (a.ndim - nrm.ndim)) * a
 
 
 def shifted_stress(model, g, a):
@@ -289,7 +290,7 @@ def _chunk_ratios(model, a, b):
     keep = np.flatnonzero(dd > 1e-12 * (na + nb + 1.0))
     a, b, diff, dd, na, nb = a[keep], b[keep], diff[keep], dd[keep], na[keep], nb[keep]
 
-    ds = _sym_stress(model, a, na) - _sym_stress(model, b, nb)
+    ds = sym_stress(model, a, na) - sym_stress(model, b, nb)
     ds_norm = frobenius(ds)
     mono = np.sum(ds * diff, axis=(-1, -2))
     base = model.delta + nb

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import symmetrize
 from .discretization import (
     RectDomain,
     _bump_velocity,
@@ -44,9 +43,8 @@ __all__ = [
     "BISECT_RTOL",
 ]
 
-# Relative tolerance of construct_u_n's bisection on the sphere's q-norm.  A
-# P_n within the change that slips of this size in y and ||Du||_p can make
-# is classed as zero, not by its sign.
+# Relative tolerance of construct_u_n's bisection on the sphere's q-norm; a
+# P_n that slips of this size in y and ||Du||_p could move through 0 is zero.
 BISECT_RTOL = 1e-9
 
 
@@ -157,8 +155,8 @@ def _endpoint_gram(family):
     """
     if family._gram is None:
         s = family.space
-        lo, hi = (symmetrize(s.velocity_gradients(c)) for c in (family.members[0], family.members[-1]))
-        g00, g01, g11 = (np.einsum("...ij,...ij->...", a, b).ravel() for a, b in ((lo, lo), (lo, hi), (hi, hi)))
+        lo, hi = (s.sym_gradients(c) for c in (family.members[0], family.members[-1]))
+        g00, g01, g11 = (np.einsum("...a,...a->...", a, b).ravel() for a, b in ((lo, lo), (lo, hi), (hi, hi)))
         keep = np.flatnonzero((g00 != 0.0) | (g11 != 0.0))
         family._gram = (keep, s.qw.ravel()[keep], g00[keep], g01[keep], g11[keep])
     return family._gram
@@ -188,8 +186,9 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=BISECT_RTOL):
 
     Interpolates between the extreme family members along the sphere; the
     target is hit by bisection on the interpolation parameter (the q-norm
-    varies continuously along the path, so a bracketed root exists).  The
-    bisection reads the q-norm off the cached endpoint strain products,
+    varies continuously along the path, so a bracketed root exists), and the
+    low end theta = 0 is kept when it meets the target within ``rel_tol``.
+    The bisection reads the q-norm off the cached endpoint strain products,
     and the returned q-norm is the one it read at the final parameter; the
     returned field is evaluated directly there.
     """
@@ -207,10 +206,10 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=BISECT_RTOL):
     fa = y_lo - y_target
     theta, y = 0.0, y_lo
     for _ in range(bisect_steps):
-        theta = 0.5 * (ta + tb)
-        y = _sphere_y(family, theta, n, R)
         if abs(y - y_target) <= rel_tol * y_target:
             break
+        theta = 0.5 * (ta + tb)
+        y = _sphere_y(family, theta, n, R)
         if (y - y_target) * fa <= 0:
             tb = theta
         else:
@@ -222,16 +221,6 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=BISECT_RTOL):
 def _P_n(norm_p, y, n, G1, F1, p, q):
     """P_n from ||Du||_p and y = ||Du||_q."""
     return G1 * norm_p**p + y**q / n - F1 * y
-
-
-def _sign(val, norm_p, y, n, G1, F1, p, q):
-    """Sign of P_n, or ``zero`` when |P_n| is within what relative slips of BISECT_RTOL in y and ||Du||_p can change.
-
-    That change is at most BISECT_RTOL (p G1 ||Du||_p^p + q y^q / n + F1 y).
-    """
-    if abs(val) <= BISECT_RTOL * (p * G1 * norm_p**p + q * y**q / n + F1 * y):
-        return "zero"
-    return "negative" if val < 0 else "positive"
 
 
 def evaluate_P_n(field, n, G1, F1, p, q):
@@ -251,8 +240,10 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
 
     Dispatches per n between the large-f branch (scale the highest-ratio
     member onto the sphere) and the root-placement branch (bisect to the
-    q-norm root y_n).  Each P_n is classed by ``_sign``, and N0 is the first
-    n after which every P_n is negative beyond the bisection tolerance.
+    q-norm root y_n).  A P_n is classed as zero when relative slips of
+    BISECT_RTOL in y and ||Du||_p could move it through 0, that is when
+    |P_n| <= BISECT_RTOL (p G1 ||Du||_p^p + q y^q / n + F1 y); N0 is the
+    first n after which every P_n is negative beyond that.
     """
     if c2 <= 1.0:
         raise ValueError("c2 must exceed 1")
@@ -273,6 +264,7 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
             field, theta = _on_sphere(family, family.members[-1], n, R), 1.0
         norm_p, y = sym_grad_norms(field, (family.p, family.q))  # y: the achieved q-norm
         val = _P_n(norm_p, y, n, G1, F1, family.p, family.q)
+        slack = BISECT_RTOL * (family.p * G1 * norm_p**family.p + family.q * y**family.q / n + F1 * y)
         records.append(
             CounterexampleRecord(
                 n=float(n),
@@ -285,7 +277,7 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
                 P_n=float(val),
                 margin=float(-val),
                 member_mix=f"theta={theta:.6f}",
-                sign=_sign(val, norm_p, y, n, G1, F1, family.p, family.q),
+                sign="zero" if abs(val) <= slack else "negative" if val < 0 else "positive",
             )
         )
     n0 = None

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .constitutive import frobenius, symmetrize
+from .constitutive import frobenius
 
 __all__ = [
     "RectDomain",
@@ -40,6 +40,7 @@ __all__ = [
     "norm_grad_p",
     "norm_sym_grad_p",
     "sym_grad_norms",
+    "mandel_norm",
     "level_norm",
     "combine_level_norm",
     "norm_W1p",
@@ -264,10 +265,15 @@ class DiscreteSpace:
         p2_grads = np.einsum("qma,kab->kqmb", p2_ref_grads, inv.reshape(2, 2, 2))
         # Vector-basis tables over the 12 local velocity dofs [x-dofs, y-dofs]:
         # value_table[r] is phi_r at every point, as (Q, 2); grad_table[k, r]
-        # is grad phi_r on shape k, as (Q, 2, 2) with [..., i, j] = d phi_i / dx_j.
+        # is grad phi_r on shape k, as (Q, 2, 2) with [..., i, j] = d phi_i / dx_j;
+        # sym_table[k, r] is D phi_r on shape k as its Mandel components
+        # (D_00, D_11, sqrt(2) D_01), as (Q, 3), in which D:E is a dot product.
         eye = np.eye(2)
         self.value_table = np.einsum("qm,ci->cmqi", self.p2_vals, eye).reshape(12, 2 * nq)
-        self.grad_table = np.einsum("kqmj,ci->kcmqij", p2_grads, eye).reshape(2, 12, 4 * nq)
+        g = np.einsum("kqmj,ci->kcmqij", p2_grads, eye)
+        self.grad_table = g.reshape(2, 12, 4 * nq)
+        sym = [g[..., 0, 0], g[..., 1, 1], (g[..., 0, 1] + g[..., 1, 0]) / np.sqrt(2.0)]
+        self.sym_table = np.stack(sym, axis=-1).reshape(2, 12, 3 * nq)
 
     @property
     def h(self):
@@ -304,6 +310,10 @@ class DiscreteSpace:
     def velocity_gradients(self, coeffs):
         """(C, Q, 2, 2) array of du_i/dx_j at quadrature points."""
         return self.shape_gemm(coeffs[self.cell_vel], self.grad_table).reshape(self.n_cells, self.nq, 2, 2)
+
+    def sym_gradients(self, coeffs):
+        """(C, Q, 3) Mandel components (D_00, D_11, sqrt(2) D_01) of Du at quadrature points."""
+        return self.shape_gemm(coeffs[self.cell_vel], self.sym_table).reshape(self.n_cells, self.nq, 3)
 
     def shape_gemm(self, rows, tables):
         """(C, W) products of per-cell rows (C, K) with their shape's table in tables (2, K, W).
@@ -450,13 +460,18 @@ def norm_grad_p(field, p):
     return s.lr_norm(p, frobenius(s.velocity_gradients(field.coeffs)))
 
 
+def mandel_norm(d):
+    """Pointwise |D| of Mandel components d (..., 3): the Frobenius norm of the symmetric matrix."""
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
+
+
 def sym_grad_norms(field, exponents):
     """Symmetric-gradient norms ||Dv||_r (Frobenius modulus pointwise), one per r in exponents.
 
-    The gradient is evaluated once for all exponents.
+    The symmetric gradient is evaluated once for all exponents.
     """
     s = field.space
-    mag = frobenius(symmetrize(s.velocity_gradients(field.coeffs)))
+    mag = mandel_norm(s.sym_gradients(field.coeffs))
     return [s.lr_norm(r, mag) for r in exponents]
 
 
@@ -574,6 +589,11 @@ def _power_weight(mag, expo):
         return np.where(mag > 1e-300, mag**expo, 0.0)
 
 
+def _over(num, den):
+    """num / den where den > 0, and 0 where den = 0."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
+
+
 def _masked(vec, idx, n):
     out = np.zeros(n)
     out[idx] = vec
@@ -601,21 +621,23 @@ def _bump_velocity(space, center, width, freq=1.0):
 def _korn_objective(space, p):
     """log(||grad u||_p / ||Du||_p) of the zero-boundary field with free dofs xf, with its gradient closure.
 
-    |Du| is the length of the Mandel components (g00, g11, (g01 + g10) / sqrt(2)): Du is never formed.
+    Du is taken as its Mandel components.  The gradient is
+    <|grad u|^(p-2) grad u, grad phi> / nf - <|Du|^(p-2) Du, D phi> / ns, whose
+    weights |.|^(p-2) are the evaluation's |.|^p over |.|^2.
     """
     free = space.free_vel_dofs
 
     def objective(xf):
-        g = space.velocity_gradients(_masked(xf, free, space.n_vel))
-        mf = frobenius(g)
-        ms = np.sqrt(g[..., 0, 0] ** 2 + g[..., 1, 1] ** 2 + 0.5 * (g[..., 0, 1] + g[..., 1, 0]) ** 2)
-        nf, ns = space.integrate(mf**p), space.integrate(ms**p)
+        c = _masked(xf, free, space.n_vel)
+        g, d = space.velocity_gradients(c), space.sym_gradients(c)
+        mf, ms = frobenius(g), mandel_norm(d)
+        pf, ps = mf**p, ms**p
+        nf, ns = space.integrate(pf), space.integrate(ps)
 
         def grad():
-            # wf grad u - ws Du = (wf - ws/2) grad u - (ws/2) grad u^T
-            wf = (_power_weight(mf, p - 2.0) / nf)[..., None, None]
-            ws = (0.5 * _power_weight(ms, p - 2.0) / ns)[..., None, None]
-            return assembly.stress_load(space, (wf - ws) * g - ws * np.swapaxes(g, -1, -2))[free]
+            wf, ws = _over(pf, mf**2) / nf, _over(ps, ms**2) / ns
+            full = assembly.stress_load(space, wf[..., None, None] * g)
+            return (full - assembly.stress_load(space, ws[..., None] * d))[free]
 
         return (np.log(nf) - np.log(ns)) / p, grad
 
@@ -723,7 +745,7 @@ def estimate_dual_norm(space, load, p, iters=15):
     weight = np.ones_like(space.qw)
     for it in range(iters):
         c, _ = assembly.dirichlet_solve(space, assembly.sym_grad_stiffness(space, weight), load)
-        dn_pt = frobenius(symmetrize(space.velocity_gradients(c)))
+        dn_pt = mandel_norm(space.sym_gradients(c))
         dn = space.lr_norm(p, dn_pt)
         if dn == 0.0:
             break

@@ -8,8 +8,10 @@ multiplier.  Each penalty level n solves
         - <pi, div phi> = <f, phi>,        <div u, q> = 0,
 
 by Newton's method on the consistent tangent: each step solves the
-linear saddle-point system of the momentum residual's derivative, whose
-stress part is nu I + nu'(|A|) A x A / |A| at A = Du + Dg.  A step that
+linear saddle-point system of the momentum residual's derivative.  Every
+symmetric gradient is held as its Mandel components (A_00, A_11, sqrt 2
+A_01), in which the stress part of that derivative is the 3x3 modulus
+nu I + nu'(|A|) a a^T / |A| at A = Du + Dg with components a.  A step that
 raises the residual is retaken as a Picard (Kacanov) step, with the
 scalar stress weight, the penalty weight and the transport field frozen
 at the iterate.  The saddle systems are solved with a sparse LU held on
@@ -29,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly
-from .constitutive import eval_stress, frobenius, symmetrize
-from .discretization import Field, combine_level_norm, norm_sym_grad_p, sym_grad_norms
+from .constitutive import sym_stress
+from .discretization import Field, _over, combine_level_norm, mandel_norm, norm_sym_grad_p, sym_grad_norms
 
 __all__ = [
     "ProblemInstance",
@@ -112,7 +114,9 @@ def default_config(s, levels=7, **kw):
 class ProblemInstance:
     """Model, space, lift and load bundled with cached quadrature data.
 
-    ``factor`` holds the saddle LU of the instance's last linear solve.
+    At the quadrature points, ``g_vals`` (C, Q, 2) holds the lift's values,
+    ``g_sym`` (C, Q, 3) the Mandel components of Dg and ``g1_vals`` (C, Q)
+    div g.  ``factor`` holds the saddle LU of the instance's last linear solve.
     Every later solve on the instance (the next Newton step, the next
     penalty level, the pressure recovery) starts GMRES on it.
     """
@@ -134,14 +138,9 @@ class ProblemInstance:
 
 def make_instance(model, space, lift_field=None, f=None, report=None):
     """Build a ProblemInstance; f may be a callable, a load vector or None."""
-    if lift_field is not None:
-        gc = lift_field.g.coeffs
-        g_vals = space.velocity_values(gc)
-        g_sym = symmetrize(space.velocity_gradients(gc))
-    else:
-        g_vals = np.zeros((space.n_cells, space.nq, 2))
-        g_sym = np.zeros((space.n_cells, space.nq, 2, 2))
-    g1_vals = g_sym[..., 0, 0] + g_sym[..., 1, 1]
+    gc = np.zeros(space.n_vel) if lift_field is None else lift_field.g.coeffs
+    g_vals, g_sym = space.velocity_values(gc), space.sym_gradients(gc)
+    g1_vals = g_sym[..., 0] + g_sym[..., 1]
 
     if f is None:
         f_vec = np.zeros(space.n_vel)
@@ -160,30 +159,30 @@ def make_instance(model, space, lift_field=None, f=None, report=None):
     )
 
 
-def _du(inst, coeffs):
-    return symmetrize(inst.space.velocity_gradients(coeffs))
-
-
 def _stress_term(inst, du):
-    """Load vector <S(Du + Dg), D phi_i> at the symmetric gradient du."""
-    return assembly.stress_load(inst.space, eval_stress(inst.model, du + inst.g_sym))
+    """Load vector <S(Du + Dg), D phi_i> at the Mandel components du of Du."""
+    a = du + inst.g_sym
+    return assembly.stress_load(inst.space, sym_stress(inst.model, a, mandel_norm(a)))
 
 
 def _penalty_term(inst, du, q, n):
-    """Load vector (1/n) <|Du|^(q-2) Du, D phi_i>."""
-    return assembly.stress_load(inst.space, (frobenius(du) ** (q - 2.0) / n)[..., None, None] * du)
+    """Load vector (1/n) <|Du|^(q-2) Du, D phi_i> at the Mandel components du of Du."""
+    return assembly.stress_load(inst.space, (mandel_norm(du) ** (q - 2.0) / n)[..., None] * du)
+
+
+def _outer(v):
+    """Mandel components (v0^2, v1^2, sqrt(2) v0 v1) of v x v, for vectors v (..., 2)."""
+    return np.stack([v[..., 0] ** 2, v[..., 1] ** 2, np.sqrt(2.0) * v[..., 0] * v[..., 1]], axis=-1)
 
 
 def _transport_term(inst, v):
     """Load vector -<v x v, D phi_i> - <(div g) v, phi_i> at the total velocity values v."""
-    space = inst.space
-    outer = symmetrize(v[..., :, None] * v[..., None, :])
-    return -assembly.stress_load(space, outer) - assembly.velocity_load(space, inst.g1_vals[..., None] * v)
+    return -assembly.stress_load(inst.space, _outer(v)) - assembly.velocity_load(inst.space, inst.g1_vals[..., None] * v)
 
 
 def apply_S(inst, u, phi):
     """<S(Du + Dg), D phi>."""
-    return float(_stress_term(inst, _du(inst, u.coeffs)) @ phi.coeffs)
+    return float(_stress_term(inst, inst.space.sym_gradients(u.coeffs)) @ phi.coeffs)
 
 
 def apply_T(inst, u, phi):
@@ -194,7 +193,7 @@ def apply_T(inst, u, phi):
 
 def apply_penalty(inst, u, phi, q, n):
     """(1/n) <|Du|^(q-2) Du, D phi>."""
-    return float(_penalty_term(inst, _du(inst, u.coeffs), q, n) @ phi.coeffs)
+    return float(_penalty_term(inst, inst.space.sym_gradients(u.coeffs), q, n) @ phi.coeffs)
 
 
 def apply_P(inst, u, phi, include_convective=True):
@@ -271,11 +270,6 @@ def _stress_weight(model, mag):
     return nu, slope
 
 
-def _over(num, den):
-    """num / den where den > 0, and 0 where den = 0."""
-    return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
-
-
 def _data_scale(inst, cfg):
     """Size of the data terms (f, stress and transport of g alone) on the free dofs."""
     free = inst.space.free_vel_dofs
@@ -283,12 +277,6 @@ def _data_scale(inst, cfg):
     if cfg.include_convective:
         scale += np.linalg.norm(_transport_term(inst, inst.g_vals)[free])
     return scale
-
-
-def _fields(inst, cfg, u_coeffs):
-    """Du and, with the convective term, the total velocity values u + g at u."""
-    v = inst.space.velocity_values(u_coeffs) + inst.g_vals if cfg.include_convective else None
-    return _du(inst, u_coeffs), v
 
 
 def _momentum(inst, cfg, n, du, v):
@@ -302,11 +290,13 @@ def _momentum(inst, cfg, n, du, v):
 
 
 def _state(inst, cfg, n, u_coeffs):
-    """(Du, u + g, R0) at u: the fields of ``_fields`` and the momentum residual ``_momentum``.
+    """(Du, u + g, R0) at u: Mandel components, total velocity values and ``_momentum``.
 
-    A step's residual and the next step's linearization share one state.
+    u + g is None without the convective term.  A step's residual and the
+    next step's linearization share one state.
     """
-    du, v = _fields(inst, cfg, u_coeffs)
+    du = inst.space.sym_gradients(u_coeffs)
+    v = inst.space.velocity_values(u_coeffs) + inst.g_vals if cfg.include_convective else None
     return du, v, _momentum(inst, cfg, n, du, v)
 
 
@@ -321,24 +311,22 @@ def _residual(inst, r0, u_coeffs, lam):
 def _modulus(inst, cfg, n, du, tangent):
     """Per-point Mandel modulus (C, Q, 3, 3) of the stress part of J at Du = du.
 
-    With A = Du + Dg and a, d the ``mandel`` components of A and Du, it is
+    With A = Du + Dg and a, d = du the Mandel components of A and Du, it is
     (nu(|A|) + |Du|^(q-2)/n) I + nu'(|A|)/|A| a a^T + (q-2)/n |Du|^(q-4) d d^T,
     the penalty terms only at a finite n and the rank-one terms only with
     ``tangent``.  The strain temporaries end with the call.
     """
     a = du + inst.g_sym
-    mag = frobenius(a)
+    mag = mandel_norm(a)
     nu, slope = _stress_weight(inst.model, mag)
     penalty = cfg.penalty and np.isfinite(n)
     if penalty:
-        mag_u = frobenius(du)
+        mag_u = mandel_norm(du)
         nu += mag_u ** (cfg.q - 2.0) / n  # the penalty weights Du only
     if tangent:
-        a = assembly.mandel(a)
         mod = (_over(slope, mag)[..., None] * a)[..., :, None] * a[..., None, :]
         if penalty:
-            d = assembly.mandel(du)
-            mod += ((cfg.q - 2.0) / n * _over(mag_u ** (cfg.q - 2.0), mag_u**2)[..., None] * d)[..., :, None] * d[..., None, :]
+            mod += ((cfg.q - 2.0) / n * _over(mag_u ** (cfg.q - 2.0), mag_u**2)[..., None] * du)[..., :, None] * du[..., None, :]
     else:
         mod = np.zeros(nu.shape + (3, 3))
     mod.reshape(nu.shape + (9,))[..., ::4] += nu[..., None]
@@ -351,8 +339,8 @@ def _linearize(inst, cfg, n, u, tangent=True, state=None):
     J is the derivative of the momentum residual R0 at u, so the saddle
     solve J u_new + C^T lam = J u - R0(u) is one Newton step.  Its stress
     part is the ``_modulus`` M at u, int (M Dw) . Dphi on Mandel
-    components, and with the convective term J adds the transport form of
-    ``transport_matrix(2 (u + g), div g)``; both go through one
+    components, and with the convective term J adds the transport form
+    against b = 2 (u + g) with weight div g; both go through one
     ``assembly.modulus_stiffness`` call.  Dphi is symmetric, so (w x b +
     b x w) : Dphi = 2 (w x b) : Dphi gives the factor 2.  With
     ``tangent=False`` the derivative terms are left out: the weights and
@@ -517,41 +505,28 @@ def convective_identity_diagnostics(inst, u):
     """
     space = inst.space
     if isinstance(u, Field):
-        uv = space.velocity_values(u.coeffs)
-        gu = space.velocity_gradients(u.coeffs)
+        uv, gu = space.velocity_values(u.coeffs), space.velocity_gradients(u.coeffs)
     else:
         uv, gu = u
-    du = symmetrize(gu)
-    gv = inst.g_vals
-    dg = inst.g_sym
-    g1 = inst.g1_vals
+    gv, g1 = inst.g_vals, inst.g1_vals
 
-    uu = uv[..., :, None] * uv[..., None, :]
-    ug = uv[..., :, None] * gv[..., None, :]
+    def form(a, m, b):  # <a, m b>; a . (Du a) = a . (grad u a), so Du is not formed
+        return space.integrate(np.einsum("...i,...ij,...j->...", a, m, b))
 
-    d1 = space.integrate(np.sum(uu * du, axis=(-1, -2)))
+    def mass(a, b):  # <g1 a, b>
+        return space.integrate(g1 * np.sum(a * b, axis=-1))
+
+    uu_dg = space.integrate(np.sum(_outer(uv) * inst.g_sym, axis=-1))  # <u x u, Dg> on Mandel components
     # <u x g, grad u> = -1/2 <g1 u, u> and <u x g, grad u^T> = -<u x u, Dg>
-    lhs2 = space.integrate(np.sum(ug * gu, axis=(-1, -2)))
-    rhs2 = -0.5 * space.integrate(g1 * np.sum(uv * uv, axis=-1))
-    lhs3 = space.integrate(np.sum(ug * np.swapaxes(gu, -1, -2), axis=(-1, -2)))
-    rhs3 = -space.integrate(np.sum(uu * dg, axis=(-1, -2)))
-
+    lhs2, lhs3 = form(uv, gu, gv), form(gv, gu, uv)
     v = uv + gv
-    vout = symmetrize(v[..., :, None] * v[..., None, :])
-    direct = -space.integrate(np.sum(vout * du, axis=(-1, -2))) - space.integrate(
-        g1 * np.sum(v * uv, axis=-1)
-    )
-    regroup = (
-        space.integrate(np.sum(uu * dg, axis=(-1, -2)))
-        - 0.5 * space.integrate(g1 * np.sum(uv * uv, axis=-1))
-        - space.integrate(np.sum(symmetrize(gv[..., :, None] * gv[..., None, :]) * du, axis=(-1, -2)))
-        - space.integrate(g1 * np.sum(gv * uv, axis=-1))
-    )
+    direct = -form(v, gu, v) - mass(v, uv)
+    regroup = uu_dg - 0.5 * mass(uv, uv) - form(gv, gu, gv) - mass(gv, uv)
     mag = abs(direct) + abs(regroup) + 1e-300
     return {
-        "skew": abs(d1),
-        "transport_grad": abs(lhs2 - rhs2),
-        "transport_grad_T": abs(lhs3 - rhs3),
+        "skew": abs(form(uv, gu, uv)),
+        "transport_grad": abs(lhs2 + 0.5 * mass(uv, uv)),
+        "transport_grad_T": abs(lhs3 + uu_dg),
         "regroup": abs(direct - regroup),
         "regroup_rel": abs(direct - regroup) / mag,
     }

@@ -191,17 +191,21 @@ class TestCachedBisection:
 
     def test_gradient_evaluations_do_not_grow_with_bisection_steps(self, family3, monkeypatch):
         grads, steps = [], []
-        gradients, sphere_y, construct = DiscreteSpace.velocity_gradients, counterexample._sphere_y, construct_u_n
+        sphere_y, construct = counterexample._sphere_y, construct_u_n
 
-        def counted_gradients(self, coeffs):
-            grads.append(1)
-            return gradients(self, coeffs)
+        def counted(method):
+            def gradients(self, coeffs):
+                grads.append(1)
+                return method(self, coeffs)
+
+            return gradients
 
         def counted_sphere_y(*args):
             steps.append(1)
             return sphere_y(*args)
 
-        monkeypatch.setattr(DiscreteSpace, "velocity_gradients", counted_gradients)
+        for name in ("velocity_gradients", "sym_gradients"):
+            monkeypatch.setattr(DiscreteSpace, name, counted(getattr(DiscreteSpace, name)))
         monkeypatch.setattr(counterexample, "_sphere_y", counted_sphere_y)
         counts = []
         for rel_tol in (1e-6, 1e-9, 1e-14):
@@ -215,4 +219,4 @@ class TestCachedBisection:
             assert all(r.branch == "step2" for r in scan["records"])
             counts.append((len(grads), len(steps)))
         assert counts[0][1] < counts[1][1] < counts[2][1]
-        assert counts[0][0] == counts[1][0] == counts[2][0]
+        assert counts[0][0] == counts[1][0] == counts[2][0] > 0

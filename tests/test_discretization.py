@@ -643,12 +643,22 @@ class TestTwoShapeEvaluation:
         s, grads, _, d = case
         c = d["x"].reshape(2, s.n_p2)[:, s.cell_p2]  # (2, C, 6)
         self._close(s.velocity_values(d["x"]), np.einsum("qm,icm->cqi", s.p2_vals, c))
-        self._close(s.velocity_gradients(d["x"]), np.einsum("cqma,icm->cqia", grads, c))
+        g = np.einsum("cqma,icm->cqia", grads, c)
+        self._close(s.velocity_gradients(d["x"]), g)
+        self._close(s.sym_gradients(d["x"]), self._mandel(g))
+
+    @staticmethod
+    def _mandel(m):
+        """(D_00, D_11, sqrt(2) D_01) of the symmetric parts D of the matrices m."""
+        return np.stack([m[..., 0, 0], m[..., 1, 1], (m[..., 0, 1] + m[..., 1, 0]) / np.sqrt(2.0)], axis=-1)
 
     def test_loads(self, case):
         s, grads, qw, d = case
         sl = np.einsum("cq,cqea,cqia->cei", qw, d["S"], grads)
         self._close(assembly.stress_load(s, d["S"]), self._vec_load(s, sl))
+        sym = 0.5 * (d["S"] + np.swapaxes(d["S"], -1, -2))
+        sl = np.einsum("cq,cqea,cqia->cei", qw, sym, grads)  # <sym S, grad phi> = <sym S, D phi>
+        self._close(assembly.stress_load(s, self._mandel(sym)), self._vec_load(s, sl))
         vl = np.einsum("cq,cqe,qi->cei", qw, d["b"], s.p2_vals)
         self._close(assembly.velocity_load(s, d["b"]), self._vec_load(s, vl))
 
@@ -682,7 +692,7 @@ class TestTwoShapeEvaluation:
     def test_transport(self, case):
         s, grads, qw, d = case
         loc = self._transport_loc(s, grads, qw, d)
-        self._close(assembly.transport_matrix(s, d["b"], d["g1"]).toarray(), self._dense(s, loc))
+        self._close(assembly.modulus_stiffness(s, np.zeros_like(s.qw), d["b"], d["g1"]).toarray(), self._dense(s, loc))
 
     def test_modulus_stiffness(self, case):
         """A general symmetric modulus per point, on both shapes, plus the transport form."""

@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from pdeltaflow.solver import (
     SolverConfig,
     SolverError,
     _data_scale,
-    _fields,
     _linearize,
-    _momentum,
+    _state,
     apply_P,
     apply_S,
     apply_T,
@@ -252,7 +252,7 @@ def test_solve_saddle_matches_dense_mean_row_oracle(space4):
     rng = np.random.default_rng(3)
     b_vals = s.velocity_values(rng.standard_normal(s.n_vel))
     g1_vals = rng.standard_normal((s.n_cells, s.nq))
-    a = assembly.sym_grad_stiffness(s) + assembly.transport_matrix(s, b_vals, g1_vals)
+    a = assembly.sym_grad_stiffness(s) + assembly.modulus_stiffness(s, np.zeros_like(s.qw), b_vals, g1_vals)
     rhs = rng.standard_normal(s.n_vel)
     u_data = rng.standard_normal(s.n_vel)
     div_rhs = assembly.div_coupling(s) @ u_data
@@ -286,7 +286,7 @@ def _oracle_system(s):
     rng = np.random.default_rng(3)
     b_vals = s.velocity_values(rng.standard_normal(s.n_vel))
     g1_vals = rng.standard_normal((s.n_cells, s.nq))
-    a = assembly.sym_grad_stiffness(s) + assembly.transport_matrix(s, b_vals, g1_vals)
+    a = assembly.sym_grad_stiffness(s) + assembly.modulus_stiffness(s, np.zeros_like(s.qw), b_vals, g1_vals)
     rhs = rng.standard_normal(s.n_vel)
     u_data = rng.standard_normal(s.n_vel)
     return a, rhs, assembly.div_coupling(s) @ u_data, u_data
@@ -483,7 +483,7 @@ class TestNewton:
         w = _random_zero_boundary(space4, 32).coeffs
 
         def r0(c):
-            return _momentum(inst, cfg, n, *_fields(inst, cfg, c))
+            return _state(inst, cfg, n, c)[2]
 
         jac, rhs = _linearize(inst, cfg, n, u)
         assert np.allclose(rhs, jac @ u - r0(u), rtol=0.0, atol=1e-12 * np.abs(rhs).max())
@@ -617,6 +617,38 @@ class TestContinuation:
         assert len(calls) == sum(r.iters for r in res.records)
         pi, _ = recover_pressure(inst, res.u, cfg=cfg, n=res.records[-1].n)
         assert np.abs(res.pi.coeffs - pi.coeffs).max() <= 1e-8 * np.abs(pi.coeffs).max()
+
+    def test_no_symmetrize_on_a_warm_space(self, pipeline8, monkeypatch):
+        """Du reaches the solver, the Korn ascent and the counterexample scan as Mandel components only."""
+        from pdeltaflow import constitutive
+        from pdeltaflow.counterexample import build_family, counterexample_scan
+        from pdeltaflow.discretization import estimate_korn
+
+        m, lf, space = pipeline8["model"], pipeline8["lift"], pipeline8["space"]
+        g1c, g2c, g3c = compute_constants(pipeline8["chars"], pipeline8["emb"], lf, 0.0, m.p, pipeline8["s"], m.delta)
+        rep = check_smallness(g1c, g2c, g3c, m.p, s=pipeline8["s"])
+        family = build_family(3, base_n=4)
+
+        def run():
+            inst = make_instance(m, space, lift_field=lf, report=rep)
+            assert continuation_solve(inst, default_config(pipeline8["s"])).converged
+            estimate_korn(space, m.p)
+            assert counterexample_scan(family, [2, 4, 8, 12])["N0"] is not None
+
+        calls = []
+        symmetrize = constitutive.symmetrize
+
+        def counted(a):
+            calls.append(1)
+            return symmetrize(a)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pdeltaflow") and getattr(mod, "symmetrize", None) is symmetrize:
+                monkeypatch.setattr(mod, "symmetrize", counted)
+        run()  # builds the spaces' cached tables
+        calls.clear()
+        run()
+        assert calls == []
 
     def test_zero_schedule_zero_data(self, space8):
         m = PDeltaModel(p=1.8, delta=0.1)
