@@ -152,8 +152,15 @@ def velocity_load(space, f_vals):
 
 
 def stress_load(space, s_vals):
-    """<S, grad phi> for S (C, Q, 2, 2); <S, D phi> for the Mandel components S (C, Q, 3) of a symmetric S."""
-    basis = space.grad_table if s_vals.ndim == 4 else space.sym_table
+    """<S, grad phi> for S (C, Q, 2, 2); <S, D phi> for the Mandel components S (C, Q, 3) of a symmetric S.
+
+    S (C, Q, 4) is read against ``space.mandel_skew_table``: the Mandel
+    components of its symmetric part, then its skew component.
+    """
+    if s_vals.ndim == 4:
+        basis = space.grad_table
+    else:
+        basis = space.sym_table if s_vals.shape[-1] == 3 else space.mandel_skew_table
     table = basis * np.repeat(space.cell_qw, basis.shape[-1] // space.nq)
     loc = space.shape_gemm(s_vals.reshape(space.n_cells, -1), table.transpose(0, 2, 1))
     return np.bincount(space.cell_vel.ravel(), weights=loc.ravel(), minlength=space.n_vel)
@@ -345,7 +352,7 @@ def _factor_solve(k, rhs, held):
             held.x = x
             return x
         held.lu = None  # drop the stale factor before the new one is built
-    held.lu = spla.splu(k, permc_spec="NATURAL", diag_pivot_thresh=1e-3)
+    held.lu = spla.splu(k, permc_spec="NATURAL", diag_pivot_thresh=1e-6)
     held.factorizations += 1
     x0 = held.lu.solve(rhs)
     x, ok, its = _gmres(k, held.lu, rhs, x0)

@@ -2,10 +2,11 @@
 
 A structured triangulation (each grid square split along its up-diagonal)
 carries continuous piecewise-quadratic vector fields for the velocity and
-continuous piecewise-linear scalars for the pressure.  The quadrature is
-a collapsed (Duffy) Gauss product rule whose polynomial exactness degree
-is chosen at build time (default 8), so all norm and form evaluations
-reduce to weighted sums over cell quadrature points.
+continuous piecewise-linear scalars for the pressure.  The quadrature's
+polynomial exactness degree is chosen at build time (default 8): degrees
+7 and 8 use a fully symmetric 16-point rule (Dunavant 1985), every other
+degree a collapsed (Duffy) Gauss product rule.  All norm and form
+evaluations reduce to weighted sums over cell quadrature points.
 
 Besides the space itself, this module provides the exponent-p norms, the
 discrete divergence, and iterative estimation of the Korn and Sobolev
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import itertools
 import json
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -93,12 +95,32 @@ def _gauss01(m):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _triangle_rule(degree):
-    """Collapsed Gauss product rule on the unit triangle, exact to `degree`.
+# Fully symmetric 16-point rule exact to degree 8 (Dunavant, IJNME 21, 1985):
+# barycentric orbits (l0, l1, l2), each taken under all their distinct
+# permutations, with one weight per point.  The weights sum to 1.
+_SYMMETRIC_8 = (
+    ((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 0.144315607677787),
+    ((1.0 - 2 * 0.459292588292723, 0.459292588292723, 0.459292588292723), 0.095091634267285),
+    ((1.0 - 2 * 0.170569307751760, 0.170569307751760, 0.170569307751760), 0.103217370534718),
+    ((1.0 - 2 * 0.050547228317031, 0.050547228317031, 0.050547228317031), 0.032458497623198),
+    ((0.008394777409958, 0.263112829634638, 0.728492392955404), 0.027230314174435),
+)
 
-    With m one-dimensional points the collapsed rule integrates total
-    degree 2m-2 exactly (the Duffy factor raises the u-degree by one).
+
+def _triangle_rule(degree):
+    """Quadrature points (Q, 2) and weights (Q,) on the unit triangle, exact to `degree`.
+
+    Degrees 7 and 8 get the 16-point symmetric rule ``_SYMMETRIC_8``, whose
+    points all lie inside the triangle and whose weights are all positive.
+    Every other degree gets the collapsed Gauss product rule: with m
+    one-dimensional points it integrates total degree 2m-2 exactly (the
+    Duffy factor raises the u-degree by one), m^2 points in all.
     """
+    if degree in (7, 8):
+        orbits = [(list(dict.fromkeys(itertools.permutations(lam))), w) for lam, w in _SYMMETRIC_8]
+        bary = np.array([pt for pts, _ in orbits for pt in pts])
+        weights = np.concatenate([np.full(len(pts), 0.5 * w) for pts, w in orbits])  # area 1/2
+        return bary[:, 1:], weights
     m = int(np.ceil((degree + 2) / 2))
     u, wu = _gauss01(m)
     v, wv = _gauss01(m)
@@ -267,13 +289,18 @@ class DiscreteSpace:
         # value_table[r] is phi_r at every point, as (Q, 2); grad_table[k, r]
         # is grad phi_r on shape k, as (Q, 2, 2) with [..., i, j] = d phi_i / dx_j;
         # sym_table[k, r] is D phi_r on shape k as its Mandel components
-        # (D_00, D_11, sqrt(2) D_01), as (Q, 3), in which D:E is a dot product.
+        # (D_00, D_11, sqrt(2) D_01), as (Q, 3), in which D:E is a dot product;
+        # mandel_skew_table[k, r] appends the skew component
+        # (d phi_0/dx_1 - d phi_1/dx_0) / sqrt(2), as (Q, 4): an orthonormal
+        # change of the four gradient entries, so |grad u|^2 = |Du|^2 + skew^2.
         eye = np.eye(2)
         self.value_table = np.einsum("qm,ci->cmqi", self.p2_vals, eye).reshape(12, 2 * nq)
         g = np.einsum("kqmj,ci->kcmqij", p2_grads, eye)
         self.grad_table = g.reshape(2, 12, 4 * nq)
         sym = [g[..., 0, 0], g[..., 1, 1], (g[..., 0, 1] + g[..., 1, 0]) / np.sqrt(2.0)]
         self.sym_table = np.stack(sym, axis=-1).reshape(2, 12, 3 * nq)
+        skew = (g[..., 0, 1] - g[..., 1, 0]) / np.sqrt(2.0)
+        self.mandel_skew_table = np.stack(sym + [skew], axis=-1).reshape(2, 12, 4 * nq)
 
     @property
     def h(self):
@@ -621,23 +648,27 @@ def _bump_velocity(space, center, width, freq=1.0):
 def _korn_objective(space, p):
     """log(||grad u||_p / ||Du||_p) of the zero-boundary field with free dofs xf, with its gradient closure.
 
-    Du is taken as its Mandel components.  The gradient is
-    <|grad u|^(p-2) grad u, grad phi> / nf - <|Du|^(p-2) Du, D phi> / ns, whose
-    weights |.|^(p-2) are the evaluation's |.|^p over |.|^2.
+    One GEMM against ``mandel_skew_table`` gives the Mandel components of Du
+    and the skew component w of grad u, so |grad u|^2 = |Du|^2 + w^2.  The
+    gradient is <|grad u|^(p-2) grad u, grad phi> / nf - <|Du|^(p-2) Du, D phi> / ns,
+    one load of ((wf - ws) Du, wf w) against the same table, with
+    wf = |grad u|^(p-2) / nf and ws = |Du|^(p-2) / ns taken as the
+    evaluation's |.|^p over |.|^2.
     """
     free = space.free_vel_dofs
 
     def objective(xf):
         c = _masked(xf, free, space.n_vel)
-        g, d = space.velocity_gradients(c), space.sym_gradients(c)
-        mf, ms = frobenius(g), mandel_norm(d)
-        pf, ps = mf**p, ms**p
+        m = space.shape_gemm(c[space.cell_vel], space.mandel_skew_table).reshape(space.n_cells, space.nq, 4)
+        s2 = m[..., 0] ** 2 + m[..., 1] ** 2 + m[..., 2] ** 2
+        f2 = s2 + m[..., 3] ** 2
+        pf, ps = f2 ** (0.5 * p), s2 ** (0.5 * p)
         nf, ns = space.integrate(pf), space.integrate(ps)
 
         def grad():
-            wf, ws = _over(pf, mf**2) / nf, _over(ps, ms**2) / ns
-            full = assembly.stress_load(space, wf[..., None, None] * g)
-            return (full - assembly.stress_load(space, ws[..., None] * d))[free]
+            wf = _over(pf, f2) / nf
+            wd = wf - _over(ps, s2) / ns
+            return assembly.stress_load(space, m * np.stack([wd, wd, wd, wf], axis=-1))[free]
 
         return (np.log(nf) - np.log(ns)) / p, grad
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -103,6 +105,47 @@ class TestBuildSpace:
         path.write_text("\n".join([json.dumps(head, sort_keys=True)] + lines[1:]) + "\n")
         g = load_field(path, space4, role="velocity")
         assert np.array_equal(f.coeffs, g.coeffs)
+
+
+class TestTriangleRule:
+    """The 16-point symmetric rule that serves quad_degree 7 and 8 (the default)."""
+
+    @staticmethod
+    def _bary(pts):
+        return np.column_stack([1.0 - pts[:, 0] - pts[:, 1], pts])
+
+    @pytest.mark.parametrize("degree", [7, 8])
+    def test_sixteen_inner_points_with_positive_weights(self, degree):
+        pts, w = discretization._triangle_rule(degree)
+        assert pts.shape == (16, 2) and w.shape == (16,)
+        assert (w > 0.0).all()
+        assert abs(w.sum() - 0.5) <= 1e-15
+        assert (self._bary(pts) > 0.0).all()
+
+    def test_invariant_under_barycentric_permutations(self):
+        pts, w = discretization._triangle_rule(8)
+        bary = self._bary(pts)
+        for perm in itertools.permutations(range(3)):
+            dist = np.abs(bary[:, None, perm] - bary[None, :, :]).max(axis=-1)  # (moved point, point)
+            match = dist.argmin(axis=1)
+            assert dist.min(axis=1).max() <= 1e-15
+            assert sorted(match) == list(range(16))
+            assert np.array_equal(w[match], w)
+
+    def test_exact_to_degree_eight_and_not_nine(self):
+        pts, w = discretization._triangle_rule(8)
+        x, y = pts[:, 0], pts[:, 1]
+
+        def error(i, j):
+            return abs(w @ (x**i * y**j) - math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2))
+
+        errors = [error(i, j) for i in range(9) for j in range(9 - i)]
+        assert len(errors) == 45 and max(errors) <= 1e-15
+        assert max(error(i, 9 - i) for i in range(10)) > 1e-10
+
+    def test_default_space_uses_sixteen_points(self, unit_domain):
+        assert build_space(unit_domain, 4, 4).nq == 16
+        assert build_space(unit_domain, 4, 4, quad_degree=9).nq == 36  # the collapsed rule, m = 6
 
 
 def _lbb_constant(space, vel_dofs=None):
@@ -500,7 +543,7 @@ class TestObjectiveGradients:
         return np.concatenate([np.ones(space.n_p2), np.zeros(space.n_p2)])
 
     def test_korn(self, space4):
-        # the Korn objective takes |Du| from Mandel components and its gradient from grad u and grad u^T
+        # the Korn objective takes |Du| and |grad u| from one Mandel-plus-skew GEMM, and its gradient from one load
         dom = space4.domain
         swirl = discretization._bump_velocity(space4, dom.centre, 0.32 * min(dom.x1 - dom.x0, dom.y1 - dom.y0))
         self._check(swirl.coeffs[space4.free_vel_dofs], discretization._korn_objective(space4, 1.5), 7)
@@ -646,16 +689,26 @@ class TestTwoShapeEvaluation:
         g = np.einsum("cqma,icm->cqia", grads, c)
         self._close(s.velocity_gradients(d["x"]), g)
         self._close(s.sym_gradients(d["x"]), self._mandel(g))
+        ms = s.shape_gemm(d["x"][s.cell_vel], s.mandel_skew_table).reshape(s.n_cells, s.nq, 4)
+        self._close(ms, self._mandel_skew(g))
+        self._close(np.einsum("cqa,cqa->cq", ms, ms), np.einsum("cqij,cqij->cq", g, g))
 
     @staticmethod
     def _mandel(m):
         """(D_00, D_11, sqrt(2) D_01) of the symmetric parts D of the matrices m."""
         return np.stack([m[..., 0, 0], m[..., 1, 1], (m[..., 0, 1] + m[..., 1, 0]) / np.sqrt(2.0)], axis=-1)
 
+    @classmethod
+    def _mandel_skew(cls, m):
+        """The Mandel components of the symmetric parts of m, then (m_01 - m_10) / sqrt(2)."""
+        skew = (m[..., 0, 1] - m[..., 1, 0]) / np.sqrt(2.0)
+        return np.concatenate([cls._mandel(m), skew[..., None]], axis=-1)
+
     def test_loads(self, case):
         s, grads, qw, d = case
         sl = np.einsum("cq,cqea,cqia->cei", qw, d["S"], grads)
         self._close(assembly.stress_load(s, d["S"]), self._vec_load(s, sl))
+        self._close(assembly.stress_load(s, self._mandel_skew(d["S"])), self._vec_load(s, sl))
         sym = 0.5 * (d["S"] + np.swapaxes(d["S"], -1, -2))
         sl = np.einsum("cq,cqea,cqia->cei", qw, sym, grads)  # <sym S, grad phi> = <sym S, D phi>
         self._close(assembly.stress_load(s, self._mandel(sym)), self._vec_load(s, sl))
