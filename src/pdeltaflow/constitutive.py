@@ -17,6 +17,7 @@ empirical (reported with extremizing witnesses, never rigorous bounds).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -149,9 +150,13 @@ def eval_stress(model, a):
 
 def sym_stress(model, a, nrm):
     """S(a) of symmetric a, as (d, d) matrices or as Mandel components, with Frobenius norms nrm."""
+    return _stress_factor(model, nrm).reshape(nrm.shape + (1,) * (a.ndim - nrm.ndim)) * a
+
+
+def _stress_factor(model, nrm):
+    """The scalar f with S(A) = f A at Frobenius norms nrm: mu0 + mu (delta + |A|)**(p-2), and mu0 at A = 0."""
     with np.errstate(divide="ignore"):
-        w = np.where(nrm > 0.0, model.mu * (model.delta + nrm) ** (model.p - 2.0), 0.0)
-    return (model.mu0 + w).reshape(nrm.shape + (1,) * (a.ndim - nrm.ndim)) * a
+        return model.mu0 + np.where(nrm > 0.0, model.mu * (model.delta + nrm) ** (model.p - 2.0), 0.0)
 
 
 def shifted_stress(model, g, a):
@@ -163,41 +168,45 @@ def young_int(a, t, p):
     """Closed form of ``int_0^t (a+s)**(p-2) s ds`` for p in (1, 2].
 
     Uses the antiderivative for moderate t/a and a truncated series when
-    t << a, where the antiderivative cancels catastrophically.
+    t << a, where the antiderivative cancels catastrophically.  Each
+    element goes through the one formula of its case; a case that holds
+    for every element is evaluated without gathering.
     """
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a, t = np.broadcast_arrays(a, t)
-    out = np.empty_like(a)
-
-    zero_a = a <= 0.0
-    out[zero_a] = t[zero_a] ** p / p
-
-    pos = ~zero_a
-    ap = a[pos]
-    tp = t[pos]
-    with np.errstate(over="ignore"):
-        x = tp / ap
+    a, t = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = t / a
+    zero = a <= 0.0
     # below x ~ 3e-3 the antiderivative cancels; the 6-term series is then
     # accurate to ~1e-15 relative while the closed form is only ~1e-11
-    small = x < 3e-3
-    vals = np.empty_like(ap)
-
-    ac, tc = ap[~small], tp[~small]
-    vals[~small] = ((ac + tc) ** p - ac**p) / p - ac * ((ac + tc) ** (p - 1.0) - ac ** (p - 1.0)) / (p - 1.0)
-
-    asml, tsml, xs = ap[small], tp[small], x[small]
-    q2, q3, q4, q5 = p - 2.0, p - 3.0, p - 4.0, p - 5.0
-    vals[small] = asml ** (p - 2.0) * tsml**2 * (
-        0.5
-        + q2 * xs / 3.0
-        + q2 * q3 * xs**2 / 8.0
-        + q2 * q3 * q4 * xs**3 / 30.0
-        + q2 * q3 * q4 * q5 * xs**4 / 144.0
-        + q2 * q3 * q4 * q5 * (p - 6.0) * xs**5 / 840.0
-    )
-    out[pos] = vals
+    small = (x < 3e-3) & ~zero
+    out = np.empty(a.shape)
+    for case, formula in ((zero, _young_zero), (small, _young_series), (~(zero | small), _young_closed)):
+        if case.all():
+            out[...] = formula(a, t, x, p)
+        elif case.any():
+            out[case] = formula(a[case], t[case], x[case], p)
     return out if out.ndim else float(out)
+
+
+def _young_zero(a, t, x, p):
+    return t**p / p
+
+
+def _young_series(a, t, x, p):
+    q2, q3, q4, q5 = p - 2.0, p - 3.0, p - 4.0, p - 5.0
+    return a ** (p - 2.0) * t**2 * (
+        0.5
+        + q2 * x / 3.0
+        + q2 * q3 * x**2 / 8.0
+        + q2 * q3 * q4 * x**3 / 30.0
+        + q2 * q3 * q4 * q5 * x**4 / 144.0
+        + q2 * q3 * q4 * q5 * (p - 6.0) * x**5 / 840.0
+    )
+
+
+def _young_closed(a, t, x, p):
+    s = a + t
+    return (s**p - a**p) / p - a * (s ** (p - 1.0) - a ** (p - 1.0)) / (p - 1.0)
 
 
 def young_gap(a, t, p):
@@ -224,38 +233,99 @@ def rho_lower_bound(model, g, b, t, c1=1.0):
     return val if val.ndim else float(val)
 
 
+def _sym_entries(dim):
+    """(i, j) of each independent entry of a symmetric dim-by-dim matrix, in component order.
+
+    The diagonal comes first, then the upper triangle row by row: for
+    d = 2 the components are (x00, x11, x01).
+    """
+    return [(i, i) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+
+
+@lru_cache(maxsize=None)
+def _entry_rows(dim):
+    """(dim, dim) table of the component row that holds each entry (i, j); read-only, built once per dim."""
+    rows = np.empty((dim, dim), dtype=np.intp)
+    for c, (i, j) in enumerate(_sym_entries(dim)):
+        rows[i, j] = rows[j, i] = c
+    rows.flags.writeable = False
+    return rows
+
+
+def _dim_of(c):
+    """Matrix dimension of component rows c: d(d+1)/2 rows, so d**2 <= 2*rows < (d+1)**2."""
+    return int(np.sqrt(2 * len(c)))
+
+
+def _components(m, out):
+    """Write the components of symmetric (..., d, d) matrices m into the rows of out; returns out."""
+    for c, (i, j) in enumerate(_sym_entries(m.shape[-1])):
+        out[c] = m[..., i, j]
+    return out
+
+
+def _matrices(c):
+    """The symmetric (..., d, d) matrices of component rows c."""
+    return np.moveaxis(c[_entry_rows(_dim_of(c))], (0, 1), (-2, -1))
+
+
+def _component_norm(c, rows):
+    """Frobenius norms of the matrices of component rows c.
+
+    Each matrix row is summed left to right and then the row sums are
+    added, for d = 2 ``(x00**2 + x01**2) + (x01**2 + x11**2)``: the
+    order, and so every bit, of the einsum in ``frobenius``.
+    """
+    sq = c * c
+    return np.sqrt(reduce(np.add, (reduce(np.add, (sq[k] for k in row)) for row in rows)))
+
+
+def _component_dot(c, e, rows):
+    """A:B of the matrices of component rows c and e.
+
+    The entries are added left to right, row by row, for d = 2 the order
+    (and every bit) of ``np.sum(A * B, axis=(-1, -2))``.
+    """
+    q = c * e
+    return reduce(np.add, (q[k] for k in rows.flat))
+
+
 def _sample_pairs(rng, n_random, dim, decades=(-4.0, 4.0)):
     """Random pairs over magnitude decades plus structured extreme pairs.
 
+    The pairs come as component rows (see ``_sym_entries``): a and b have
+    shape (d(d+1)/2, n), column j holding pair j.  The random pairs are
+    ``random_sym`` draws, each converted to components as it is drawn.
     The structured block adds parallel, antiparallel and orthogonal pairs
     on a log-magnitude grid (and pairs with B = 0 or B ~ A), which pins
     the extremal ratios far more reliably than blind sampling.
     """
+    for name, value in (("samples", n_random), ("dim", dim)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_random < 10_000:
         raise ValueError(f"need at least 1e4 samples, got {n_random}")
     if dim not in (2, 3):
         raise ValueError(f"matrix dimension must be 2 or 3, got {dim}")
     mags = np.logspace(decades[0], decades[1], 17)
-    ta, tb = np.meshgrid(mags, mags, indexing="ij")
-    ta = ta.ravel()[:, None, None]
-    tb = tb.ravel()[:, None, None]
-    # filled in place, row by row; at most three legs of ta x tb and two lines per structured direction
-    a = np.empty((n_random + 3 * (3 * ta.shape[0] + 2 * mags.size), dim, dim))
+    ta, tb = (t.ravel() for t in np.meshgrid(mags, mags, indexing="ij"))
+    # filled in place, column by column; at most three legs of ta x tb and two lines per structured direction
+    a = np.empty((dim * (dim + 1) // 2, n_random + 3 * (3 * ta.size + 2 * mags.size)))
     b = np.empty_like(a)
-    a[:n_random] = random_sym(rng, n_random, dim)
-    b[:n_random] = random_sym(rng, n_random, dim)
-    a[:n_random] *= (10.0 ** rng.uniform(*decades, n_random))[:, None, None]
-    b[:n_random] *= (10.0 ** rng.uniform(*decades, n_random))[:, None, None]
-    rows = n_random
+    for x in (a, b):
+        _components(random_sym(rng, n_random, dim), x[:, :n_random])
+    for x in (a, b):
+        scale = rng.uniform(*decades, n_random)
+        x[:, :n_random] *= np.power(10.0, scale, out=scale)
+    cols = n_random
 
     def put(pa, pb):
-        nonlocal rows
-        a[rows:rows + len(pa)] = pa
-        b[rows:rows + len(pa)] = pb
-        rows += len(pa)
+        nonlocal cols
+        a[:, cols:cols + pa.shape[1]] = pa
+        b[:, cols:cols + pa.shape[1]] = pb
+        cols += pa.shape[1]
 
-    u = random_sym(rng, 3, dim)
-    for ui in u:
+    for ui in random_sym(rng, 3, dim):
         v = random_sym(rng, 1, dim)[0]
         v = v - np.sum(v * ui) * ui
         vn = frobenius(v)
@@ -263,15 +333,16 @@ def _sample_pairs(rng, n_random, dim, decades=(-4.0, 4.0)):
             v = None
         else:
             v = v / vn
-        dirs = [ui, -ui] + ([v] if v is not None else [])
-        for w in dirs:
-            put(ta * ui, tb * w)
+        dirs = np.array([ui, -ui] + ([v] if v is not None else []))
+        c = _components(dirs, np.empty((len(a), len(dirs))))  # column 0 is ui
+        for j in range(len(dirs)):
+            put(c[:, :1] * ta, c[:, j:j + 1] * tb)
         # pairs against zero and near-coincident pairs
-        line = mags[:, None, None] * ui
+        line = c[:, :1] * mags
         put(line, 0.0)
         put(line, line * (1.0 + 1e-4))
 
-    return a[:rows], b[:rows]
+    return a[:, :cols], b[:, :cols]
 
 
 # pairs per evaluation chunk: bounds the temporaries of _growth_ratios
@@ -279,44 +350,53 @@ _CHUNK = 8192
 
 
 def _chunk_ratios(model, a, b):
-    """Pointwise ratios of the three growth inequalities for the non-coincident pairs (a, b).
+    """Pointwise ratios of the three growth inequalities for the pairs (a, b) of component rows.
 
-    The sampled pairs are exactly symmetric, so their stresses are formed
-    without symmetrizing again, and each Frobenius norm is taken once.
-    ``idx`` holds the positions of those pairs in (a, b).
+    ``keep`` marks the pairs that do not coincide; the ratios of the
+    others are not meaningful.  The sampled pairs are exactly symmetric,
+    so their stresses are formed without symmetrizing again, and each
+    Frobenius norm is taken once.
     """
+    rows = _entry_rows(_dim_of(a))
     diff = a - b
-    dd, na, nb = frobenius(diff), frobenius(a), frobenius(b)
-    keep = np.flatnonzero(dd > 1e-12 * (na + nb + 1.0))
-    a, b, diff, dd, na, nb = a[keep], b[keep], diff[keep], dd[keep], na[keep], nb[keep]
+    dd, na, nb = (_component_norm(x, rows) for x in (diff, a, b))
+    keep = dd > 1e-12 * (na + nb + 1.0)
 
-    ds = sym_stress(model, a, na) - sym_stress(model, b, nb)
-    ds_norm = frobenius(ds)
-    mono = np.sum(ds * diff, axis=(-1, -2))
+    ds = _stress_factor(model, na) * a - _stress_factor(model, nb) * b
+    ds_norm = _component_norm(ds, rows)
+    mono = _component_dot(ds, diff, rows)
     base = model.delta + nb
-    w = (base + dd) ** (model.p - 2.0)
-    r1 = mono / (w * dd**2)
-    r2 = ds_norm / (w * dd)
-    r3 = mono / young_int(base, dd, model.p)
-    return {"idx": keep, "mono": mono, "ds_norm": ds_norm, "dd": dd, "r1": r1, "r2": r2, "r3": r3}
+    with np.errstate(divide="ignore", invalid="ignore"):  # only at coincident pairs
+        w = (base + dd) ** (model.p - 2.0)
+        r1 = mono / (w * dd**2)
+        r2 = ds_norm / (w * dd)
+        r3 = mono / young_int(base, dd, model.p)
+    return {"keep": keep, "mono": mono, "ds_norm": ds_norm, "dd": dd, "r1": r1, "r2": r2, "r3": r3}
 
 
 def _growth_ratios(model, a, b):
-    """Pointwise ratios of the three growth inequalities for pairs (a, b).
+    """Pointwise ratios of the three growth inequalities for the non-coincident pairs (a, b).
 
-    The pairs are evaluated in chunks of _CHUNK, so the per-pair matrix
-    temporaries stay small; the ratios are those of one evaluation of all
-    pairs, in sample order, and ``idx`` gives each ratio's pair in (a, b).
+    The pairs (component rows) are evaluated in chunks of _CHUNK, so the
+    per-pair temporaries stay small, and each chunk's non-coincident
+    pairs are written on into arrays sized for the whole sample.  The
+    ratios are in sample order, and ``idx`` gives each ratio's pair, a
+    column of (a, b).
     """
-    parts = []
-    for start in range(0, len(a), _CHUNK):
-        part = _chunk_ratios(model, a[start:start + _CHUNK], b[start:start + _CHUNK])
-        part["idx"] += start
-        parts.append(part)
-    r = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
-    if r["dd"].size == 0:
+    n = a.shape[1]
+    out, kept = {}, 0
+    for start in range(0, n, _CHUNK):
+        part = _chunk_ratios(model, a[:, start:start + _CHUNK], b[:, start:start + _CHUNK])
+        keep = part.pop("keep")
+        part["idx"] = np.arange(start, start + keep.size)
+        if not keep.all():
+            part = {key: val[keep] for key, val in part.items()}
+        for key, val in part.items():
+            out.setdefault(key, np.empty(n, val.dtype))[kept:kept + val.size] = val
+        kept += part["idx"].size
+    if kept == 0:
         raise DegenerateSampleError("all sampled pairs coincide")
-    return r
+    return {key: val[:kept] for key, val in out.items()}
 
 
 def _sampled_ratios(model, samples, seed, dim):
@@ -330,7 +410,7 @@ def _characteristics_of(a, b, r, seed, dim):
     i1 = int(np.argmin(r["r1"]))
     i2 = int(np.argmax(r["r2"]))
     i3 = int(np.argmin(r["r3"]))
-    pair = lambda i: (a[r["idx"][i]], b[r["idx"][i]])
+    pair = lambda i: (_matrices(a[:, r["idx"][i]]), _matrices(b[:, r["idx"][i]]))
     return Characteristics(
         C1=float(r["r1"][i1]),
         C2=float(r["r2"][i2]),

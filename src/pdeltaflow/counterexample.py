@@ -191,6 +191,14 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=BISECT_RTOL):
     The bisection reads the q-norm off the cached endpoint strain products,
     and the returned q-norm is the one it read at the final parameter; the
     returned field is evaluated directly there.
+
+    The q-norm along the path need not be monotone, and the target can be
+    met at more than one parameter: the result is the crossing the
+    bisection reaches first.  At n = 32 on the default family the q-part
+    of the level norm binds for every theta in [0.5, 1], where the q-norm
+    is R n^(2/(2q-1)) = 4 = y_32; the bisection stops at its first
+    midpoint, theta = 0.5 (P_32 = -1.0163), although theta = 1 meets the
+    target as well (P_32 = -1.5016).
     """
     lo_c, hi_c = family.members[0], family.members[-1]
     y_lo = _sphere_y(family, 0.0, n, R)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -283,7 +285,7 @@ def test_degenerate_sample_error():
     from pdeltaflow.constitutive import _growth_ratios
 
     m = PDeltaModel(p=1.5)
-    a = np.ones((5, 2, 2))
+    a = np.ones((3, 5))  # five 2x2 pairs as component rows
     with pytest.raises(DegenerateSampleError):
         _growth_ratios(m, a, a.copy())
 
@@ -299,6 +301,19 @@ def test_s_bdd_counting_measure():
     lhs = np.mean(frobenius(sv) ** pprime) ** (1.0 / pprime)
     rhs = ch.C2 * np.mean((frobenius(dw) + m.delta) ** m.p) ** ((m.p - 1.0) / m.p)
     assert lhs <= rhs * (1 + 1e-12)
+
+
+def _full_matrices(*components):
+    """The (n, d, d) matrices of pairs held as component rows: the diagonal, then the upper triangle row by row."""
+    out = []
+    for c in components:
+        dim = {3: 2, 6: 3}[len(c)]
+        entries = [(i, i) for i in range(dim)] + list(zip(*np.triu_indices(dim, 1)))
+        m = np.empty((c.shape[1], dim, dim))
+        for row, (i, j) in zip(c, entries):
+            m[:, i, j] = m[:, j, i] = row
+        out.append(m)
+    return out
 
 
 def _reference_ratios(model, a, b):
@@ -326,13 +341,108 @@ def _reference_ratios(model, a, b):
 def test_chunk_ratios_match_eval_stress_bitwise(p, delta):
     model = PDeltaModel(p=p, delta=delta, mu0=0.3)
     a, b = constitutive._sample_pairs(np.random.default_rng(21), 10_000, 2)
-    got, want = constitutive._chunk_ratios(model, a, b), _reference_ratios(model, a, b)
+    got = constitutive._chunk_ratios(model, a, b)
+    keep = got.pop("keep")
+    got = {"idx": np.flatnonzero(keep)} | {key: val[keep] for key, val in got.items()}
+    want = _reference_ratios(model, *_full_matrices(a, b))
     assert got.keys() == want.keys()
     for key in want:
         assert np.array_equal(got[key], want[key]), key
+
+
+def test_sample_pairs_are_component_rows():
+    a, b = constitutive._sample_pairs(np.random.default_rng(4), 10_000, 3)
+    assert a.shape == b.shape == (6, 10_000 + 3 * (3 * 289 + 2 * 17))
+    for c, full in zip((a, b), _full_matrices(a, b)):
+        assert np.array_equal(constitutive._matrices(c), full)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("model", [PDeltaModel(p=1.2), PDeltaModel(p=1.3, mu0=0.5), PDeltaModel(p=1.6, delta=0.05, mu0=0.2)])
+def test_dim3_characteristics_match_full_matrix_oracle(model, seed):
+    # numpy's einsum sums a 3x3 with fused multiply-adds, which the component sums do not
+    # reproduce, so dim 3 agrees to roundoff, not bitwise.  A pair's stress difference cancels by
+    # (|A| + |B|) / |A - B| (2e4 for the pairs B = A (1 + 1e-4)), so the bound is 1e-14 relative
+    # times that factor of the extremizing pair.
+    ch = estimate_characteristics(model, 20_000, seed=seed, dim=3)
+    a, b = _full_matrices(*constitutive._sample_pairs(np.random.default_rng(seed), 20_000, 3))
+    want = _reference_ratios(model, a, b)
+    assert ch.samples == want["r1"].size
+    for got, key, pick in ((ch.C1, "r1", np.argmin), (ch.C2, "r2", np.argmax), (ch.C3, "r3", np.argmin)):
+        i = pick(want[key])
+        j = want["idx"][i]
+        cond = (frobenius(a[j]) + frobenius(b[j])) / want["dd"][i]
+        assert abs(got - want[key][i]) <= 1e-14 * cond * abs(want[key][i]), key
+    assert [m.shape for m in ch.witness_C1] == [(3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 1e5}, {"samples": 20000.5}, {"samples": True}, {"dim": 2.0}])
+def test_non_integer_sample_arguments_are_rejected(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        estimate_characteristics(PDeltaModel(p=1.5), **({"samples": 20_000} | kwargs))
 
 
 def test_random_sym_draws_are_symmetrized_gaussians():
     want = symmetrize(np.random.default_rng(3).standard_normal((500, 3, 3)))
     want = want / frobenius(want)[:, None, None]
     assert np.array_equal(random_sym(np.random.default_rng(3), 500, 3), want)
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+def test_default_characteristics_pinned_bitwise():
+    # the certified pipeline's tensor (p = 1.8, delta = 0.01) at the default sample size
+    ch = estimate_characteristics(PDeltaModel(p=1.8, delta=0.01), 100_000, seed=0)
+    assert _hex([ch.C1, ch.C2, ch.C3]) == ["0x1.999cc587c930dp-1", "0x1.42a596ff2b2dfp+0", "0x1.999c12998dcedp+0"]
+    assert ch.samples == 102652
+    w13 = (
+        ["-0x1.b76a62743fb1bp+12", "0x1.e4b5636234b93p+11", "0x1.e4b5636234b93p+11", "0x1.1af6660a5e251p+12"],
+        ["-0x1.b775a2353bb4fp+12", "0x1.e4c1cbf834c7ap+11", "0x1.e4c1cbf834c7ap+11", "0x1.1afda476a8236p+12"],
+    )
+    w2 = (
+        ["0x1.dd22e842fd978p+2", "-0x1.26b6c40cc8350p+3", "-0x1.26b6c40cc8350p+3", "0x1.545d2849a7a8cp+4"],
+        ["-0x1.267b574b87db8p+4", "0x1.6340c0f27466cp+4", "0x1.6340c0f27466cp+4", "-0x1.4638b3bab1908p+5"],
+    )
+    for got, want in ((ch.witness_C1, w13), (ch.witness_C2, w2), (ch.witness_C3, w13)):
+        assert [m.shape for m in got] == [(2, 2), (2, 2)]
+        assert (_hex(got[0]), _hex(got[1])) == want
+
+
+def test_sweep_report_pinned_bitwise():
+    rep = inequality_sweep(PDeltaModel(p=1.3, mu0=0.5), samples=20_000, seed=0)
+    floats = {k: float.hex(v) for k, v in rep.items() if isinstance(v, float)}
+    assert floats == {
+        "p": "0x1.4cccccccccccdp+0",
+        "delta": "0x0.0p+0",
+        "mu0": "0x1.0000000000000p-1",
+        "mu": "0x1.0000000000000p+0",
+        "C1": "0x1.340b389f2994ap-2",
+        "C2": "0x1.556d9b8759a34p+9",
+        "C3": "0x1.340961a78c016p-1",
+        "min_monotonicity_ratio": "0x1.b4baf90de744fp-1",
+        "tolerance": "0x1.b7cdfd9d7bdbbp-34",
+    }
+    assert {k: v for k, v in rep.items() if not isinstance(v, float)} == {
+        "dim": 2,
+        "pairs_checked": 22652,
+        "violations_monotonicity": 0,
+        "violations_C1": 0,
+        "violations_C2": 0,
+        "violations_C3": 0,
+        "seed": 0,
+    }
+
+
+def test_estimator_memory_peak():
+    # a sampler on full (n, 2, 2) matrices peaks at 18.1 MB; component rows take about 12.6 MB
+    model = PDeltaModel(p=1.8, delta=0.01)
+    tracemalloc.start()
+    try:
+        estimate_characteristics(model, 100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6

@@ -97,6 +97,27 @@ class TestConstructUn:
             construct_u_n(family3, 16.0, 1.0, 100.0)
 
 
+def test_default_n32_record_holds_the_first_crossing_reached():
+    # on the default family the sphere's q-norm equals y_32 = 4 for every theta in [0.5, 1]
+    family = build_family(4, p=1.5, q=3.0, base_n=8, width0=0.32)
+    y_n = find_y_n(32, 2.0, 1.0, 3.0)
+    field, theta, y = construct_u_n(family, 32.0, 1.0, y_n)
+    assert abs(y - y_n) <= counterexample.BISECT_RTOL * y_n
+    assert abs(norm_sym_grad_p(field, 3.0) - y_n) <= counterexample.BISECT_RTOL * y_n
+    assert abs(counterexample._sphere_y(family, 1.0, 32.0, 1.0) - y_n) <= counterexample.BISECT_RTOL * y_n
+    rec = counterexample_scan(family, [32], R=1.0, F1=1.0, G1=1.0, c2=2.0)["records"][0]
+    assert rec.row() == {
+        "n": 32.0,
+        "branch": "step2",
+        "y_n": 4.0,
+        "y_achieved": 4.0,
+        "P_n": float.fromhex("-0x1.042f7be8d614cp+0"),
+        "margin": float.fromhex("0x1.042f7be8d614cp+0"),
+        "member_mix": "theta=0.500000",
+        "sign": "negative",
+    }
+
+
 class TestEvaluatePn:
     def test_zero_field(self, family3):
         z = family3.space.zero_velocity()
