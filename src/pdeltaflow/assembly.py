@@ -5,10 +5,11 @@ returns scipy sparse matrices / dense load vectors.  Velocity dofs use the
 block layout [all x-dofs, all y-dofs].  The mesh has two triangle shapes,
 so local matrices are GEMMs of per-cell quadrature weights against the
 shape's integrand table, and loads are GEMMs of the point values against
-the shape's basis table.  Symmetric gradients are Mandel components against
-the space's ``sym_table``: a load on them is one GEMM against it, and a
-stiffness on them, the Newton tangent's included, is one symmetric 3x3
-modulus per point (``modulus_stiffness``).  The CSR pattern of each matrix
+the shape's basis table.  Gradients are orthonormal components, grad phi
+in ``mandel_skew_table`` and D phi (Mandel) in its first three, ``sym_table``;
+all integrand tables come from these.  A load on components is one GEMM, and a
+stiffness on Du, the Newton tangent's included, is one symmetric 3x3 modulus
+per point (``modulus_stiffness``).  The CSR pattern of each matrix
 and the map from local entries to its data are cached on the space, so
 re-assembly with new coefficients (the Newton loop) only recomputes values.
 The Dirichlet and saddle-point solves gather their free-dof block the same
@@ -24,8 +25,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-from .constitutive import symmetrize
 
 __all__ = [
     "sym_grad_stiffness",
@@ -75,22 +74,23 @@ def _table(space, name):
     key = ("table", name)
     if key not in space._cache:
         nq = space.nq
-        g = space.grad_table.reshape(2, 12, nq, 2, 2)
+        sym = space.sym_table.reshape(2, 12, nq, 3)
         v = space.value_table.reshape(12, nq, 2)
         if name == "transport":
+            dphi = sym[..., [[0, 2], [2, 1]]] / np.array([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]])  # D phi_r as a matrix
             # -(phi_s x b) : D phi_r = -sum_j b_j phi_s . (D phi_r)_{:, j};  -g1 phi_s . phi_r
-            conv = -np.einsum("sqi,krqij->kqjrs", v, symmetrize(g))
+            conv = -np.einsum("sqi,krqij->kqjrs", v, dphi)
             mass = np.broadcast_to(-np.einsum("sqi,rqi->qrs", v, v)[:, None], (2, nq, 1, 12, 12))
             table = np.concatenate([conv, mass], axis=2).reshape(2, 3 * nq, 144)
         elif name == "modulus":
-            comp = space.sym_table.reshape(2, 12, nq, 3)
-            table = np.einsum("q,krqa,ksqb->kqabrs", space.cell_qw, comp, comp).reshape(2, 9 * nq, 144)
+            table = np.einsum("q,krqa,ksqb->kqabrs", space.cell_qw, sym, sym).reshape(2, 9 * nq, 144)
         elif name == "isotropic":
             table = np.ascontiguousarray(_table(space, "modulus").reshape(2, nq, 9, 144)[:, :, ::4].sum(axis=2))
         elif name == "div":
-            table = np.einsum("qa,ksqii->kqas", space.p1_vals, g).reshape(2, nq, 36)
+            table = np.einsum("qa,ksq->kqas", space.p1_vals, sym[..., 0] + sym[..., 1]).reshape(2, nq, 36)
         else:
-            table = np.einsum("krqij,ksqij->kqrs", g, g).reshape(2, nq, 144)
+            g = space.mandel_skew_table.reshape(2, 12, nq, 4)
+            table = np.einsum("krqa,ksqa->kqrs", g, g).reshape(2, nq, 144)
         space._cache[key] = table
     return space._cache[key]
 
@@ -152,15 +152,8 @@ def velocity_load(space, f_vals):
 
 
 def stress_load(space, s_vals):
-    """<S, grad phi> for S (C, Q, 2, 2); <S, D phi> for the Mandel components S (C, Q, 3) of a symmetric S.
-
-    S (C, Q, 4) is read against ``space.mandel_skew_table``: the Mandel
-    components of its symmetric part, then its skew component.
-    """
-    if s_vals.ndim == 4:
-        basis = space.grad_table
-    else:
-        basis = space.sym_table if s_vals.shape[-1] == 3 else space.mandel_skew_table
+    """<S, D phi> for the Mandel components S (C, Q, 3) of a symmetric S; <S, grad phi> for S's gradient components (C, Q, 4)."""
+    basis = space.sym_table if s_vals.shape[-1] == 3 else space.mandel_skew_table
     table = basis * np.repeat(space.cell_qw, basis.shape[-1] // space.nq)
     loc = space.shape_gemm(s_vals.reshape(space.n_cells, -1), table.transpose(0, 2, 1))
     return np.bincount(space.cell_vel.ravel(), weights=loc.ravel(), minlength=space.n_vel)

@@ -2,8 +2,8 @@
 counterexample runs and lemma sweeps, driven by one JSON config file.
 
 Exit codes: 0 success / condition holds, 2 condition fails, 3 numerical
-failure, 4 invalid config.  Reports are JSON and CSV without timestamps,
-so identical config and seed reproduce byte-identical outputs.
+failure or failed allocation, 4 invalid config.  Reports are JSON and CSV
+without timestamps, so identical config and seed reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -516,8 +516,8 @@ def main(argv=None):
                 return cmd_counterexample(cfg, out)
             if args.command == "verify-lemmas":
                 return cmd_verify_lemmas(cfg, out)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:  # ArithmeticError: float overflow, FloatingPointError
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:  # float overflow, FloatingPointError, a huge array
+        print(f"run failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

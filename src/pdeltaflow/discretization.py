@@ -6,7 +6,9 @@ continuous piecewise-linear scalars for the pressure.  The quadrature's
 polynomial exactness degree is chosen at build time (default 8): degrees
 7 and 8 use a fully symmetric 16-point rule (Dunavant 1985), every other
 degree a collapsed (Duffy) Gauss product rule.  All norm and form
-evaluations reduce to weighted sums over cell quadrature points.
+evaluations reduce to weighted sums over cell quadrature points, where a
+velocity gradient has one format: its orthonormal components, those of Du
+(Mandel, ``sym_gradients``) and then the skew one (``velocity_gradients``).
 
 Besides the space itself, this module provides the exponent-p norms, the
 discrete divergence, and iterative estimation of the Korn and Sobolev
@@ -28,7 +30,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .constitutive import frobenius
 
 __all__ = [
     "RectDomain",
@@ -286,21 +287,18 @@ class DiscreteSpace:
         inv = np.stack([jacs[:, 1, 1], -jacs[:, 0, 1], -jacs[:, 1, 0], jacs[:, 0, 0]], axis=-1) / det
         p2_grads = np.einsum("qma,kab->kqmb", p2_ref_grads, inv.reshape(2, 2, 2))
         # Vector-basis tables over the 12 local velocity dofs [x-dofs, y-dofs]:
-        # value_table[r] is phi_r at every point, as (Q, 2); grad_table[k, r]
-        # is grad phi_r on shape k, as (Q, 2, 2) with [..., i, j] = d phi_i / dx_j;
-        # sym_table[k, r] is D phi_r on shape k as its Mandel components
-        # (D_00, D_11, sqrt(2) D_01), as (Q, 3), in which D:E is a dot product;
-        # mandel_skew_table[k, r] appends the skew component
-        # (d phi_0/dx_1 - d phi_1/dx_0) / sqrt(2), as (Q, 4): an orthonormal
-        # change of the four gradient entries, so |grad u|^2 = |Du|^2 + skew^2.
+        # value_table[r] is phi_r at every point, as (Q, 2); mandel_skew_table[k, r]
+        # is grad phi_r on shape k, as (Q, 4): the Mandel components (D_00, D_11,
+        # sqrt(2) D_01) of D phi_r, then the skew one (d phi_0/dx_1 - d phi_1/dx_0) / sqrt(2),
+        # an orthonormal change of the four entries, so |grad u|^2 = |Du|^2 + skew^2.
+        # sym_table[k, r] is a contiguous copy of the first three components.
         eye = np.eye(2)
         self.value_table = np.einsum("qm,ci->cmqi", self.p2_vals, eye).reshape(12, 2 * nq)
-        g = np.einsum("kqmj,ci->kcmqij", p2_grads, eye)
-        self.grad_table = g.reshape(2, 12, 4 * nq)
-        sym = [g[..., 0, 0], g[..., 1, 1], (g[..., 0, 1] + g[..., 1, 0]) / np.sqrt(2.0)]
-        self.sym_table = np.stack(sym, axis=-1).reshape(2, 12, 3 * nq)
-        skew = (g[..., 0, 1] - g[..., 1, 0]) / np.sqrt(2.0)
-        self.mandel_skew_table = np.stack(sym + [skew], axis=-1).reshape(2, 12, 4 * nq)
+        g = np.einsum("kqmj,ci->kcmqij", p2_grads, eye)  # [..., i, j] = d phi_i / dx_j
+        comps = [g[..., 0, 0], g[..., 1, 1], (g[..., 0, 1] + g[..., 1, 0]) / np.sqrt(2.0)]
+        comps.append((g[..., 0, 1] - g[..., 1, 0]) / np.sqrt(2.0))
+        self.mandel_skew_table = np.stack(comps, axis=-1).reshape(2, 12, 4 * nq)
+        self.sym_table = np.stack(comps[:3], axis=-1).reshape(2, 12, 3 * nq)
 
     @property
     def h(self):
@@ -335,8 +333,8 @@ class DiscreteSpace:
         return (coeffs[self.cell_vel] @ self.value_table).reshape(self.n_cells, self.nq, 2)
 
     def velocity_gradients(self, coeffs):
-        """(C, Q, 2, 2) array of du_i/dx_j at quadrature points."""
-        return self.shape_gemm(coeffs[self.cell_vel], self.grad_table).reshape(self.n_cells, self.nq, 2, 2)
+        """(C, Q, 4) grad u at quadrature points: the Mandel components of Du, then the skew component."""
+        return self.shape_gemm(coeffs[self.cell_vel], self.mandel_skew_table).reshape(self.n_cells, self.nq, 4)
 
     def sym_gradients(self, coeffs):
         """(C, Q, 3) Mandel components (D_00, D_11, sqrt(2) D_01) of Du at quadrature points."""
@@ -484,12 +482,13 @@ def norm_Lp(field, p):
 
 def norm_grad_p(field, p):
     s = field.space
-    return s.lr_norm(p, frobenius(s.velocity_gradients(field.coeffs)))
+    return s.lr_norm(p, mandel_norm(s.velocity_gradients(field.coeffs)))
 
 
 def mandel_norm(d):
-    """Pointwise |D| of Mandel components d (..., 3): the Frobenius norm of the symmetric matrix."""
-    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
+    """Pointwise Frobenius norm of Mandel components d (..., 3), |D|, or of gradient components (..., 4), |grad u|."""
+    sq = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+    return np.sqrt(sq if d.shape[-1] == 3 else sq + d[..., 3] ** 2)
 
 
 def sym_grad_norms(field, exponents):
@@ -524,12 +523,12 @@ def level_norm(field, p, q, n):
 def norm_W1p(field, p):
     s = field.space
     vals = np.linalg.norm(s.velocity_values(field.coeffs), axis=-1)
-    return s.lr_norm(p, vals, frobenius(s.velocity_gradients(field.coeffs)))
+    return s.lr_norm(p, vals, mandel_norm(s.velocity_gradients(field.coeffs)))
 
 
 def divergence_values(space, coeffs):
-    g = space.velocity_gradients(coeffs)
-    return g[..., 0, 0] + g[..., 1, 1]
+    d = space.sym_gradients(coeffs)
+    return d[..., 0] + d[..., 1]
 
 
 def discrete_divergence(field):
@@ -648,10 +647,10 @@ def _bump_velocity(space, center, width, freq=1.0):
 def _korn_objective(space, p):
     """log(||grad u||_p / ||Du||_p) of the zero-boundary field with free dofs xf, with its gradient closure.
 
-    One GEMM against ``mandel_skew_table`` gives the Mandel components of Du
-    and the skew component w of grad u, so |grad u|^2 = |Du|^2 + w^2.  The
-    gradient is <|grad u|^(p-2) grad u, grad phi> / nf - <|Du|^(p-2) Du, D phi> / ns,
-    one load of ((wf - ws) Du, wf w) against the same table, with
+    One gradient evaluation gives the Mandel components of Du and the skew
+    component w of grad u, so |grad u|^2 = |Du|^2 + w^2.  The gradient is
+    <|grad u|^(p-2) grad u, grad phi> / nf - <|Du|^(p-2) Du, D phi> / ns,
+    one gradient load of ((wf - ws) Du, wf w), with
     wf = |grad u|^(p-2) / nf and ws = |Du|^(p-2) / ns taken as the
     evaluation's |.|^p over |.|^2.
     """
@@ -659,7 +658,7 @@ def _korn_objective(space, p):
 
     def objective(xf):
         c = _masked(xf, free, space.n_vel)
-        m = space.shape_gemm(c[space.cell_vel], space.mandel_skew_table).reshape(space.n_cells, space.nq, 4)
+        m = space.velocity_gradients(c)
         s2 = m[..., 0] ** 2 + m[..., 1] ** 2 + m[..., 2] ** 2
         f2 = s2 + m[..., 3] ** 2
         pf, ps = f2 ** (0.5 * p), s2 ** (0.5 * p)
@@ -703,9 +702,8 @@ def _sobolev_objective(space, s, r):
     """log ||u||_r - log ||u||_{1,s} from one value and one gradient evaluation, with its gradient closure."""
 
     def objective(x):
-        v = space.velocity_values(x)
-        g = space.velocity_gradients(x)
-        vals, gn = np.linalg.norm(v, axis=-1), frobenius(g)
+        v, g = space.velocity_values(x), space.velocity_gradients(x)
+        vals, gn = np.linalg.norm(v, axis=-1), mandel_norm(g)
         # Both norms are 1-homogeneous.  When the powers could leave the float
         # range, each norm is taken of the field scaled by its own largest modulus.
         mv, md = vals.max(), max(vals.max(), gn.max())
@@ -717,7 +715,7 @@ def _sobolev_objective(space, s, r):
         def grad():
             wv = _power_weight(vals / mv, r - 2.0) / (nr * mv**2) - _power_weight(vals / md, s - 2.0) / (nd * md**2)
             wg = _power_weight(gn / md, s - 2.0) / (nd * md**2)
-            return assembly.velocity_load(space, wv[..., None] * v) - assembly.stress_load(space, wg[..., None, None] * g)
+            return assembly.velocity_load(space, wv[..., None] * v) - assembly.stress_load(space, wg[..., None] * g)
 
         return np.log(mv) - np.log(md) + np.log(nr) / r - np.log(nd) / s, grad
 

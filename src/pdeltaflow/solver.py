@@ -84,6 +84,8 @@ class SolverConfig:
 
     def __post_init__(self):
         self.n_schedule = tuple(self.n_schedule)
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.q, self.picard_tol, *self.n_schedule)):  # True passes as 1
+            raise ValueError("q, picard_tol and the n_schedule entries must be numbers, not true or false")
         if not self.q >= 2:  # the frozen penalty weight |Du|^(q-2) must stay finite
             raise ValueError("q must be at least 2")
         if self.picard_tol <= 0:
@@ -105,6 +107,8 @@ def default_config(s, levels=7, **kw):
     Any other SolverConfig field, or q and n_schedule themselves, may be
     given in ``kw``.
     """
+    if isinstance(levels, (bool, np.bool_)):
+        raise ValueError(f"levels must be an integer, not true or false, got {levels!r}")
     kw.setdefault("q", max(2.0, s) + 1.0)
     kw.setdefault("n_schedule", tuple(10 * 4**k for k in range(levels)))
     return SolverConfig(**kw)
@@ -500,8 +504,9 @@ def convective_identity_diagnostics(inst, u):
     All four vanish in the continuum for divergence-free zero-boundary u;
     their decay under refinement is the consistency check for the skew
     structure of the convective form.  ``u`` is a velocity Field, or a
-    pair of quadrature-point arrays (values (C,Q,2), gradients (C,Q,2,2))
-    when evaluating an analytic field directly.
+    pair of quadrature-point arrays (values (C,Q,2), gradients (C,Q,4) as
+    ``velocity_gradients`` gives them) when evaluating an analytic field
+    directly.
     """
     space = inst.space
     if isinstance(u, Field):
@@ -510,8 +515,10 @@ def convective_identity_diagnostics(inst, u):
         uv, gu = u
     gv, g1 = inst.g_vals, inst.g1_vals
 
-    def form(a, m, b):  # <a, m b>; a . (Du a) = a . (grad u a), so Du is not formed
-        return space.integrate(np.einsum("...i,...ij,...j->...", a, m, b))
+    def form(a, m, b):  # <a, grad u b> on the gradient components m
+        a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+        off = ((a0 * b1 + a1 * b0) * m[..., 2] + (a0 * b1 - a1 * b0) * m[..., 3]) / np.sqrt(2.0)
+        return space.integrate(a0 * b0 * m[..., 0] + a1 * b1 * m[..., 1] + off)
 
     def mass(a, b):  # <g1 a, b>
         return space.integrate(g1 * np.sum(a * b, axis=-1))

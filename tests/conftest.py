@@ -32,6 +32,25 @@ def space32(unit_domain):
     return build_space(unit_domain, 32, 32)
 
 
+def mandel(m):
+    """(D_00, D_11, sqrt(2) D_01) of the symmetric parts D of the 2x2 matrices m."""
+    return np.stack([m[..., 0, 0], m[..., 1, 1], (m[..., 0, 1] + m[..., 1, 0]) / np.sqrt(2.0)], axis=-1)
+
+
+def mandel_skew(m):
+    """Gradient components of the 2x2 matrices m: ``mandel(m)``, then (m_01 - m_10) / sqrt(2)."""
+    skew = (m[..., 0, 1] - m[..., 1, 0]) / np.sqrt(2.0)
+    return np.concatenate([mandel(m), skew[..., None]], axis=-1)
+
+
+def gradient_matrices(c):
+    """The 2x2 matrices [..., i, j] = du_i/dx_j of gradient components c (..., 4); inverts ``mandel_skew``."""
+    off = c[..., 2] / np.sqrt(2.0), c[..., 3] / np.sqrt(2.0)
+    return np.stack(
+        [np.stack([c[..., 0], off[0] + off[1]], axis=-1), np.stack([off[0] - off[1], c[..., 1]], axis=-1)], axis=-2
+    )
+
+
 def tangential_g2(amp):
     """Tangential boundary velocity on the unit square (zero normal flux)."""
     return (

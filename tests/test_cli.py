@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdeltaflow import cli
 from pdeltaflow.cli import (
     EXIT_CONDITION_FAILED,
     EXIT_INVALID_CONFIG,
@@ -78,6 +79,11 @@ class TestRunConfig:
         {"model": {"delta": float("nan")}},
         {"counterexample": {"R": float("inf")}},
         {"solver": {"picard_tol": float("inf")}},
+        {"solver": {"picard_tol": True}},
+        {"solver": {"q": True}},
+        {"solver": {"levels": True}},
+        {"solver": {"n_schedule": [True]}},
+        {"solver": {"n_schedule": [10, 40, True]}},
         {"counterexample": {"R": -1}},
         {"characteristics": {"dim": 0}},
         {"counterexample": {"levels": 2}},
@@ -260,6 +266,17 @@ class TestExitCodes:
         cfg = {"out": str(tmp_path / "t"), "counterexample": {"levels": 3, "base_n": 2, "width0": 2.0}}
         path = _write_cfg(tmp_path, "c.json", cfg)
         assert main(["counterexample", "--config", path]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("reason", ["Unable to allocate 21.8 TiB", ""])
+    def test_allocation_failure_is_numerical(self, tmp_path, monkeypatch, capsys, reason):
+        # a stage that cannot allocate its arrays ends on exit 3, not on a traceback
+        def fail(*args, **kw):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr(cli, "_check_tensor", fail)
+        path = _write_cfg(tmp_path, "c.json", dict(QUICK, out=str(tmp_path / "t")))
+        assert main(["check-tensor", "--config", path]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"run failed: {reason or 'MemoryError'}\n"
 
     def test_counterexample_overflow_is_numerical(self, tmp_path):
         # R^(q-1) in the step-1 threshold overflows a Python float: OverflowError

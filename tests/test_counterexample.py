@@ -18,6 +18,8 @@ from pdeltaflow.counterexample import (
 )
 from pdeltaflow.discretization import DiscreteSpace, norm_sym_grad_p
 
+from conftest import gradient_matrices
+
 
 @pytest.fixture(scope="module")
 def family3():
@@ -175,7 +177,7 @@ def _mix(family, theta):
 
 def _direct_norm(space, coeffs, r):
     """||Du||_r from a fresh gradient evaluation, written out in full."""
-    mag = frobenius(symmetrize(space.velocity_gradients(coeffs)))
+    mag = frobenius(symmetrize(gradient_matrices(space.velocity_gradients(coeffs))))
     return float(np.sum(space.qw * mag**r)) ** (1.0 / r)
 
 
@@ -186,7 +188,8 @@ class TestCachedBisection:
         dropped = np.ones(family3.space.qw.size, dtype=bool)
         dropped[keep] = False
         for theta in (0.0, 0.3, 0.5, 1.0):
-            direct = (frobenius(symmetrize(family3.space.velocity_gradients(_mix(family3, theta)))) ** 2).ravel()
+            g = gradient_matrices(family3.space.velocity_gradients(_mix(family3, theta)))
+            direct = (frobenius(symmetrize(g)) ** 2).ravel()
             cached = counterexample._strain_sq(gram, theta)
             assert np.abs(cached - direct[keep]).max() <= 1e-13 * direct.max()
             assert np.all(direct[dropped] == 0.0)

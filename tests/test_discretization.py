@@ -29,7 +29,7 @@ from pdeltaflow.discretization import (
     save_field,
 )
 
-from conftest import asymmetric_divfree
+from conftest import asymmetric_divfree, gradient_matrices, mandel, mandel_skew
 
 
 class TestBuildSpace:
@@ -687,31 +687,19 @@ class TestTwoShapeEvaluation:
         c = d["x"].reshape(2, s.n_p2)[:, s.cell_p2]  # (2, C, 6)
         self._close(s.velocity_values(d["x"]), np.einsum("qm,icm->cqi", s.p2_vals, c))
         g = np.einsum("cqma,icm->cqia", grads, c)
-        self._close(s.velocity_gradients(d["x"]), g)
-        self._close(s.sym_gradients(d["x"]), self._mandel(g))
-        ms = s.shape_gemm(d["x"][s.cell_vel], s.mandel_skew_table).reshape(s.n_cells, s.nq, 4)
-        self._close(ms, self._mandel_skew(g))
+        ms = s.velocity_gradients(d["x"])
+        self._close(ms, mandel_skew(g))
+        self._close(gradient_matrices(ms), g)
+        self._close(s.sym_gradients(d["x"]), mandel(g))
         self._close(np.einsum("cqa,cqa->cq", ms, ms), np.einsum("cqij,cqij->cq", g, g))
-
-    @staticmethod
-    def _mandel(m):
-        """(D_00, D_11, sqrt(2) D_01) of the symmetric parts D of the matrices m."""
-        return np.stack([m[..., 0, 0], m[..., 1, 1], (m[..., 0, 1] + m[..., 1, 0]) / np.sqrt(2.0)], axis=-1)
-
-    @classmethod
-    def _mandel_skew(cls, m):
-        """The Mandel components of the symmetric parts of m, then (m_01 - m_10) / sqrt(2)."""
-        skew = (m[..., 0, 1] - m[..., 1, 0]) / np.sqrt(2.0)
-        return np.concatenate([cls._mandel(m), skew[..., None]], axis=-1)
 
     def test_loads(self, case):
         s, grads, qw, d = case
         sl = np.einsum("cq,cqea,cqia->cei", qw, d["S"], grads)
-        self._close(assembly.stress_load(s, d["S"]), self._vec_load(s, sl))
-        self._close(assembly.stress_load(s, self._mandel_skew(d["S"])), self._vec_load(s, sl))
+        self._close(assembly.stress_load(s, mandel_skew(d["S"])), self._vec_load(s, sl))
         sym = 0.5 * (d["S"] + np.swapaxes(d["S"], -1, -2))
         sl = np.einsum("cq,cqea,cqia->cei", qw, sym, grads)  # <sym S, grad phi> = <sym S, D phi>
-        self._close(assembly.stress_load(s, self._mandel(sym)), self._vec_load(s, sl))
+        self._close(assembly.stress_load(s, mandel(sym)), self._vec_load(s, sl))
         vl = np.einsum("cq,cqe,qi->cei", qw, d["b"], s.p2_vals)
         self._close(assembly.velocity_load(s, d["b"]), self._vec_load(s, vl))
 

@@ -31,7 +31,7 @@ from pdeltaflow.solver import (
     solve_regularized,
 )
 
-from conftest import asymmetric_divfree, manufactured_case, tangential_g2
+from conftest import asymmetric_divfree, mandel_skew, manufactured_case, tangential_g2
 
 
 @pytest.fixture(scope="module")
@@ -618,36 +618,40 @@ class TestContinuation:
         pi, _ = recover_pressure(inst, res.u, cfg=cfg, n=res.records[-1].n)
         assert np.abs(res.pi.coeffs - pi.coeffs).max() <= 1e-8 * np.abs(pi.coeffs).max()
 
-    def test_no_symmetrize_on_a_warm_space(self, pipeline8, monkeypatch):
-        """Du reaches the solver, the Korn ascent and the counterexample scan as Mandel components only."""
+    def test_no_gradient_matrices_from_a_cold_space(self, pipeline8, monkeypatch):
+        """Gradients reach every stage as components only, from the space's build on.
+
+        No ``symmetrize`` or ``frobenius`` call is made by the build, the
+        lift, the embedding estimates, the continuation, the convective
+        diagnostics or the counterexample scan, with every table built inside.
+        """
         from pdeltaflow import constitutive
         from pdeltaflow.counterexample import build_family, counterexample_scan
-        from pdeltaflow.discretization import estimate_korn
+        from pdeltaflow.discretization import estimate_embedding_constants
 
-        m, lf, space = pipeline8["model"], pipeline8["lift"], pipeline8["space"]
-        g1c, g2c, g3c = compute_constants(pipeline8["chars"], pipeline8["emb"], lf, 0.0, m.p, pipeline8["s"], m.delta)
-        rep = check_smallness(g1c, g2c, g3c, m.p, s=pipeline8["s"])
-        family = build_family(3, base_n=4)
-
-        def run():
-            inst = make_instance(m, space, lift_field=lf, report=rep)
-            assert continuation_solve(inst, default_config(pipeline8["s"])).converged
-            estimate_korn(space, m.p)
-            assert counterexample_scan(family, [2, 4, 8, 12])["N0"] is not None
-
+        m, s = pipeline8["model"], pipeline8["s"]
+        g1c, g2c, g3c = compute_constants(pipeline8["chars"], pipeline8["emb"], pipeline8["lift"], 0.0, m.p, s, m.delta)
+        rep = check_smallness(g1c, g2c, g3c, m.p, s=s)
         calls = []
-        symmetrize = constitutive.symmetrize
+        for name in ("symmetrize", "frobenius"):
+            real = getattr(constitutive, name)
 
-        def counted(a):
-            calls.append(1)
-            return symmetrize(a)
+            def counted(a, _real=real, _name=name):
+                calls.append(_name)
+                return _real(a)
 
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("pdeltaflow") and getattr(mod, "symmetrize", None) is symmetrize:
-                monkeypatch.setattr(mod, "symmetrize", counted)
-        run()  # builds the spaces' cached tables
-        calls.clear()
-        run()
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("pdeltaflow") and getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counted)
+
+        space = build_space(RectDomain(), 8, 8)
+        lf = lift(BoundaryData(g1=0.0, g2=tangential_g2(0.01)), space, m.p, s)
+        estimate_embedding_constants(space, m.p, s)
+        inst = make_instance(m, space, lift_field=lf, report=rep)
+        res = continuation_solve(inst, default_config(s))
+        assert res.converged
+        convective_identity_diagnostics(inst, res.u)
+        assert counterexample_scan(build_family(3, base_n=4), [2, 4, 8, 12])["N0"] is not None
         assert calls == []
 
     def test_zero_schedule_zero_data(self, space8):
@@ -726,7 +730,7 @@ class TestConvectiveIdentities:
             ],
             axis=-2,
         )
-        d = convective_identity_diagnostics(inst, (uv, gu))
+        d = convective_identity_diagnostics(inst, (uv, mandel_skew(gu)))
         assert d["regroup_rel"] < 1e-9
 
     def test_regroup_interpolant_defect_small(self, inst8):
