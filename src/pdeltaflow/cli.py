@@ -2,7 +2,8 @@
 counterexample runs and lemma sweeps, driven by one JSON config file.
 
 Exit codes: 0 success / condition holds, 2 condition fails, 3 numerical
-failure or failed allocation, 4 invalid config.  Reports are JSON and CSV
+failure or failed allocation, 4 invalid config (an ``out`` that cannot be
+made a directory and written to included).  Reports are JSON and CSV
 without timestamps, so identical config and seed reproduce byte-identical outputs.
 """
 
@@ -62,9 +63,11 @@ DEFAULT_CONFIG = {
     "embedding": {"iters": ASCENT_ITERS},
     # q and n_schedule are derived from s and levels unless set
     "solver": {
-        "q": None,
-        "levels": inspect.signature(solver.default_config).parameters["levels"].default,
-        "n_schedule": None,
+        **{
+            k: v.default
+            for k, v in inspect.signature(solver.default_config).parameters.items()
+            if v.default is not inspect.Parameter.empty
+        },
         **{
             f.name: f.default
             for f in dataclasses.fields(solver.SolverConfig)
@@ -87,78 +90,102 @@ DEFAULT_CONFIG = {
 }
 
 
-# count-valued keys of the numeric sections; their other keys take any number
-_INT_KEYS = {"nx", "ny", "quad_degree", "samples", "dim", "iters", "levels", "base_n"}
+# the type of each key whose default does not show it, as a prototype value: the
+# null defaults, and n_values, whose integer defaults stand for any positive numbers
+_PROTOTYPES = {
+    "solver.q": 0.0,
+    "solver.n_schedule": [0.0],
+    "certify.sweep_lambdas": [0.0],
+    "counterexample.n_values": [0.0],
+}
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _has_type(val, proto):
+    """Whether val has the JSON type of proto; a float prototype takes any finite number."""
+    if isinstance(proto, list):
+        return isinstance(val, list) and all(_has_type(v, proto[0]) for v in val)
+    if type(proto) is float:
+        # json.load accepts NaN and +-Infinity
+        return type(val) is int or (type(val) is float and math.isfinite(val))
+    return type(val) is type(proto)
+
+
+def _kind(proto):
+    if isinstance(proto, list):
+        return f"a list, each entry {_kind(proto[0])}"
+    return _KINDS[type(proto)]
 
 
 def _merge(defaults, user, path=""):
+    """defaults overlaid with user; each user value must have its default's JSON type."""
     if not isinstance(user, dict):
         raise ConfigError(f"section {path or '<root>'} must be an object")
     out = copy.deepcopy(defaults)
     for key, val in user.items():
+        name = f"{path}.{key}" if path else key
         if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], val, path + key + ".")
-        else:
-            # json.load accepts NaN and +-Infinity
-            if any(isinstance(v, float) and not math.isfinite(v) for v in (val if isinstance(val, list) else [val])):
-                raise ConfigError(f"{path + key} must be finite, got {val!r}")
-            out[key] = copy.deepcopy(val)
+            raise ConfigError(f"unknown config key {name!r}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            out[key] = _merge(default, val, name)
+            continue
+        proto = _PROTOTYPES.get(name, default)
+        if not ((val is None and default is None) or _has_type(val, proto)):
+            raise ConfigError(f"{name} must be {'null or ' if default is None else ''}{_kind(proto)}, got {val!r}")
+        out[key] = copy.deepcopy(val)
     return out
 
 
+def _build(section, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a bad config section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {section} section: {exc}") from exc
+
+
 class RunConfig:
-    """Validated run configuration; round-trips losslessly through JSON."""
+    """Validated run configuration and the run's objects, built once at load.
 
-    def __init__(self, raw=None):
-        self.data = _merge(DEFAULT_CONFIG, raw or {})
-        self._validate()
+    ``data`` is the merged JSON form, which round-trips losslessly.  The
+    objects are ``model`` (PDeltaModel), ``domain`` (RectDomain),
+    ``boundary`` (BoundaryData of the compiled g1 and g2), ``body_force``
+    (the compiled f pair; None for f = ("0", "0")), ``s`` and
+    ``solver_config`` (SolverConfig).  ``overrides`` replace root keys
+    (``seed``, ``out``) of ``raw`` before the load.
+    """
 
-    def _validate(self):
-        if type(self.data["seed"]) is not int or self.data["seed"] < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.data['seed']!r}")
-        if not isinstance(self.data["out"], str):
-            raise ConfigError(f"out must be a path string, got {self.data['out']!r}")
-        if not isinstance(self.data["counterexample"]["n_values"], list):
-            raise ConfigError("counterexample.n_values must be a list of numbers")
-        for section in ("model", "domain", "characteristics", "embedding", "counterexample"):
-            for key, val in self.data[section].items():
-                kind = int if key in _INT_KEYS else (int, float)
-                for v in val if key == "n_values" else [val]:
-                    if isinstance(v, bool) or not isinstance(v, kind):
-                        what = "an integer" if kind is int else "a number"
-                        raise ConfigError(f"{section}.{key} must be {what}, got {v!r}")
-        m = self.data["model"]
-        if not (1.0 < m["p"] <= 2.0):
-            raise ConfigError(f"model.p must lie in (1, 2], got {m['p']}")
-        if m["delta"] < 0 or m["mu0"] < 0 or m["mu"] <= 0:
-            raise ConfigError("model parameters must satisfy delta, mu0 >= 0 and mu > 0")
-        d = self.data["domain"]
-        if d["x1"] <= d["x0"] or d["y1"] <= d["y0"]:
-            raise ConfigError("domain must have positive side lengths")
+    def __init__(self, raw=None, **overrides):
+        self.data = cfg = _merge(_merge(DEFAULT_CONFIG, raw or {}), overrides)
+        if cfg["seed"] < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
+        self.model = _build("model", PDeltaModel, **cfg["model"])
+        d = cfg["domain"]
+        self.domain = _build("domain", RectDomain, d["x0"], d["y0"], d["x1"], d["y1"])
         if d["nx"] < 2 or d["ny"] < 2:
             raise ConfigError("domain.nx and domain.ny must be at least 2")
         if d["quad_degree"] < 2:
             raise ConfigError(f"domain.quad_degree must be at least 2, got {d['quad_degree']}")
+        dd = cfg["data"]
+        for key in ("g2", "f"):
+            if len(dd[key]) != 2:
+                raise ConfigError(f"data.{key} must be a pair of expression strings")
         try:
-            compile_expression(self.data["data"]["g1"])
-            for key in ("g2", "f"):
-                comp = self.data["data"][key]
-                if not (isinstance(comp, list) and len(comp) == 2):
-                    raise ConfigError(f"data.{key} must be a pair of expression strings")
-                for c in comp:
-                    compile_expression(c)
+            g1, *g2, fx, fy = map(compile_expression, [dd["g1"], *dd["g2"], *dd["f"]])
         except ExpressionError as exc:
             raise ConfigError(f"bad data expression: {exc}") from exc
-        ch = self.data["characteristics"]
+        self.boundary = BoundaryData(g1=g1, g2=tuple(g2))
+        self.body_force = None if [c.strip() for c in dd["f"]] == ["0", "0"] else (fx, fy)
+        ch = cfg["characteristics"]
         if ch["samples"] < 10000:
             raise ConfigError("characteristics.samples must be at least 10000")
         if ch["dim"] not in (2, 3):
             raise ConfigError(f"characteristics.dim must be 2 or 3, got {ch['dim']}")
-        if self.data["embedding"]["iters"] < 1:
+        if cfg["embedding"]["iters"] < 1:
             raise ConfigError("embedding.iters must be at least 1")
-        ce = self.data["counterexample"]
+        ce = cfg["counterexample"]
         if ce["q"] <= ce["p"]:
             raise ConfigError("counterexample needs q > p")
         if ce["levels"] < 3 or ce["base_n"] < 2:
@@ -168,13 +195,8 @@ class RunConfig:
             raise ConfigError("counterexample needs width0, R, F1 > 0 and c2 > 1")
         if not ce["n_values"] or min(ce["n_values"]) <= 0:
             raise ConfigError("counterexample.n_values must be a non-empty list of positive numbers")
-        lam = self.data["certify"]["sweep_lambdas"]
-        if lam is not None and not (isinstance(lam, list) and all(type(v) in (int, float) for v in lam)):
-            raise ConfigError("certify.sweep_lambdas must be null or a list of numbers")
-        try:
-            _solver_config(self.data, certifier.compute_s(m["p"], 2))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad solver section: {exc}") from exc
+        self.s = certifier.compute_s(self.model.p, 2)
+        self.solver_config = _build("solver", solver.default_config, self.s, **cfg["solver"])
 
     def serialize(self):
         return json.dumps(self.data, sort_keys=True, indent=2)
@@ -184,9 +206,9 @@ class RunConfig:
         return cls(json.loads(text))
 
     @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls(json.load(fh))
+    def load(cls, path, **overrides):
+        with open(path, encoding="utf-8") as fh:
+            return cls(json.load(fh), **overrides)
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.data == other.data
@@ -209,50 +231,25 @@ def _write_csv(path, fieldnames, rows):
             writer.writerow(row)
 
 
-def _model(cfg):
-    m = cfg["model"]
-    return PDeltaModel(p=m["p"], delta=m["delta"], mu0=m["mu0"], mu=m["mu"])
-
-
 def _space(cfg):
     d = cfg["domain"]
-    dom = RectDomain(d["x0"], d["y0"], d["x1"], d["y1"])
-    return build_space(dom, d["nx"], d["ny"], quad_degree=d["quad_degree"])
-
-
-def _boundary_data(cfg):
-    dd = cfg["data"]
-    g1 = compile_expression(dd["g1"])
-    g2 = (compile_expression(dd["g2"][0]), compile_expression(dd["g2"][1]))
-    return BoundaryData(g1=g1, g2=g2)
-
-
-def _load_f(cfg):
-    fx, fy = cfg["data"]["f"]
-    if fx.strip() == "0" and fy.strip() == "0":
-        return None
-    return (compile_expression(fx), compile_expression(fy))
+    return build_space(cfg.domain, d["nx"], d["ny"], quad_degree=d["quad_degree"])
 
 
 def build_certificate(cfg):
-    """Shared pipeline: characteristics, embedding constants, lift, smallness."""
-    model = _model(cfg)
+    """Shared pipeline: characteristics, embedding constants, lift, smallness.
+
+    ``f`` in the result is the load vector of the body force, None for f = 0.
+    """
+    model, s = cfg.model, cfg.s
     space = _space(cfg)
-    s = certifier.compute_s(model.p, 2)
     chars = estimate_characteristics(
         model, samples=cfg["characteristics"]["samples"], seed=cfg["seed"], dim=cfg["characteristics"]["dim"]
     )
     emb = estimate_embedding_constants(space, model.p, s, iters=cfg["embedding"]["iters"])
-    data = _boundary_data(cfg)
-    lf = lift(data, space, model.p, s)
-    f = _load_f(cfg)
-    if f is None:
-        f_norm = 0.0
-        f_vec = None
-    else:
-        inst_probe = solver.make_instance(model, space, f=f)
-        f_vec = inst_probe.f_vec
-        f_norm = estimate_dual_norm(space, f_vec, model.p).value
+    lf = lift(cfg.boundary, space, model.p, s)
+    f = None if cfg.body_force is None else solver._load_vector(space, cfg.body_force)
+    f_norm = 0.0 if f is None else estimate_dual_norm(space, f, model.p).value
     g1c, g2c, g3c = certifier.compute_constants(chars, emb, lf, f_norm, model.p, s, model.delta)
     provenance = {
         "characteristics": chars.to_json(),
@@ -274,21 +271,12 @@ def build_certificate(cfg):
     }
 
 
-def _solver_config(cfg, s):
-    """solver.default_config with the solver keys the user changed."""
-    defaults = DEFAULT_CONFIG["solver"]
-    # a type change counts: `"penalty": 1` must reach SolverConfig's bool check
-    sc = {k: v for k, v in cfg["solver"].items() if type(v) is not type(defaults[k]) or v != defaults[k]}
-    return solver.default_config(s, **sc)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_check_tensor(cfg, out):
-    model = _model(cfg)
     report, chars = _check_tensor(
-        model, samples=cfg["characteristics"]["samples"], seed=cfg["seed"], dim=cfg["characteristics"]["dim"]
+        cfg.model, samples=cfg["characteristics"]["samples"], seed=cfg["seed"], dim=cfg["characteristics"]["dim"]
     )
     payload = {"inequalities": report, "characteristics": chars.to_json()}
     violations = sum(report[k] for k in report if k.startswith("violations_"))
@@ -298,12 +286,8 @@ def cmd_check_tensor(cfg, out):
 
 
 def cmd_lift(cfg, out):
-    model = _model(cfg)
-    space = _space(cfg)
-    s = certifier.compute_s(model.p, 2)
-    data = _boundary_data(cfg)
     try:
-        lf = lift(data, space, model.p, s)
+        lf = lift(cfg.boundary, _space(cfg), cfg.model.p, cfg.s)
     except LiftingError as exc:
         _write_json(os.path.join(out, "lift_report.json"), {"error": str(exc), "compat_defect": exc.compat_defect})
         return EXIT_NUMERICAL
@@ -347,23 +331,19 @@ def cmd_solve(cfg, out, override=False):
         )
         return EXIT_CONDITION_FAILED
     inst = solver.make_instance(pipe["model"], pipe["space"], lift_field=pipe["lift"], f=pipe["f"], report=report)
-    scfg = _solver_config(cfg, pipe["s"])
+
+    def write_history(records):
+        columns = ["n", "iters", "residual", "penalty_norm", "norm_Du_p", "norm_Du_q"]
+        _write_csv(os.path.join(out, "solve_history.csv"), columns, [r.row() for r in records])
+
     try:
-        result = solver.continuation_solve(inst, scfg, override=override)
+        result = solver.continuation_solve(inst, cfg.solver_config, override=override)
     except solver.SolverError as exc:
         if exc.records:
-            _write_csv(
-                os.path.join(out, "solve_history.csv"),
-                ["n", "iters", "residual", "penalty_norm", "norm_Du_p", "norm_Du_q"],
-                [r.row() for r in exc.records],
-            )
+            write_history(exc.records)
         _write_json(os.path.join(out, "solve_report.json"), {"error": str(exc), "certificate": report.to_json()})
         return EXIT_NUMERICAL
-    _write_csv(
-        os.path.join(out, "solve_history.csv"),
-        ["n", "iters", "residual", "penalty_norm", "norm_Du_p", "norm_Du_q"],
-        [r.row() for r in result.records],
-    )
+    write_history(result.records)
     save_field(os.path.join(out, "velocity_u.txt"), result.u)
     save_field(os.path.join(out, "velocity_v.txt"), result.v)
     save_field(os.path.join(out, "pressure.txt"), result.pi)
@@ -385,11 +365,9 @@ def cmd_solve(cfg, out, override=False):
 
 def cmd_counterexample(cfg, out):
     ce = cfg["counterexample"]
-    d = cfg["domain"]
-    dom = RectDomain(d["x0"], d["y0"], d["x1"], d["y1"])
     try:
         fam = counterexample.build_family(
-            ce["levels"], p=ce["p"], q=ce["q"], base_n=ce["base_n"], width0=ce["width0"], domain=dom
+            ce["levels"], p=ce["p"], q=ce["q"], base_n=ce["base_n"], width0=ce["width0"], domain=cfg.domain
         )
     except counterexample.FamilyError as exc:
         _write_json(os.path.join(out, "counterexample.json"), {"error": str(exc)})
@@ -481,25 +459,23 @@ def main(argv=None):
     parser.add_argument("--override-certification", action="store_true", help="run solve even when uncertified")
     args = parser.parse_args(argv)
 
+    overrides = {key: val for key, val in (("seed", args.seed), ("out", args.out)) if val is not None}
     try:
-        cfg = RunConfig.load(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.data["seed"] = args.seed
-        if args.out is not None:
-            cfg.data["out"] = args.out
-        cfg._validate()
+        cfg = RunConfig.load(args.config, **overrides) if args.config else RunConfig(**overrides)
         # the smallness condition and the weight optimality scan have no p = 2 branch;
         # the other commands take p = 2
-        if args.command in ("certify", "solve", "verify-lemmas") and cfg["model"]["p"] == 2.0:
+        if args.command in ("certify", "solve", "verify-lemmas") and cfg.model.p == 2.0:
             raise ConfigError(f"{args.command} needs model.p in (1, 2), got 2")
-    except (ConfigError, ExpressionError, json.JSONDecodeError, OSError) as exc:
+        out = cfg["out"]
+        try:
+            os.makedirs(out, exist_ok=True)
+            with open(os.path.join(out, "config.json"), "w") as fh:
+                fh.write(cfg.serialize() + "\n")
+        except OSError as exc:
+            raise ConfigError(f"out {out!r} is not a writable directory: {exc}") from exc
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        fh.write(cfg.serialize() + "\n")
 
     try:
         # overflow or 0/0 anywhere in a run ends it on exit 3, not on inf or nan in a report

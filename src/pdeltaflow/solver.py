@@ -32,7 +32,7 @@ import numpy as np
 
 from . import assembly
 from .constitutive import sym_stress
-from .discretization import Field, _over, combine_level_norm, mandel_norm, norm_sym_grad_p, sym_grad_norms
+from .discretization import Field, _as_vec2, _over, combine_level_norm, mandel_norm, norm_sym_grad_p, sym_grad_norms
 
 __all__ = [
     "ProblemInstance",
@@ -84,34 +84,29 @@ class SolverConfig:
 
     def __post_init__(self):
         self.n_schedule = tuple(self.n_schedule)
-        if any(isinstance(v, (bool, np.bool_)) for v in (self.q, self.picard_tol, *self.n_schedule)):  # True passes as 1
-            raise ValueError("q, picard_tol and the n_schedule entries must be numbers, not true or false")
         if not self.q >= 2:  # the frozen penalty weight |Du|^(q-2) must stay finite
             raise ValueError("q must be at least 2")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, (int, np.integer)) or self.picard_max < 1:
-            raise ValueError(f"picard_max must be an integer of at least 1, got {self.picard_max!r}")
+        if self.picard_max < 1:
+            raise ValueError(f"picard_max must be at least 1, got {self.picard_max!r}")
         if not self.n_schedule or min(self.n_schedule) <= 0:
             raise ValueError("n_schedule must be non-empty with positive entries")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise ValueError("n_schedule must be strictly increasing")
-        for key in ("include_convective", "penalty"):
-            if not isinstance(getattr(self, key), (bool, np.bool_)):
-                raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
 
 
-def default_config(s, levels=7, **kw):
-    """q = max{2, s} + 1 and the geometric schedule n = 10 * 4^k, k < levels.
+def default_config(s, levels=7, q=None, n_schedule=None, **kw):
+    """SolverConfig with q = max{2, s} + 1 and the geometric schedule
+    n = 10 * 4^k, k < levels, where q and n_schedule are None.
 
-    Any other SolverConfig field, or q and n_schedule themselves, may be
-    given in ``kw``.
+    Any other SolverConfig field may be given in ``kw``.
     """
-    if isinstance(levels, (bool, np.bool_)):
-        raise ValueError(f"levels must be an integer, not true or false, got {levels!r}")
-    kw.setdefault("q", max(2.0, s) + 1.0)
-    kw.setdefault("n_schedule", tuple(10 * 4**k for k in range(levels)))
-    return SolverConfig(**kw)
+    if q is None:
+        q = max(2.0, s) + 1.0
+    if n_schedule is None:
+        n_schedule = tuple(10 * 4**k for k in range(levels))
+    return SolverConfig(q=q, n_schedule=n_schedule, **kw)
 
 
 @dataclass
@@ -151,16 +146,18 @@ def make_instance(model, space, lift_field=None, f=None, report=None):
     elif isinstance(f, np.ndarray):
         f_vec = f
     else:
-        from .discretization import _as_vec2
-
-        x, y = space.qpts[..., 0], space.qpts[..., 1]
-        fx, fy = _as_vec2(f, x.ravel(), y.ravel())
-        f_vals = np.stack([fx.reshape(x.shape), fy.reshape(x.shape)], axis=-1)
-        f_vec = assembly.velocity_load(space, f_vals)
+        f_vec = _load_vector(space, f)
     return ProblemInstance(
         model=model, space=space, lift=lift_field, f_vec=f_vec, report=report,
         g_vals=g_vals, g_sym=g_sym, g1_vals=g1_vals,
     )
+
+
+def _load_vector(space, f):
+    """Load vector <f, phi_i> of a body force f, a vector callable or a pair of callables of (x, y)."""
+    x, y = space.qpts[..., 0], space.qpts[..., 1]
+    fx, fy = _as_vec2(f, x.ravel(), y.ravel())
+    return assembly.velocity_load(space, np.stack([fx.reshape(x.shape), fy.reshape(x.shape)], axis=-1))
 
 
 def _stress_term(inst, du):

@@ -102,6 +102,9 @@ class TestRunConfig:
         {"domain": {"quad_degree": -3}},
         {"domain": {"quad_degree": 0}},
         {"domain": {"quad_degree": 1}},
+        {"data": {"g1": 5}},
+        {"data": {"g2": [1, "0"]}},
+        {"data": {"f": [None, "0"]}},
     ],
 )
 def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
@@ -121,7 +124,7 @@ _LEAF = st.one_of(
     st.none(),
     st.lists(st.one_of(st.integers(-1000, 1000), st.floats(allow_nan=True, allow_infinity=True)), max_size=3),
 )
-_NUMERIC_SECTIONS = ("model", "domain", "characteristics", "embedding", "counterexample", "solver", "certify")
+_EXPRESSION = st.sampled_from(["0", " 0", "x", "sin(pi*x) * y", "1 +", "z", "__import__('os')"])
 
 
 def _numbers(val):
@@ -135,10 +138,16 @@ def _numbers(val):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_run_config_accepts_or_raises_config_error(data):
-    raw = {"seed": data.draw(st.one_of(st.just(0), _LEAF))}
-    for section in _NUMERIC_SECTIONS:
-        keys = data.draw(st.lists(st.sampled_from(sorted(DEFAULT_CONFIG[section])), unique=True, max_size=3))
-        raw[section] = {k: data.draw(st.one_of(st.just(DEFAULT_CONFIG[section][k]), _LEAF)) for k in keys}
+    leaf = {"data": st.one_of(_LEAF, _EXPRESSION, st.lists(st.one_of(_EXPRESSION, _LEAF), max_size=3))}
+    raw = {}
+    # a few root keys and sections at a time, so that one bad value does not hide the others' checks
+    for name in data.draw(st.lists(st.sampled_from(sorted(DEFAULT_CONFIG)), unique=True, max_size=3)):
+        default = DEFAULT_CONFIG[name]
+        if not isinstance(default, dict):
+            raw[name] = data.draw(st.one_of(st.just(default), _LEAF))
+            continue
+        keys = data.draw(st.lists(st.sampled_from(sorted(default)), unique=True, max_size=3))
+        raw[name] = {k: data.draw(st.one_of(st.just(default[k]), leaf.get(name, _LEAF))) for k in keys}
     try:
         cfg = RunConfig(raw)
     except ConfigError:
@@ -155,6 +164,25 @@ class TestExitCodes:
         path = _write_cfg(tmp_path, "c.json", {"out": 5})
         assert main(["verify-lemmas", "--config", path]) == EXIT_INVALID_CONFIG
         assert main(["verify-lemmas", "--seed", "-1", "--out", str(tmp_path / "t")]) == EXIT_INVALID_CONFIG
+        assert not (tmp_path / "t").exists()
+
+    def test_out_naming_a_file_exits_4(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["verify-lemmas", "--out", str(tmp_path / "file")]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("invalid config: out ")
+        assert (tmp_path / "file").read_text() == ""
+
+    def test_empty_out_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify-lemmas", "--config", _write_cfg(tmp_path, "c.json", {"out": ""})]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("invalid config: out ")
+        assert not (tmp_path / "config.json").exists()
+
+    def test_config_not_utf8_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"out": str(tmp_path / "t")}).encode("utf-16-le"))
+        assert main(["verify-lemmas", "--config", str(path)]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("invalid config: ")
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("command", ["certify", "solve", "verify-lemmas"])
@@ -312,6 +340,22 @@ class TestExitCodes:
         cfg = dict(QUICK, out=str(tmp_path / "t"))
         assert main(["lift", "--config", _write_cfg(tmp_path, "c.json", cfg)]) == EXIT_OK
         assert calls == {"g1_values": 1, "g2_dof_values": 1}
+
+    def test_solve_evaluates_the_body_force_once(self, tmp_path, monkeypatch):
+        calls = {"make_instance": 0, "_load_vector": 0}
+        for name in calls:
+            fun = getattr(cli.solver, name)
+
+            def counted(*args, name=name, fun=fun, **kwargs):
+                calls[name] += 1
+                return fun(*args, **kwargs)
+
+            monkeypatch.setattr(cli.solver, name, counted)
+        cfg = dict(QUICK, out=str(tmp_path / "t"), solver={"levels": 1})
+        cfg["data"] = {"f": ["0.01 * sin(pi*y)", "0.01 * x"]}
+        path = _write_cfg(tmp_path, "c.json", cfg)
+        assert main(["solve", "--config", path, "--override-certification"]) == EXIT_OK
+        assert calls == {"make_instance": 1, "_load_vector": 1}
 
     def test_lift_incompatible_data(self, tmp_path):
         cfg = dict(QUICK, out=str(tmp_path / "t"))
