@@ -12,9 +12,11 @@ stiffness on Du, the Newton tangent's included, is one symmetric 3x3 modulus
 per point (``modulus_stiffness``).  The CSR pattern of each matrix
 and the map from local entries to its data are cached on the space, so
 re-assembly with new coefficients (the Newton loop) only recomputes values.
-The Dirichlet and saddle-point solves gather their free-dof block the same
-way, already in a nested-dissection order of the structured mesh's P2 node
-lattice, and factor it in that order.  A later, similar system reuses the
+``solve_saddle`` is the one solve: the Dirichlet problem, or with
+divergence data the saddle-point problem bordered by the pinned
+divergence coupling.  It gathers its free-dof block the same way, already
+in a nested-dissection order of the structured mesh's P2 node lattice,
+and factors it in that order.  A later, similar system reuses the
 held LU as the preconditioner of a short GMRES; every solve ends on a
 checked residual.
 """
@@ -36,7 +38,6 @@ __all__ = [
     "stress_load",
     "p1_load",
     "FactorHolder",
-    "dirichlet_solve",
     "solve_saddle",
 ]
 
@@ -227,14 +228,16 @@ def _dissection_rank(nx, ny):
     return rank
 
 
-def _free_order(space, n_border):
+def _free_order(space, bordered):
     """Nested-dissection order of the free system's unknowns: unknown perm[i] is numbered i.
 
-    The free velocity dofs (x components, then y) sit at their P2 nodes and
-    border row j (pressure dof j + 1) at vertex j + 1.  Unknowns are sorted
-    by their node's ``_dissection_rank``, and at one node as x, y, pressure.
+    The free velocity dofs (x components, then y) sit at their P2 nodes and,
+    when ``bordered``, pinned pressure row j (pressure dof j + 1) at vertex
+    j + 1.  Unknowns are sorted by their node's ``_dissection_rank``, and at
+    one node as x, y, pressure.
     """
     nx = space.nx
+    n_border = space.n_p1 - 1 if bordered else 0
     lattice = np.empty((space.n_p2, 2), dtype=np.intp)  # (ix, iy) of every P2 node
     iy, ix = np.divmod(np.arange(space.n_verts), nx + 1)
     lattice[: space.n_verts] = 2 * np.column_stack([ix, iy])
@@ -246,20 +249,20 @@ def _free_order(space, n_border):
     return np.lexsort((comp, _dissection_rank(nx, space.ny)[point[node]]))
 
 
-def _free_block(space, a_mat, c_mat=None):
-    """Free-dof block of A, bordered by the free columns of C when given, in CSC and in ``_free_order``.
+def _free_block(space, a_mat, bordered):
+    """Free-dof block of A, bordered when ``bordered``, in CSC and in ``_free_order``.
 
-    Returns ``(K, perm)``: row and column i of K belong to unknown perm[i]
-    of the free system.  The block's pattern, its order and the gather from
-    the data of A (and C) are built once per space and kept while the
-    inputs' patterns stay the same.
+    The border is the free columns of the divergence coupling without its
+    row 0: pressure dof 0 is pinned.  Returns ``(K, perm)``: row and column
+    i of K belong to unknown perm[i] of the free system.  The block's
+    pattern, its order and the gather from the data of A (and of the
+    coupling) are built once per space and kept while A's pattern stays
+    the same.
     """
-    mats = [a_mat.tocsr()] if c_mat is None else [a_mat.tocsr(), c_mat.tocsr()]
-    key = ("free_block", len(mats))
+    mats = [a_mat.tocsr()] + ([div_coupling(space)] if bordered else [])
+    key = ("free_block", bordered)
     hit = space._cache.get(key)
-    if hit is None or not all(
-        np.array_equal(m.indptr, ptr) and np.array_equal(m.indices, idx) for m, (ptr, idx) in zip(mats, hit[0])
-    ):
+    if hit is None or not (np.array_equal(mats[0].indptr, hit[0]) and np.array_equal(mats[0].indices, hit[1])):
         # tag every entry with its 1-based position in the concatenated data
         offsets = np.cumsum([0] + [m.nnz for m in mats])
         tagged = [
@@ -268,14 +271,15 @@ def _free_block(space, a_mat, c_mat=None):
         ]
         free = space.free_vel_dofs
         blk = tagged[0][free][:, free]
-        if c_mat is not None:
-            c_f = tagged[1][:, free]
+        if bordered:
+            c_f = tagged[1][1:, free]
             blk = sp.bmat([[blk, c_f.T], [c_f, None]])
-        perm = _free_order(space, 0 if c_mat is None else c_mat.shape[0])
+        perm = _free_order(space, bordered)
         blk = blk.tocsr()[perm][:, perm].tocsc()
-        patterns = [(m.indptr.copy(), m.indices.copy()) for m in mats]
-        hit = space._cache[key] = (patterns, blk.indptr, blk.indices, blk.data.astype(np.intp) - 1, perm)
-    _, indptr, indices, gather, perm = hit
+        hit = space._cache[key] = (
+            mats[0].indptr.copy(), mats[0].indices.copy(), blk.indptr, blk.indices, blk.data.astype(np.intp) - 1, perm
+        )
+    _, _, indptr, indices, gather, perm = hit
     data = np.concatenate([m.data for m in mats])[gather]
     return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2), perm
 
@@ -288,6 +292,12 @@ def _gmres(k, lu, rhs, x):
     estimate reaches REFINE_RTOL |rhs| or GMRES_CAP iterations are spent in
     all; a cycle whose true residual misses the target restarts from its x.
     Returns ``(x, whether |rhs - K x| met the target, iterations)``.
+
+    Not ``scipy.sparse.linalg.gmres``: scipy preconditions from the left and
+    stops on the preconditioned residual, so its answers can miss the
+    true-residual target and each miss costs a fresh LU.  With the same
+    cap and tolerance, the cold 20x20 manufactured solve made 3 fresh LUs
+    with it instead of 1.
     """
     target = REFINE_RTOL * np.linalg.norm(rhs)
     r = rhs - k @ x
@@ -354,20 +364,23 @@ def _factor_solve(k, rhs, held):
     return held.x
 
 
-def dirichlet_solve(space, a_mat, rhs_vel, fixed_vals=None, c_mat=None, c_rhs=None, factor=None):
-    """Solve A u = rhs_vel on the free velocity dofs with u = fixed_vals on the boundary.
+def solve_saddle(space, a_mat, rhs_vel, div_rhs=None, fixed_vals=None, factor=None):
+    """Solve A u = rhs_vel on the free velocity dofs; with ``div_rhs``, A u + C^T lam = rhs_vel, C u = div_rhs.
 
-    With a constraint block C (rows against all velocity dofs) the system is
-    bordered: A u + C^T lam = rhs_vel, C u = c_rhs.  C has at most
-    ``n_p1 - 1`` rows, and row j is ordered as if it sat at vertex j + 1, as
-    the pinned divergence rows of ``solve_saddle`` do; the order steers the
-    fill, not the solution.  The boundary values are eliminated from both
-    right-hand sides.  ``factor`` is a FactorHolder
-    whose LU, from an earlier and similar system, preconditions GMRES to
-    ``REFINE_RTOL`` and is replaced by a fresh one when too stale; without
-    it the system is factored afresh.  A singular system raises
-    RuntimeError.  Returns ``(u, lam)``: the full-length velocity and the
-    multiplier (empty without C).
+    C is the divergence coupling.  The boundary values of u are those of
+    ``fixed_vals`` (full-length array; only boundary entries are read), zero
+    without it, and are eliminated from both right-hand sides.  The
+    multiplier is fixed up to the constant pressure mode, which is pinned by
+    dropping pressure dof 0: its constraint row and multiplier column leave
+    the system and ``lam[0] = 0``.  Since C^T of a constant vanishes on the
+    free velocity dofs, the velocity is unaffected and
+    ``space.pressure_field(lam)`` gives the mean-zero multiplier.  The
+    dropped row absorbs the compatibility defect of ``div_rhs``.  ``factor``
+    is a FactorHolder whose LU, from an earlier and similar system,
+    preconditions GMRES to ``REFINE_RTOL`` and is replaced by a fresh one
+    when too stale; without it the system is factored afresh.  A singular
+    system raises RuntimeError.  Returns ``(u, lam)``: the full-length
+    velocity and the multiplier (empty without ``div_rhs``).
     """
     free = space.free_vel_dofs
     u = np.zeros(space.n_vel)
@@ -375,34 +388,12 @@ def dirichlet_solve(space, a_mat, rhs_vel, fixed_vals=None, c_mat=None, c_rhs=No
         fixed = space.boundary_vel_dofs
         u[fixed] = fixed_vals[fixed]
     rhs = (rhs_vel - a_mat @ u)[free]
-    if c_mat is not None:
-        rhs = np.concatenate([rhs, c_rhs - c_mat @ u])
-    held = FactorHolder() if factor is None else factor
-    k, perm = _free_block(space, a_mat, c_mat)
+    bordered = div_rhs is not None
+    if bordered:
+        rhs = np.concatenate([rhs, (div_rhs - div_coupling(space) @ u)[1:]])
+    k, perm = _free_block(space, a_mat, bordered)
     sol = np.empty(rhs.size)
-    sol[perm] = _factor_solve(k, rhs[perm], held)
+    sol[perm] = _factor_solve(k, rhs[perm], FactorHolder() if factor is None else factor)
     u[free] = sol[: free.size]
-    return u, sol[free.size:]
-
-
-def solve_saddle(space, a_mat, rhs_vel, div_rhs, fixed_vals=None, factor=None):
-    """Solve the constrained system A u + C^T lam = rhs, C u = div_rhs.
-
-    Dirichlet velocity values are supplied on the boundary dofs through
-    ``fixed_vals`` (full-length array; only boundary entries are read).
-    The multiplier is fixed up to the constant pressure mode, which is
-    pinned by dropping pressure dof 0: its constraint row and multiplier
-    column leave the system and ``lam[0] = 0``.  Since C^T of a constant
-    vanishes on the free velocity dofs, the velocity is unaffected and
-    ``space.pressure_field(lam)`` gives the mean-zero multiplier.  The
-    dropped row absorbs the compatibility defect of ``div_rhs``.
-    ``factor`` is passed to ``dirichlet_solve``: a FactorHolder reused
-    across the steps of an iteration, or None for a direct solve.  A
-    singular system raises RuntimeError.  Returns ``(u, lam)``.
-    """
-    c_mat = div_coupling(space)[1:]
-    u, lam_pinned = dirichlet_solve(space, a_mat, rhs_vel, fixed_vals, c_mat, div_rhs[1:], factor=factor)
-    lam = np.zeros(space.n_p1)
-    lam[1:] = lam_pinned
-    return u, lam
-
+    lam = sol[free.size:]
+    return u, (np.concatenate([[0.0], lam]) if bordered else lam)

@@ -115,9 +115,6 @@ class AlternativeBound:
     q: float
     scan: list
 
-    def to_json(self):
-        return {"F1": self.F1, "F2": self.F2, "G1": self.G1, "p": self.p, "q": self.q, "scan": self.scan}
-
 
 def weighted_shear_norm(lift_field, p, delta):
     """|| |Dg| + delta ||_p evaluated by quadrature on the lift's space."""

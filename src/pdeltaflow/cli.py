@@ -158,7 +158,7 @@ class RunConfig:
     """
 
     def __init__(self, raw=None, **overrides):
-        self.data = cfg = _merge(_merge(DEFAULT_CONFIG, raw or {}), overrides)
+        self.data = cfg = _merge(_merge(DEFAULT_CONFIG, {} if raw is None else raw), overrides)
         if cfg["seed"] < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
         self.model = _build("model", PDeltaModel, **cfg["model"])
@@ -202,13 +202,16 @@ class RunConfig:
         return json.dumps(self.data, sort_keys=True, indent=2)
 
     @classmethod
-    def parse(cls, text):
-        return cls(json.loads(text))
+    def parse(cls, text, **overrides):
+        doc = json.loads(text)
+        if doc is None:  # RunConfig(None) is the default config; a document holding null is not
+            raise ConfigError("section <root> must be an object")
+        return cls(doc, **overrides)
 
     @classmethod
     def load(cls, path, **overrides):
         with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh), **overrides)
+            return cls.parse(fh.read(), **overrides)
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.data == other.data
@@ -224,6 +227,7 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, fieldnames, rows):
+    """CSV of the given columns of each row dict; other keys are left out."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
@@ -334,7 +338,7 @@ def cmd_solve(cfg, out, override=False):
 
     def write_history(records):
         columns = ["n", "iters", "residual", "penalty_norm", "norm_Du_p", "norm_Du_q"]
-        _write_csv(os.path.join(out, "solve_history.csv"), columns, [r.row() for r in records])
+        _write_csv(os.path.join(out, "solve_history.csv"), columns, [vars(r) for r in records])
 
     try:
         result = solver.continuation_solve(inst, cfg.solver_config, override=override)
@@ -378,7 +382,7 @@ def cmd_counterexample(cfg, out):
     _write_csv(
         os.path.join(out, "counterexample.csv"),
         ["n", "branch", "y_n", "y_achieved", "P_n", "margin", "member_mix", "sign"],
-        [r.row() for r in scan["records"]],
+        [vars(r) for r in scan["records"]],
     )
     _write_json(
         os.path.join(out, "counterexample.json"),

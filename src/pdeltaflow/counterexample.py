@@ -90,18 +90,6 @@ class CounterexampleRecord:
     member_mix: str
     sign: str  # of P_n: negative, zero (within the bisection tolerance) or positive
 
-    def row(self):
-        return {
-            "n": self.n,
-            "branch": self.branch,
-            "y_n": self.y_n,
-            "y_achieved": self.y_achieved,
-            "P_n": self.P_n,
-            "margin": self.margin,
-            "member_mix": self.member_mix,
-            "sign": self.sign,
-        }
-
 
 def build_family(levels, p=1.5, q=3.0, base_n=8, width0=0.32, domain=None):
     """Bumps of width width0 * 2^-k on meshes base_n * 2^k, prolonged to the

@@ -67,7 +67,7 @@ class ExponentRangeError(ValueError):
 
 @dataclass(frozen=True)
 class RectDomain:
-    """Axis-aligned rectangle [x0, x1] x [y0, y1]; d = 2 (3D reserved)."""
+    """Axis-aligned rectangle [x0, x1] x [y0, y1]."""
 
     x0: float = 0.0
     y0: float = 0.0
@@ -77,10 +77,6 @@ class RectDomain:
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("rectangle must have positive side lengths")
-
-    @property
-    def d(self):
-        return 2
 
     @property
     def measure(self):
@@ -179,9 +175,6 @@ class Field:
             m = self.space.pressure_mean_vector()
             mean = float(m @ self.coeffs) / self.space.domain.measure
             object.__setattr__(self, "coeffs", self.coeffs - mean)
-
-    def copy(self):
-        return Field(self.space, self.role, self.coeffs.copy())
 
 
 class DiscreteSpace:
@@ -299,10 +292,6 @@ class DiscreteSpace:
         comps.append((g[..., 0, 1] - g[..., 1, 0]) / np.sqrt(2.0))
         self.mandel_skew_table = np.stack(comps, axis=-1).reshape(2, 12, 4 * nq)
         self.sym_table = np.stack(comps[:3], axis=-1).reshape(2, 12, 3 * nq)
-
-    @property
-    def h(self):
-        return max(self.hx, self.hy)
 
     # -- field construction ----------------------------------------------------
 
@@ -773,7 +762,7 @@ def estimate_dual_norm(space, load, p, iters=15):
     vals = []
     weight = np.ones_like(space.qw)
     for it in range(iters):
-        c, _ = assembly.dirichlet_solve(space, assembly.sym_grad_stiffness(space, weight), load)
+        c, _ = assembly.solve_saddle(space, assembly.sym_grad_stiffness(space, weight), load)
         dn_pt = mandel_norm(space.sym_gradients(c))
         dn = space.lr_norm(p, dn_pt)
         if dn == 0.0:

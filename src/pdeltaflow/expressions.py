@@ -57,49 +57,42 @@ _BINOPS = {
 _UNARY = {ast.UAdd: lambda v: v, ast.USub: np.negative}
 
 
-def _check(node):
-    if isinstance(node, ast.Expression):
-        _check(node.body)
-    elif isinstance(node, ast.BinOp):
-        if type(node.op) not in _BINOPS:
+def _compile(node):
+    """Check one node against the whitelist and return a closure of (x, y) that evaluates it."""
+    if isinstance(node, ast.BinOp):
+        op = _BINOPS.get(type(node.op))
+        if op is None:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        _check(node.left)
-        _check(node.right)
-    elif isinstance(node, ast.UnaryOp):
-        if type(node.op) not in _UNARY:
+        left, right = _compile(node.left), _compile(node.right)
+        return lambda x, y: op(left(x, y), right(x, y))
+    if isinstance(node, ast.UnaryOp):
+        op = _UNARY.get(type(node.op))
+        if op is None:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        _check(node.operand)
-    elif isinstance(node, ast.Call):
+        operand = _compile(node.operand)
+        return lambda x, y: op(operand(x, y))
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only whitelisted function calls are allowed")
         if node.keywords:
             raise ExpressionError("keyword arguments are not allowed")
-        for a in node.args:
-            _check(a)
-    elif isinstance(node, ast.Name):
-        if node.id not in ("x", "y") and node.id not in _CONSTANTS:
+        fn, args = _FUNCTIONS[node.func.id], [_compile(a) for a in node.args]
+        return lambda x, y: fn(*[a(x, y) for a in args])
+    if isinstance(node, ast.Name):
+        if node.id == "x":
+            return lambda x, y: x
+        if node.id == "y":
+            return lambda x, y: y
+        if node.id not in _CONSTANTS:
             raise ExpressionError(f"unknown name {node.id!r}")
-    elif isinstance(node, ast.Constant):
+        value = _CONSTANTS[node.id]
+        return lambda x, y: value
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError(f"constant {node.value!r} not allowed")
-    else:
-        raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
-
-
-def _evaluate(node, env):
-    if isinstance(node, ast.Expression):
-        return _evaluate(node.body, env)
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        return _UNARY[type(node.op)](_evaluate(node.operand, env))
-    if isinstance(node, ast.Call):
-        return _FUNCTIONS[node.func.id](*[_evaluate(a, env) for a in node.args])
-    if isinstance(node, ast.Name):
-        return env[node.id] if node.id in env else _CONSTANTS[node.id]
-    if isinstance(node, ast.Constant):
-        return node.value
-    raise ExpressionError(f"cannot evaluate {type(node).__name__}")
+        value = node.value
+        return lambda x, y: value
+    raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
 
 
 def compile_expression(src):
@@ -108,10 +101,10 @@ def compile_expression(src):
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {src!r}: {exc}") from exc
-    _check(tree)
+    body = _compile(tree.body)
 
     def fun(x, y):
-        return np.asarray(_evaluate(tree, {"x": x, "y": y}), dtype=float) + 0.0 * np.asarray(x, dtype=float)
+        return np.asarray(body(x, y), dtype=float) + 0.0 * np.asarray(x, dtype=float)
 
     fun.source = src
     return fun

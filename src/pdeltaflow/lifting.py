@@ -47,8 +47,8 @@ class LiftingError(RuntimeError):
 
 @dataclass
 class BoundaryData:
-    """Divergence data g1 (callable, P1 field, constant or (cells, points)
-    array of its quadrature-point values) and boundary velocity g2
+    """Divergence data g1 (callable, constant or (cells, points) array of
+    its quadrature-point values) and boundary velocity g2
     (callable pair / vector callable, or a full-length velocity coefficient
     array read only at boundary dofs)."""
 
@@ -62,8 +62,6 @@ class BoundaryData:
             if self.g1.shape != space.qw.shape:
                 raise ValueError("g1 values must be a (cells, points) quadrature-point array")
             return self.g1
-        if isinstance(self.g1, Field):
-            return self.g1.space.p1_values(self.g1.coeffs)
         if np.isscalar(self.g1):
             return float(self.g1) * np.ones_like(space.qw)
         x, y = space.qpts[..., 0], space.qpts[..., 1]
@@ -192,7 +190,7 @@ def harmonic_extension(data, space):
     the probe statistics.
     """
     k = assembly.full_grad_stiffness(space)
-    u, _ = assembly.dirichlet_solve(space, k, np.zeros(space.n_vel), data.g2_dof_values(space))
+    u, _ = assembly.solve_saddle(space, k, np.zeros(space.n_vel), fixed_vals=data.g2_dof_values(space))
     return space.velocity_field(u)
 
 

@@ -26,6 +26,7 @@ solves on the same LU.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,9 @@ class SolverConfig:
             raise ValueError("n_schedule must be non-empty with positive entries")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise ValueError("n_schedule must be strictly increasing")
+        # n enters float arithmetic; an int past the float range would raise there
+        if not all(n <= sys.float_info.max for n in self.n_schedule):
+            raise ValueError("n_schedule entries must be finite floats")
 
 
 def default_config(s, levels=7, q=None, n_schedule=None, **kw):
@@ -105,6 +109,9 @@ def default_config(s, levels=7, q=None, n_schedule=None, **kw):
     if q is None:
         q = max(2.0, s) + 1.0
     if n_schedule is None:
+        # 10 * 4^511 is past the float range; checked before the schedule is built
+        if levels > 511:
+            raise ValueError(f"levels must be at most 511, got {levels}")
         n_schedule = tuple(10 * 4**k for k in range(levels))
     return SolverConfig(q=q, n_schedule=n_schedule, **kw)
 
@@ -233,16 +240,6 @@ class LevelRecord:
     factorizations: int = 0  # fresh saddle LUs made in this level
     refinements: int = 0  # GMRES iterations run on a held or a fresh LU
     fallbacks: int = 0  # Newton steps retaken as Picard steps; the level made iters + fallbacks saddle solves
-
-    def row(self):
-        return {
-            "n": self.n,
-            "iters": self.iters,
-            "residual": self.residual,
-            "penalty_norm": self.penalty_norm,
-            "norm_Du_p": self.norm_Du_p,
-            "norm_Du_q": self.norm_Du_q,
-        }
 
 
 @dataclass

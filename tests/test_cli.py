@@ -105,6 +105,8 @@ class TestRunConfig:
         {"data": {"g1": 5}},
         {"data": {"g2": [1, "0"]}},
         {"data": {"f": [None, "0"]}},
+        {"solver": {"levels": 600}},
+        {"solver": {"n_schedule": [10, 10**400]}},
     ],
 )
 def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
@@ -184,6 +186,16 @@ class TestExitCodes:
         assert main(["verify-lemmas", "--config", str(path)]) == EXIT_INVALID_CONFIG
         assert capsys.readouterr().err.startswith("invalid config: ")
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("doc", [None, [], 0, False, ""])
+    def test_config_not_an_object_exits_4(self, tmp_path, monkeypatch, capsys, doc):
+        monkeypatch.chdir(tmp_path)
+        path = _write_cfg(tmp_path, "c.json", doc)
+        with pytest.raises(ConfigError, match="section <root> must be an object"):
+            RunConfig.load(path)
+        assert main(["verify-lemmas", "--config", path]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err == "invalid config: section <root> must be an object\n"
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["certify", "solve", "verify-lemmas"])
     def test_p2_rejected_before_work(self, tmp_path, command):

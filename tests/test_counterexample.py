@@ -108,7 +108,7 @@ def test_default_n32_record_holds_the_first_crossing_reached():
     assert abs(norm_sym_grad_p(field, 3.0) - y_n) <= counterexample.BISECT_RTOL * y_n
     assert abs(counterexample._sphere_y(family, 1.0, 32.0, 1.0) - y_n) <= counterexample.BISECT_RTOL * y_n
     rec = counterexample_scan(family, [32], R=1.0, F1=1.0, G1=1.0, c2=2.0)["records"][0]
-    assert rec.row() == {
+    assert {k: v for k, v in vars(rec).items() if k not in ("theta", "level_norm", "norm_Du_p")} == {
         "n": 32.0,
         "branch": "step2",
         "y_n": 4.0,

@@ -1,0 +1,47 @@
+import numpy as np
+import pytest
+
+from pdeltaflow.expressions import ExpressionError, compile_expression
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "x.real",
+        "x[0]",
+        "lambda: 1",
+        "x < 1",
+        "x and y",
+        "pow(x, exp=2)",
+        "'a'",
+        "z",
+        '__import__("os")',
+        "(x := 1)",
+        "x @ y",
+        "~x",
+        "1j",
+        "x if y else 1",
+        'eval("1")',
+        "np.sin(x)",
+        "[x]",
+        "1 +",
+    ],
+)
+def test_outside_the_whitelist_is_rejected_at_compile(src):
+    with pytest.raises(ExpressionError):
+        compile_expression(src)
+
+
+def test_every_operator_evaluates_as_numpy():
+    x, y = np.linspace(0.1, 0.9, 7), np.linspace(1.7, 0.3, 7)
+    fun = compile_expression("-x + (+y) * 2 - x / y ** 2 % 0.3 + atan2(y, x) * sqrt(x) - max(x, y) + pow(y, 1.5) * exp(-x) - pi * e")
+    ref = (
+        np.negative(x)
+        + y * 2
+        - np.mod(np.divide(x, np.power(y, 2)), 0.3)
+        + np.arctan2(y, x) * np.sqrt(x)
+        - np.maximum(x, y)
+        + np.power(y, 1.5) * np.exp(np.negative(x))
+        - np.pi * np.e
+    )
+    np.testing.assert_array_equal(fun(x, y), ref)
