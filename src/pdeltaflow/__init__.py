@@ -68,57 +68,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PDeltaModel",
-    "Characteristics",
-    "eval_stress",
-    "shifted_stress",
-    "estimate_characteristics",
-    "inequality_sweep",
-    "young_gap",
-    "rho_lower_bound",
-    "RectDomain",
-    "DiscreteSpace",
-    "Field",
-    "EmbeddingConstants",
-    "build_space",
-    "norm_Lp",
-    "norm_sym_grad_p",
-    "discrete_divergence",
-    "estimate_korn",
-    "estimate_sobolev",
-    "estimate_embedding_constants",
-    "BoundaryData",
-    "LiftField",
-    "check_compatibility",
-    "lift",
-    "operator_norm_probe",
-    "CoercivityReport",
-    "AlternativeBound",
-    "compute_s",
-    "compute_constants",
-    "check_smallness",
-    "polynomial_positivity_check",
-    "weight_optimality_scan",
-    "alternative_bound_scan",
-    "scaling_sweep",
-    "ProblemInstance",
-    "SolverConfig",
-    "SolveResult",
-    "make_instance",
-    "default_config",
-    "apply_S",
-    "apply_T",
-    "apply_P",
-    "solve_regularized",
-    "continuation_solve",
-    "recover_pressure",
-    "convective_identity_diagnostics",
-    "TwoNormFamily",
-    "build_family",
-    "find_y_n",
-    "construct_u_n",
-    "evaluate_P_n",
-    "counterexample_scan",
-]

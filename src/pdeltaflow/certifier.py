@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretization import mandel_norm
+from .discretization import critical_exponent, mandel_norm
 
 __all__ = [
     "CoercivityReport",
@@ -67,7 +67,7 @@ def compute_s(p, d):
         raise CertifierError(f"exponent p={p} outside ({lo}, 2]")
     if p == 2.0:
         return 2.0
-    pstar = p * d / (d - p)
+    pstar = critical_exponent(p, d)
     via_max = max(p, conjugate(pstar / 2.0))
     via_branch = p if p > 3.0 * d / (d + 2.0) else conjugate(pstar / 2.0)
     if abs(via_max - via_branch) > 1e-12 * max(1.0, via_max):
@@ -90,20 +90,7 @@ class CoercivityReport:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "p": self.p,
-            "d": self.d,
-            "s": self.s,
-            "G1": self.G1,
-            "G2": self.G2,
-            "G3": self.G3,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "R": self.R,
-            "verdict": "numerical certificate" if self.satisfied else "smallness violated",
-            "provenance": self.provenance,
-        }
+        return {**vars(self), "verdict": "numerical certificate" if self.satisfied else "smallness violated"}
 
 
 @dataclass
@@ -250,16 +237,7 @@ def scaling_sweep(chars, emb, lift_field, f_norm, p, s, delta, lambdas):
             norms={k: abs(lam) * v for k, v in lift_field.norms.items()},
         )
         rep = check_smallness(*compute_constants(chars, emb, scaled, f_norm, p, s, delta), p, s=s)
-        rows.append({
-            "lambda": float(lam),
-            "G1": rep.G1,
-            "G2": rep.G2,
-            "G3": rep.G3,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "satisfied": rep.satisfied,
-            "R": rep.R,
-        })
+        rows.append({"lambda": float(lam), **vars(rep)})
     transitions = sum(
         1 for a, b in zip(rows[:-1], rows[1:]) if a["satisfied"] and not b["satisfied"]
     )

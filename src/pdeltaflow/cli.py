@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import dataclasses
 import inspect
 import json
 import math
@@ -63,16 +62,10 @@ DEFAULT_CONFIG = {
     "embedding": {"iters": ASCENT_ITERS},
     # q and n_schedule are derived from s and levels unless set
     "solver": {
-        **{
-            k: v.default
-            for k, v in inspect.signature(solver.default_config).parameters.items()
-            if v.default is not inspect.Parameter.empty
-        },
-        **{
-            f.name: f.default
-            for f in dataclasses.fields(solver.SolverConfig)
-            if f.default is not dataclasses.MISSING
-        },
+        k: v.default
+        for make in (solver.default_config, solver.SolverConfig)
+        for k, v in inspect.signature(make).parameters.items()
+        if v.default is not inspect.Parameter.empty
     },
     "certify": {"sweep_lambdas": None},
     "counterexample": {

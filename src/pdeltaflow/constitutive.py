@@ -95,20 +95,9 @@ class Characteristics:
             raise ValueError(f"C1={self.C1} exceeds C2={self.C2}")
 
     def to_json(self):
-        return {
-            "C1": self.C1,
-            "C2": self.C2,
-            "C3": self.C3,
-            "witnesses": {
-                "C1": [self.witness_C1[0].tolist(), self.witness_C1[1].tolist()],
-                "C2": [self.witness_C2[0].tolist(), self.witness_C2[1].tolist()],
-                "C3": [self.witness_C3[0].tolist(), self.witness_C3[1].tolist()],
-            },
-            "samples": self.samples,
-            "seed": self.seed,
-            "dim": self.dim,
-            "non_rigorous": self.non_rigorous,
-        }
+        out = {k: v for k, v in vars(self).items() if not k.startswith("witness_")}
+        out["witnesses"] = {c: [m.tolist() for m in getattr(self, f"witness_{c}")] for c in ("C1", "C2", "C3")}
+        return out
 
 
 def symmetrize(a):
@@ -290,7 +279,7 @@ def _component_dot(c, e, rows):
     return reduce(np.add, (q[k] for k in rows.flat))
 
 
-def _sample_pairs(rng, n_random, dim, decades=(-4.0, 4.0)):
+def _sample_pairs(rng, n_random, dim):
     """Random pairs over magnitude decades plus structured extreme pairs.
 
     The pairs come as component rows (see ``_sym_entries``): a and b have
@@ -307,7 +296,8 @@ def _sample_pairs(rng, n_random, dim, decades=(-4.0, 4.0)):
         raise ValueError(f"need at least 1e4 samples, got {n_random}")
     if dim not in (2, 3):
         raise ValueError(f"matrix dimension must be 2 or 3, got {dim}")
-    mags = np.logspace(decades[0], decades[1], 17)
+    decades = (-4.0, 4.0)  # the magnitude range, log10
+    mags = np.logspace(*decades, 17)
     ta, tb = (t.ravel() for t in np.meshgrid(mags, mags, indexing="ij"))
     # filled in place, column by column; at most three legs of ta x tb and two lines per structured direction
     a = np.empty((dim * (dim + 1) // 2, n_random + 3 * (3 * ta.size + 2 * mags.size)))
@@ -465,10 +455,7 @@ def _sweep_of(model, r, seed, dim, tol=1e-10, chars=None):
     v_c2 = int(np.sum(r["r2"] > c2 + tol * max(abs(c2), 1.0)))
     v_c3 = int(np.sum(r["r3"] < c3 - tol * max(abs(c3), 1.0)))
     return {
-        "p": model.p,
-        "delta": model.delta,
-        "mu0": model.mu0,
-        "mu": model.mu,
+        **vars(model),
         "dim": dim,
         "pairs_checked": int(r["r1"].size),
         "C1": c1,

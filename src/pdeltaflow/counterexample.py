@@ -169,7 +169,7 @@ def _sphere_y(family, theta, n, R):
     return norm_q * (R / combine_level_norm(norm_p, norm_q, family.q, n))
 
 
-def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=BISECT_RTOL):
+def construct_u_n(family, n, R, y_n, rel_tol=BISECT_RTOL):
     """Field on the level-norm sphere with prescribed q-gradient norm.
 
     Interpolates between the extreme family members along the sphere; the
@@ -201,7 +201,7 @@ def construct_u_n(family, n, R, y_n, bisect_steps=80, rel_tol=BISECT_RTOL):
     ta, tb = 0.0, 1.0
     fa = y_lo - y_target
     theta, y = 0.0, y_lo
-    for _ in range(bisect_steps):
+    for _ in range(80):  # bisection steps
         if abs(y - y_target) <= rel_tol * y_target:
             break
         theta = 0.5 * (ta + tb)
@@ -227,8 +227,7 @@ def evaluate_P_n(field, n, G1, F1, p, q):
 def _discrete_f(family, n):
     """Family infimum of the level-norm to q-norm ratio (over-estimates the
     continuum f(n), which only strengthens the exhibited negativity)."""
-    w = n ** (-2.0 / (2.0 * family.q - 1.0))
-    return min(max(w * r, 1.0) / r for r in family.ratios)
+    return min(combine_level_norm(1.0, r, family.q, n) / r for r in family.ratios)
 
 
 def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):

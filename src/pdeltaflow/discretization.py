@@ -448,10 +448,7 @@ def build_space(domain, nx, ny, quad_degree=8):
 
 def prolong_velocity(coarse, fine, field):
     """Exact transfer of a velocity field onto a nested refinement."""
-    return fine.velocity_field(np.concatenate([
-        coarse.eval_p2_scalar(field.coeffs[: coarse.n_p2], fine.p2_coords),
-        coarse.eval_p2_scalar(field.coeffs[coarse.n_p2:], fine.p2_coords),
-    ]))
+    return fine.velocity_field(coarse.eval_velocity(field.coeffs, fine.p2_coords).T.ravel())
 
 
 # -- norms -------------------------------------------------------------------
@@ -615,7 +612,7 @@ def _masked(vec, idx, n):
     return out
 
 
-def _bump_velocity(space, center, width, freq=1.0):
+def _bump_velocity(space, center, width):
     """Divergence-free bump: curl of a C2 compactly supported stream function."""
     cx, cy = center
 
@@ -624,11 +621,11 @@ def _bump_velocity(space, center, width, freq=1.0):
 
     def psi_y(x, y):
         z = np.maximum(1.0 - r2(x, y), 0.0)
-        return -6.0 * z**2 * (y - cy) / width**2 * np.cos(freq * r2(x, y))
+        return -6.0 * z**2 * (y - cy) / width**2 * np.cos(r2(x, y))
 
     def psi_x(x, y):
         z = np.maximum(1.0 - r2(x, y), 0.0)
-        return -6.0 * z**2 * (x - cx) / width**2 * np.cos(freq * r2(x, y))
+        return -6.0 * z**2 * (x - cx) / width**2 * np.cos(r2(x, y))
 
     return space.interpolate_velocity((lambda x, y: psi_y(x, y), lambda x, y: -psi_x(x, y)))
 
@@ -802,17 +799,7 @@ class EmbeddingConstants:
     ascent: dict
 
     def to_json(self):
-        return {
-            "p": self.p,
-            "s": self.s,
-            "korn_p": self.korn_p,
-            "sob_p_to_pstar": self.sob_p_to_pstar,
-            "sob_s_to_2pprime": self.sob_s_to_2pprime,
-            "targets": self.targets,
-            "converged": self.converged,
-            "ascent": self.ascent,
-            "non_rigorous": True,
-        }
+        return {**{k: v for k, v in vars(self).items() if k != "witnesses"}, "non_rigorous": True}
 
 
 def estimate_embedding_constants(space, p, s, iters=ASCENT_ITERS):
@@ -828,9 +815,7 @@ def estimate_embedding_constants(space, p, s, iters=ASCENT_ITERS):
     return EmbeddingConstants(
         p=p,
         s=s,
-        korn_p=est["korn_p"].value,
-        sob_p_to_pstar=est["sob_p_to_pstar"].value,
-        sob_s_to_2pprime=est["sob_s_to_2pprime"].value,
+        **{k: e.value for k, e in est.items()},
         targets={"pstar": pstar, "pstar_used": target1, "two_pprime": two_pprime},
         witnesses={k: e.witness for k, e in est.items()},
         converged={k: e.converged for k, e in est.items()},

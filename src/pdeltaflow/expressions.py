@@ -56,27 +56,35 @@ _BINOPS = {
 
 _UNARY = {ast.UAdd: lambda v: v, ast.USub: np.negative}
 
+# Deepest nesting of syntax elements an expression may have (the bound of
+# Python's own parser on nested parentheses); the walk below and the closures
+# it builds recurse once per level.
+MAX_DEPTH = 200
 
-def _compile(node):
-    """Check one node against the whitelist and return a closure of (x, y) that evaluates it."""
+
+def _compile(node, depth=1):
+    """Check the node at nesting level ``depth`` against the whitelist; return a closure of (x, y) evaluating it."""
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
+    depth += 1
     if isinstance(node, ast.BinOp):
         op = _BINOPS.get(type(node.op))
         if op is None:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        left, right = _compile(node.left), _compile(node.right)
+        left, right = _compile(node.left, depth), _compile(node.right, depth)
         return lambda x, y: op(left(x, y), right(x, y))
     if isinstance(node, ast.UnaryOp):
         op = _UNARY.get(type(node.op))
         if op is None:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        operand = _compile(node.operand)
+        operand = _compile(node.operand, depth)
         return lambda x, y: op(operand(x, y))
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only whitelisted function calls are allowed")
         if node.keywords:
             raise ExpressionError("keyword arguments are not allowed")
-        fn, args = _FUNCTIONS[node.func.id], [_compile(a) for a in node.args]
+        fn, args = _FUNCTIONS[node.func.id], [_compile(a, depth) for a in node.args]
         return lambda x, y: fn(*[a(x, y) for a in args])
     if isinstance(node, ast.Name):
         if node.id == "x":
@@ -88,7 +96,7 @@ def _compile(node):
         value = _CONSTANTS[node.id]
         return lambda x, y: value
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ExpressionError(f"constant {node.value!r} not allowed")
         value = node.value
         return lambda x, y: value
@@ -99,8 +107,8 @@ def compile_expression(src):
     """Compile an expression string into a vectorized callable of (x, y)."""
     try:
         tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {src!r}: {exc}") from exc
+    except (SyntaxError, RecursionError, MemoryError) as exc:  # the last two: the parser's stack overflowed
+        raise ExpressionError(f"cannot parse {src!r}: {str(exc) or type(exc).__name__}") from exc
     body = _compile(tree.body)
 
     def fun(x, y):

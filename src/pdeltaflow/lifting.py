@@ -100,15 +100,7 @@ class LiftField:
     compat_defect: float
 
     def to_json(self):
-        return {
-            "p": self.p,
-            "s": self.s,
-            "norms": self.norms,
-            "div_defect": self.div_defect,
-            "div_defect_pointwise": self.div_defect_pointwise,
-            "boundary_defect": self.boundary_defect,
-            "compat_defect": self.compat_defect,
-        }
+        return {k: v for k, v in vars(self).items() if k != "g"}
 
 
 def check_compatibility(data, space):

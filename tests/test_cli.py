@@ -504,3 +504,32 @@ def test_pipeline_exit_codes(tmp_path_factory, command, model, g1, g2, f, solver
     # nonzero data must reach the lift solve, not stop at the compatibility check
     errors = [str(json.loads(r.read_text()).get("error", "")) for r in (out / "t").glob("*.json")]
     assert not any("incompatible data" in e for e in errors), errors
+
+
+def test_report_key_sets(tmp_path):
+    """The keys of each report, pinned: a dataclass field added or renamed changes them."""
+    path = _write_cfg(tmp_path, "c.json", {"domain": {"nx": 8, "ny": 8}, "certify": {"sweep_lambdas": [1.0, 2.0]}})
+    for cmd in ("check-tensor", "lift", "certify"):
+        assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == EXIT_OK
+    chars = {"C1", "C2", "C3", "witnesses", "samples", "seed", "dim", "non_rigorous"}
+    lift_keys = {"p", "s", "norms", "div_defect", "div_defect_pointwise", "boundary_defect", "compat_defect"}
+    cert = json.loads((tmp_path / "certify" / "certificate.json").read_text())
+    assert set(cert) == {"p", "d", "s", "G1", "G2", "G3", "lhs", "rhs", "satisfied", "R", "verdict", "provenance"}
+    prov = cert["provenance"]
+    assert set(prov) == {"characteristics", "embedding", "lift_norms", "f_norm"}
+    assert set(prov["characteristics"]) == chars
+    assert set(prov["characteristics"]["witnesses"]) == {"C1", "C2", "C3"}
+    assert set(prov["embedding"]) == {
+        "p", "s", "korn_p", "sob_p_to_pstar", "sob_s_to_2pprime", "targets", "converged", "ascent", "non_rigorous"
+    }
+    assert set(prov["lift_norms"]) == lift_keys
+    assert set(json.loads((tmp_path / "lift" / "lift_report.json").read_text())) == lift_keys
+    tensor = json.loads((tmp_path / "check-tensor" / "tensor_report.json").read_text())
+    assert set(tensor) == {"inequalities", "characteristics", "verdict"}
+    assert set(tensor["characteristics"]) == chars
+    assert set(tensor["inequalities"]) == {
+        "p", "delta", "mu0", "mu", "dim", "pairs_checked", "C1", "C2", "C3", "violations_monotonicity",
+        "violations_C1", "violations_C2", "violations_C3", "min_monotonicity_ratio", "seed", "tolerance",
+    }
+    header = (tmp_path / "certify" / "sweep.csv").read_text().splitlines()[0]
+    assert header == "lambda,G1,G2,G3,lhs,rhs,satisfied,R"

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from pdeltaflow.expressions import ExpressionError, compile_expression
+from pdeltaflow.cli import EXIT_INVALID_CONFIG, main
+from pdeltaflow.expressions import MAX_DEPTH, ExpressionError, compile_expression
 
 
 @pytest.mark.parametrize(
@@ -45,3 +48,20 @@ def test_every_operator_evaluates_as_numpy():
         - np.pi * np.e
     )
     np.testing.assert_array_equal(fun(x, y), ref)
+
+
+@pytest.mark.parametrize(
+    "src", ["-" * 2000 + "x", "-" * 20000 + "x", "True + x"], ids=["depth2000", "depth20000", "bool"]
+)
+def test_deep_nesting_and_bool_constants_exit_4(tmp_path, capsys, src):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"data": {"g1": src}}))
+    assert main(["lift", "--config", str(path), "--out", str(tmp_path / "t")]) == EXIT_INVALID_CONFIG
+    assert "bad data expression" in capsys.readouterr().err
+
+
+def test_nesting_just_inside_the_bound_evaluates():
+    fun = compile_expression("-" * (MAX_DEPTH - 1) + "x")
+    np.testing.assert_array_equal(fun(np.array([0.5, 2.0]), 0.0), [-0.5, -2.0])
+    with pytest.raises(ExpressionError):
+        compile_expression("-" * MAX_DEPTH + "x")
