@@ -26,6 +26,7 @@ from .discretization import (
     ASCENT_ITERS,
     RectDomain,
     build_space,
+    critical_exponent,
     estimate_dual_norm,
     estimate_embedding_constants,
     save_field,
@@ -183,9 +184,9 @@ class RunConfig:
             raise ConfigError("counterexample needs q > p")
         if ce["levels"] < 3 or ce["base_n"] < 2:
             raise ConfigError("counterexample needs levels >= 3 and base_n >= 2")
-        # F1 = 0 would divide by zero in the scan's step-1 threshold
-        if not (ce["width0"] > 0 and ce["R"] > 0 and ce["F1"] > 0 and ce["c2"] > 1):
-            raise ConfigError("counterexample needs width0, R, F1 > 0 and c2 > 1")
+        # F1 = 0 would divide by zero in the scan's step-1 threshold; G1 is P_n's coercive coefficient
+        if not (ce["width0"] > 0 and ce["R"] > 0 and ce["F1"] > 0 and ce["G1"] > 0 and ce["c2"] > 1):
+            raise ConfigError("counterexample needs width0, R, F1, G1 > 0 and c2 > 1")
         if not ce["n_values"] or min(ce["n_values"]) <= 0:
             raise ConfigError("counterexample.n_values must be a non-empty list of positive numbers")
         self.s = certifier.compute_s(self.model.p, 2)
@@ -411,10 +412,9 @@ def cmd_verify_lemmas(cfg, out):
         d = int(rng.integers(2, 4))
         lo = 2.0 * d / (d + 2.0)
         p = float(rng.uniform(lo + 1e-6, 2.0 - 1e-9))
-        s = certifier.compute_s(p, d)
-        pstar = p * d / (d - p)
-        ref = max(p, pstar / 2.0 / (pstar / 2.0 - 1.0))
-        ok &= abs(s - ref) <= 1e-12 * max(1.0, ref)
+        # the paper's table: s = p above 3d/(d+2), (p*/2)' at and below it
+        ref = p if p > 3.0 * d / (d + 2.0) else certifier.conjugate(critical_exponent(p, d) / 2.0)
+        ok &= abs(certifier.compute_s(p, d) - ref) <= 1e-12 * max(1.0, ref)
     checks["s_branch_table"] = {"pass": bool(ok)}
 
     ok = True
@@ -447,9 +447,19 @@ def cmd_verify_lemmas(cfg, out):
     return EXIT_OK if payload["all_pass"] else EXIT_CONDITION_FAILED
 
 
+COMMANDS = {
+    "check-tensor": cmd_check_tensor,
+    "lift": cmd_lift,
+    "certify": cmd_certify,
+    "solve": cmd_solve,
+    "counterexample": cmd_counterexample,
+    "verify-lemmas": cmd_verify_lemmas,
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="pdeltaflow", description=__doc__)
-    parser.add_argument("command", choices=["check-tensor", "lift", "certify", "solve", "counterexample", "verify-lemmas"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="JSON config file (defaults used when omitted)")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
@@ -477,22 +487,12 @@ def main(argv=None):
     try:
         # overflow or 0/0 anywhere in a run ends it on exit 3, not on inf or nan in a report
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if args.command == "check-tensor":
-                return cmd_check_tensor(cfg, out)
-            if args.command == "lift":
-                return cmd_lift(cfg, out)
-            if args.command == "certify":
-                return cmd_certify(cfg, out)
             if args.command == "solve":
                 return cmd_solve(cfg, out, override=args.override_certification)
-            if args.command == "counterexample":
-                return cmd_counterexample(cfg, out)
-            if args.command == "verify-lemmas":
-                return cmd_verify_lemmas(cfg, out)
+            return COMMANDS[args.command](cfg, out)
     except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:  # float overflow, FloatingPointError, a huge array
         print(f"run failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

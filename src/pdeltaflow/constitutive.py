@@ -130,8 +130,8 @@ def eval_stress(model, a):
     """Apply the power-law tensor; accepts a batch with trailing (d, d) axes.
 
     The input is symmetrized on entry, so the map factors through the
-    symmetric part exactly, and S(0) = 0 by convention (no 0**(p-2) is
-    ever formed).
+    symmetric part exactly, and S(0) = 0: the weight of ``_stress_factor``
+    is finite at A = 0 (no 0**(p-2) is ever formed).
     """
     a = symmetrize(np.asarray(a, dtype=float))
     return sym_stress(model, a, frobenius(a))
@@ -142,10 +142,20 @@ def sym_stress(model, a, nrm):
     return _stress_factor(model, nrm).reshape(nrm.shape + (1,) * (a.ndim - nrm.ndim)) * a
 
 
-def _stress_factor(model, nrm):
-    """The scalar f with S(A) = f A at Frobenius norms nrm: mu0 + mu (delta + |A|)**(p-2), and mu0 at A = 0."""
-    with np.errstate(divide="ignore"):
-        return model.mu0 + np.where(nrm > 0.0, model.mu * (model.delta + nrm) ** (model.p - 2.0), 0.0)
+def _stress_factor(model, nrm, slope=False):
+    """The weight nu(|A|) = mu0 + mu (delta + |A|)**(p-2) of S(A) = nu A, at Frobenius norms nrm.
+
+    delta + |A| is floored at 1e-12 (1 + its largest value), so nu is finite
+    at A = 0 and S(0) = 0.  With ``slope`` the result is ``(nu, nu'(|A|))``,
+    the slope 0 on the floor.
+    """
+    base = model.delta + nrm
+    floor = 1e-12 * (1.0 + float(np.max(base, initial=0.0)))
+    clipped = np.maximum(base, floor)
+    nu = model.mu0 + model.mu * clipped ** (model.p - 2.0)
+    if not slope:
+        return nu
+    return nu, np.where(base > floor, model.mu * (model.p - 2.0) * clipped ** (model.p - 3.0), 0.0)
 
 
 def shifted_stress(model, g, a):

@@ -96,6 +96,8 @@ def build_family(levels, p=1.5, q=3.0, base_n=8, width0=0.32, domain=None):
     finest mesh and normalized to unit p-gradient norm."""
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
+    if not width0 > 0:  # every bump width is width0 * 2^-k and divides
+        raise ValueError(f"width0 must be positive, got {width0}")
     if q <= p:
         raise FamilyError(f"norm pair is degenerate: q={q} <= p={p} gives constant ratios")
     domain = domain or RectDomain()
@@ -240,8 +242,9 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
     |P_n| <= BISECT_RTOL (p G1 ||Du||_p^p + q y^q / n + F1 y); N0 is the
     first n after which every P_n is negative beyond that.
     """
-    if c2 <= 1.0:
-        raise ValueError("c2 must exceed 1")
+    # G1 is P_n's coercive coefficient: without it a negative P_n exhibits nothing
+    if not (R > 0 and F1 > 0 and G1 > 0 and c2 > 1.0) or len(n_values) == 0 or min(n_values) <= 0:
+        raise ValueError(f"need R, F1, G1 > 0, c2 > 1 and positive n_values, got R={R}, F1={F1}, G1={G1}, c2={c2}")
     c1 = 2.0 * R ** (family.q - 1.0) / F1 * (1.0 + 1e-3)
     records = []
     for n in n_values:

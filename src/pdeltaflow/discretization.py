@@ -501,8 +501,6 @@ def combine_level_norm(norm_p, norm_q, q, n):
 
 def level_norm(field, p, q, n):
     """Level norm max{n^(-2/(2q-1)) ||Dv||_q, ||Dv||_p}; ||Dv||_p at n = inf."""
-    if not np.isfinite(n):
-        return norm_sym_grad_p(field, p)
     return combine_level_norm(*sym_grad_norms(field, (p, q)), q, n)
 
 

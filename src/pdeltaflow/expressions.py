@@ -62,6 +62,12 @@ _UNARY = {ast.UAdd: lambda v: v, ast.USub: np.negative}
 MAX_DEPTH = 200
 
 
+def _quote(value):
+    """repr(value), cut after 60 characters, so an error message stays short for any input."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _compile(node, depth=1):
     """Check the node at nesting level ``depth`` against the whitelist; return a closure of (x, y) evaluating it."""
     if depth > MAX_DEPTH:
@@ -92,12 +98,12 @@ def _compile(node, depth=1):
         if node.id == "y":
             return lambda x, y: y
         if node.id not in _CONSTANTS:
-            raise ExpressionError(f"unknown name {node.id!r}")
+            raise ExpressionError(f"unknown name {_quote(node.id)}")
         value = _CONSTANTS[node.id]
         return lambda x, y: value
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            raise ExpressionError(f"constant {node.value!r} not allowed")
+            raise ExpressionError(f"constant {_quote(node.value)} not allowed")
         value = node.value
         return lambda x, y: value
     raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
@@ -108,7 +114,7 @@ def compile_expression(src):
     try:
         tree = ast.parse(src, mode="eval")
     except (SyntaxError, RecursionError, MemoryError) as exc:  # the last two: the parser's stack overflowed
-        raise ExpressionError(f"cannot parse {src!r}: {str(exc) or type(exc).__name__}") from exc
+        raise ExpressionError(f"cannot parse {_quote(src)}: {str(exc) or type(exc).__name__}") from exc
     body = _compile(tree.body)
 
     def fun(x, y):

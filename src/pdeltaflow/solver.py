@@ -11,12 +11,13 @@ by Newton's method on the consistent tangent: each step solves the
 linear saddle-point system of the momentum residual's derivative.  Every
 symmetric gradient is held as its Mandel components (A_00, A_11, sqrt 2
 A_01), in which the stress part of that derivative is the 3x3 modulus
-nu I + nu'(|A|) a a^T / |A| at A = Du + Dg with components a.  A step that
-raises the residual is retaken as a Picard (Kacanov) step, with the
-scalar stress weight, the penalty weight and the transport field frozen
-at the iterate.  The saddle systems are solved with a sparse LU held on
-the instance: a later solve runs GMRES on its own matrix, preconditioned
-by the held factor, and the current matrix is factored only when GMRES
+nu I + nu'(|A|) a a^T / |A| at A = Du + Dg with components a, nu and nu'
+from ``constitutive``.  A step that raises the residual is retaken as a
+Picard (Kacanov) step on the isotropic modulus, with the scalar stress
+weight, the penalty weight and the transport field frozen at the
+iterate.  The saddle systems are solved with a sparse LU held on the
+instance: a later solve runs GMRES on its own matrix, preconditioned by
+the held factor, and the current matrix is factored only when GMRES
 needs more than ``assembly.GMRES_CAP`` iterations.  A continuation run
 walks an increasing schedule of n, warm-starting each level from the
 last (and keeping its LU) and recording the uniform-bound and
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly
-from .constitutive import sym_stress
+from .constitutive import _stress_factor, sym_stress
 from .discretization import Field, _as_vec2, _over, combine_level_norm, mandel_norm, norm_sym_grad_p, sym_grad_norms
 
 __all__ = [
@@ -255,19 +256,6 @@ class SolveResult:
     converged: bool
 
 
-def _stress_weight(model, mag):
-    """Scalar stress weight nu = mu0 + mu (delta + |A|)^(p-2), floored away from 0, and its slope nu'(|A|).
-
-    The slope is 0 where the floor holds the weight constant.
-    """
-    base = model.delta + mag
-    floor = 1e-12 * (1.0 + float(base.max()))
-    clipped = np.maximum(base, floor)
-    nu = model.mu0 + model.mu * clipped ** (model.p - 2.0)
-    slope = np.where(base > floor, model.mu * (model.p - 2.0) * clipped ** (model.p - 3.0), 0.0)
-    return nu, slope
-
-
 def _data_scale(inst, cfg):
     """Size of the data terms (f, stress and transport of g alone) on the free dofs."""
     free = inst.space.free_vel_dofs
@@ -307,26 +295,25 @@ def _residual(inst, r0, u_coeffs, lam):
 
 
 def _modulus(inst, cfg, n, du, tangent):
-    """Per-point Mandel modulus (C, Q, 3, 3) of the stress part of J at Du = du.
+    """Per-point Mandel modulus of the stress part of J at Du = du.
 
     With A = Du + Dg and a, d = du the Mandel components of A and Du, it is
     (nu(|A|) + |Du|^(q-2)/n) I + nu'(|A|)/|A| a a^T + (q-2)/n |Du|^(q-4) d d^T,
-    the penalty terms only at a finite n and the rank-one terms only with
-    ``tangent``.  The strain temporaries end with the call.
+    the penalty terms only at a finite n, as (C, Q, 3, 3); without ``tangent``
+    only the isotropic weight, as (C, Q).  The strain temporaries end with the call.
     """
     a = du + inst.g_sym
     mag = mandel_norm(a)
-    nu, slope = _stress_weight(inst.model, mag)
+    nu, slope = _stress_factor(inst.model, mag, slope=True) if tangent else (_stress_factor(inst.model, mag), None)
     penalty = cfg.penalty and np.isfinite(n)
     if penalty:
         mag_u = mandel_norm(du)
         nu += mag_u ** (cfg.q - 2.0) / n  # the penalty weights Du only
-    if tangent:
-        mod = (_over(slope, mag)[..., None] * a)[..., :, None] * a[..., None, :]
-        if penalty:
-            mod += ((cfg.q - 2.0) / n * _over(mag_u ** (cfg.q - 2.0), mag_u**2)[..., None] * du)[..., :, None] * du[..., None, :]
-    else:
-        mod = np.zeros(nu.shape + (3, 3))
+    if not tangent:
+        return nu
+    mod = (_over(slope, mag)[..., None] * a)[..., :, None] * a[..., None, :]
+    if penalty:
+        mod += ((cfg.q - 2.0) / n * _over(mag_u ** (cfg.q - 2.0), mag_u**2)[..., None] * du)[..., :, None] * du[..., None, :]
     mod.reshape(nu.shape + (9,))[..., ::4] += nu[..., None]
     return mod
 
@@ -342,9 +329,9 @@ def _linearize(inst, cfg, n, u, tangent=True, state=None):
     ``assembly.modulus_stiffness`` call.  Dphi is symmetric, so (w x b +
     b x w) : Dphi = 2 (w x b) : Dphi gives the factor 2.  With
     ``tangent=False`` the derivative terms are left out: the weights and
-    the transport field are frozen at u, and the step is the Picard
-    (Kacanov) step.  ``state`` is the ``_state`` at u when the caller has
-    it already.
+    the transport field are frozen at u, the modulus is the isotropic
+    weight, and the step is the Picard (Kacanov) step.  ``state`` is the
+    ``_state`` at u when the caller has it already.
     """
     # the state before the matrix, so their temporaries do not add up
     du, v, r0 = _state(inst, cfg, n, u) if state is None else state

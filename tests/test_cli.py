@@ -92,6 +92,8 @@ class TestRunConfig:
         {"counterexample": {"c2": 1.0}},
         {"counterexample": {"width0": 0}},
         {"counterexample": {"F1": 0}},
+        {"counterexample": {"G1": 0}},
+        {"counterexample": {"G1": -1}},
         {"counterexample": {"n_values": []}},
         {"counterexample": {"n_values": [4, -8]}},
         {"embedding": {"iters": 0}},
@@ -330,6 +332,14 @@ class TestExitCodes:
         assert main(["verify-lemmas", "--config", path]) == EXIT_OK
         rep = json.loads((tmp_path / "t" / "lemma_report.json").read_text())
         assert rep["all_pass"]
+
+    def test_verify_lemmas_checks_s_against_the_branch_table(self, tmp_path, monkeypatch):
+        # s = p misses the table's (p*/2)' branch at p <= 3d/(d+2)
+        monkeypatch.setattr(cli.certifier, "compute_s", lambda p, d: p)
+        assert main(["verify-lemmas", "--out", str(tmp_path / "t")]) == EXIT_CONDITION_FAILED
+        rep = json.loads((tmp_path / "t" / "lemma_report.json").read_text())
+        assert rep["checks"]["s_branch_table"] == {"pass": False}
+        assert not rep["all_pass"]
 
     def test_lift_command(self, tmp_path):
         cfg = dict(QUICK, out=str(tmp_path / "t"))

@@ -41,6 +41,15 @@ class TestEvalStress:
             m = PDeltaModel(p=1.5, delta=delta)
             assert np.all(eval_stress(m, np.zeros((2, 2))) == 0.0)
 
+    def test_empty_batch_and_zero_under_raising_errstate(self):
+        # the weight's floor is taken over the batch: an empty one still evaluates, and S(0) forms no 0**(p-2)
+        m = PDeltaModel(p=1.5, delta=0.0)
+        with np.errstate(all="raise"):
+            empty = eval_stress(m, np.empty((0, 2, 2)))
+            zero = eval_stress(m, np.zeros((2, 2)))
+        assert empty.shape == (0, 2, 2)
+        assert np.array_equal(zero, np.zeros((2, 2)))
+
     def test_p2_is_linear(self):
         m = PDeltaModel(p=2.0, delta=0.3, mu0=0.7, mu=1.3)
         a = symmetrize(np.random.default_rng(0).standard_normal((5, 2, 2)))

@@ -54,6 +54,11 @@ class TestBuildFamily:
         with pytest.raises(ValueError):
             build_family(2)
 
+    @pytest.mark.parametrize("width0", [0.0, -0.32])
+    def test_width0_must_be_positive(self, width0):
+        with pytest.raises(ValueError, match="width0"):
+            build_family(3, base_n=4, width0=width0)
+
 
 class TestFindYn:
     def test_closed_form(self):
@@ -158,6 +163,18 @@ class TestScan:
     def test_c2_validation(self, family3):
         with pytest.raises(ValueError):
             counterexample_scan(family3, [10], c2=1.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"F1": 0.0}, {"R": -1.0}, {"R": 0.0}, {"G1": -1.0}, {"G1": 0.0}, {"n_values": []}, {"n_values": [-1]}, {"n_values": [0]}],
+    )
+    def test_bad_inputs_raise_before_any_work(self, family3, monkeypatch, bad):
+        def no_work(*args):
+            raise AssertionError("the scan started before checking its inputs")
+
+        monkeypatch.setattr(counterexample, "_discrete_f", no_work)
+        with pytest.raises(ValueError):
+            counterexample_scan(family3, **{"n_values": [2, 4, 8], **bad})
 
     def test_signs_and_N0_do_not_depend_on_the_bisection_tolerance(self, monkeypatch):
         # P_8 is 0 analytically: its raw value is a bisection residue whose

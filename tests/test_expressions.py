@@ -65,3 +65,17 @@ def test_nesting_just_inside_the_bound_evaluates():
     np.testing.assert_array_equal(fun(np.array([0.5, 2.0]), 0.0), [-0.5, -2.0])
     with pytest.raises(ExpressionError):
         compile_expression("-" * MAX_DEPTH + "x")
+
+
+@pytest.mark.parametrize(
+    "src", ["-" * 20000 + "x", "a" * 20000, '"' + "s" * 20000 + '"'], ids=["parse", "name", "constant"]
+)
+def test_errors_quote_a_bounded_prefix(tmp_path, capsys, src):
+    with pytest.raises(ExpressionError) as info:
+        compile_expression(src)
+    assert len(str(info.value)) < 200
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"data": {"g1": src}}))
+    assert main(["lift", "--config", str(path), "--out", str(tmp_path / "t")]) == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1 and len(err) < 250

@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 
 from pdeltaflow import assembly, solver
 from pdeltaflow.certifier import check_smallness, compute_constants, weighted_shear_norm
-from pdeltaflow.constitutive import PDeltaModel
-from pdeltaflow.discretization import RectDomain, build_space, divergence_values, norm_Lp, norm_sym_grad_p
+from pdeltaflow.constitutive import PDeltaModel, _stress_factor
+from pdeltaflow.discretization import RectDomain, build_space, divergence_values, mandel_norm, norm_Lp, norm_sym_grad_p
 from pdeltaflow.lifting import BoundaryData, lift
 from pdeltaflow.solver import (
     CertificationRequired,
@@ -509,6 +509,16 @@ class TestNewton:
         monkeypatch.setattr(assembly, "_assemble", counting)
         _linearize(inst, cfg, 0.5, u, tangent=tangent)
         assert calls == [("vel", "vel")]
+
+    def test_frozen_modulus_is_the_isotropic_weight(self, space4):
+        inst = _newton_case(space4)
+        cfg = SolverConfig(q=3.0, n_schedule=(1,))
+        n = 0.5
+        du = space4.sym_gradients(_random_zero_boundary(space4, 31).coeffs)
+        weight = _stress_factor(inst.model, mandel_norm(du + inst.g_sym)) + mandel_norm(du) ** (cfg.q - 2.0) / n
+        mod = solver._modulus(inst, cfg, n, du, tangent=False)
+        assert mod.shape == du.shape[:-1]
+        assert np.array_equal(mod, weight)
 
     def test_rising_step_is_retaken_frozen(self, space8, monkeypatch):
         case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
