@@ -21,17 +21,17 @@ import sys
 import numpy as np
 
 from . import certifier, counterexample, solver
-from .constitutive import PDeltaModel, _check_tensor, estimate_characteristics, young_gap
+from .constitutive import PDeltaModel, _check_sampling, _check_tensor, estimate_characteristics, young_gap
 from .discretization import (
-    ASCENT_ITERS,
     RectDomain,
+    _check_mesh,
     build_space,
     critical_exponent,
     estimate_dual_norm,
     estimate_embedding_constants,
     save_field,
 )
-from .expressions import ExpressionError, compile_expression
+from .expressions import ExpressionError, _quote, compile_expression
 from .lifting import BoundaryData, LiftingError, lift
 
 __all__ = ["RunConfig", "ConfigError", "main", "DEFAULT_CONFIG"]
@@ -46,11 +46,27 @@ class ConfigError(ValueError):
     """Malformed run configuration (unknown keys, bad types, bad values)."""
 
 
+def _defaults(*makes, leave=()):
+    """The default of each defaulted parameter of the calls makes, by name, leaving out those named in leave."""
+    return {
+        k: v.default
+        for make in makes
+        for k, v in inspect.signature(make).parameters.items()
+        if v.default is not inspect.Parameter.empty and k not in leave
+    }
+
+
+def _split(section, make):
+    """The entries of section that make takes by name, and the rest."""
+    names = inspect.signature(make).parameters
+    return {k: v for k, v in section.items() if k in names}, {k: v for k, v in section.items() if k not in names}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "out": "runs/out",
-    "model": {"p": 1.8, "delta": 0.01, "mu0": 0.0, "mu": 1.0},
-    "domain": {"x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 1.0, "nx": 16, "ny": 16, "quad_degree": 8},
+    "model": {**_defaults(PDeltaModel), "p": 1.8, "delta": 0.01},
+    "domain": {**_defaults(RectDomain, build_space), "nx": 16, "ny": 16},
     "data": {
         "g1": "0",
         "g2": [
@@ -59,26 +75,14 @@ DEFAULT_CONFIG = {
         ],
         "f": ["0", "0"],
     },
-    "characteristics": {"samples": 100000, "dim": 2},
-    "embedding": {"iters": ASCENT_ITERS},
+    "characteristics": _defaults(estimate_characteristics, leave=("seed",)),
+    "embedding": _defaults(estimate_embedding_constants),
     # q and n_schedule are derived from s and levels unless set
-    "solver": {
-        k: v.default
-        for make in (solver.default_config, solver.SolverConfig)
-        for k, v in inspect.signature(make).parameters.items()
-        if v.default is not inspect.Parameter.empty
-    },
+    "solver": _defaults(solver.default_config, solver.SolverConfig),
     "certify": {"sweep_lambdas": None},
     "counterexample": {
         "levels": 4,
-        "base_n": 8,
-        "width0": 0.32,
-        "p": 1.5,
-        "q": 3.0,
-        "R": 1.0,
-        "F1": 1.0,
-        "G1": 1.0,
-        "c2": 2.0,
+        **_defaults(counterexample.build_family, counterexample.counterexample_scan, leave=("domain",)),
         "n_values": [2, 4, 8, 12, 16, 24, 32, 64, 128, 256],
     },
 }
@@ -120,23 +124,23 @@ def _merge(defaults, user, path=""):
     for key, val in user.items():
         name = f"{path}.{key}" if path else key
         if key not in defaults:
-            raise ConfigError(f"unknown config key {name!r}")
+            raise ConfigError(f"unknown config key {_quote(name)}")
         default = defaults[key]
         if isinstance(default, dict):
             out[key] = _merge(default, val, name)
             continue
         proto = _PROTOTYPES.get(name, default)
         if not ((val is None and default is None) or _has_type(val, proto)):
-            raise ConfigError(f"{name} must be {'null or ' if default is None else ''}{_kind(proto)}, got {val!r}")
+            raise ConfigError(f"{name} must be {'null or ' if default is None else ''}{_kind(proto)}, got {_quote(val)}")
         out[key] = copy.deepcopy(val)
     return out
 
 
 def _build(section, make, *args, **kwargs):
-    """make(*args, **kwargs), its ValueError reported as a bad config section."""
+    """make(*args, **kwargs), its ValueError or FamilyError reported as a bad config section."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, counterexample.FamilyError) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 
@@ -154,14 +158,11 @@ class RunConfig:
     def __init__(self, raw=None, **overrides):
         self.data = cfg = _merge(_merge(DEFAULT_CONFIG, {} if raw is None else raw), overrides)
         if cfg["seed"] < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
+            raise ConfigError(f"seed must be a non-negative integer, got {_quote(cfg['seed'])}")
         self.model = _build("model", PDeltaModel, **cfg["model"])
-        d = cfg["domain"]
-        self.domain = _build("domain", RectDomain, d["x0"], d["y0"], d["x1"], d["y1"])
-        if d["nx"] < 2 or d["ny"] < 2:
-            raise ConfigError("domain.nx and domain.ny must be at least 2")
-        if d["quad_degree"] < 2:
-            raise ConfigError(f"domain.quad_degree must be at least 2, got {d['quad_degree']}")
+        box, mesh = _split(cfg["domain"], RectDomain)
+        self.domain = _build("domain", RectDomain, **box)
+        _build("domain", _check_mesh, **mesh)
         dd = cfg["data"]
         for key in ("g2", "f"):
             if len(dd[key]) != 2:
@@ -172,23 +173,12 @@ class RunConfig:
             raise ConfigError(f"bad data expression: {exc}") from exc
         self.boundary = BoundaryData(g1=g1, g2=tuple(g2))
         self.body_force = None if [c.strip() for c in dd["f"]] == ["0", "0"] else (fx, fy)
-        ch = cfg["characteristics"]
-        if ch["samples"] < 10000:
-            raise ConfigError("characteristics.samples must be at least 10000")
-        if ch["dim"] not in (2, 3):
-            raise ConfigError(f"characteristics.dim must be 2 or 3, got {ch['dim']}")
+        _build("characteristics", _check_sampling, **cfg["characteristics"])
         if cfg["embedding"]["iters"] < 1:
             raise ConfigError("embedding.iters must be at least 1")
-        ce = cfg["counterexample"]
-        if ce["q"] <= ce["p"]:
-            raise ConfigError("counterexample needs q > p")
-        if ce["levels"] < 3 or ce["base_n"] < 2:
-            raise ConfigError("counterexample needs levels >= 3 and base_n >= 2")
-        # F1 = 0 would divide by zero in the scan's step-1 threshold; G1 is P_n's coercive coefficient
-        if not (ce["width0"] > 0 and ce["R"] > 0 and ce["F1"] > 0 and ce["G1"] > 0 and ce["c2"] > 1):
-            raise ConfigError("counterexample needs width0, R, F1, G1 > 0 and c2 > 1")
-        if not ce["n_values"] or min(ce["n_values"]) <= 0:
-            raise ConfigError("counterexample.n_values must be a non-empty list of positive numbers")
+        fam_args, scan_args = _split(cfg["counterexample"], counterexample._check_family)
+        _build("counterexample", counterexample._check_family, **fam_args)
+        _build("counterexample", counterexample._check_scan, **scan_args)
         self.s = certifier.compute_s(self.model.p, 2)
         self.solver_config = _build("solver", solver.default_config, self.s, **cfg["solver"])
 
@@ -230,8 +220,7 @@ def _write_csv(path, fieldnames, rows):
 
 
 def _space(cfg):
-    d = cfg["domain"]
-    return build_space(cfg.domain, d["nx"], d["ny"], quad_degree=d["quad_degree"])
+    return build_space(cfg.domain, **_split(cfg["domain"], RectDomain)[1])
 
 
 def build_certificate(cfg):
@@ -241,10 +230,8 @@ def build_certificate(cfg):
     """
     model, s = cfg.model, cfg.s
     space = _space(cfg)
-    chars = estimate_characteristics(
-        model, samples=cfg["characteristics"]["samples"], seed=cfg["seed"], dim=cfg["characteristics"]["dim"]
-    )
-    emb = estimate_embedding_constants(space, model.p, s, iters=cfg["embedding"]["iters"])
+    chars = estimate_characteristics(model, seed=cfg["seed"], **cfg["characteristics"])
+    emb = estimate_embedding_constants(space, model.p, s, **cfg["embedding"])
     lf = lift(cfg.boundary, space, model.p, s)
     f = None if cfg.body_force is None else solver._load_vector(space, cfg.body_force)
     f_norm = 0.0 if f is None else estimate_dual_norm(space, f, model.p).value
@@ -273,9 +260,7 @@ def build_certificate(cfg):
 
 
 def cmd_check_tensor(cfg, out):
-    report, chars = _check_tensor(
-        cfg.model, samples=cfg["characteristics"]["samples"], seed=cfg["seed"], dim=cfg["characteristics"]["dim"]
-    )
+    report, chars = _check_tensor(cfg.model, seed=cfg["seed"], **cfg["characteristics"])
     payload = {"inequalities": report, "characteristics": chars.to_json()}
     violations = sum(report[k] for k in report if k.startswith("violations_"))
     payload["verdict"] = "pass" if violations == 0 else "fail"
@@ -362,17 +347,13 @@ def cmd_solve(cfg, out, override=False):
 
 
 def cmd_counterexample(cfg, out):
-    ce = cfg["counterexample"]
+    fam_args, scan_args = _split(cfg["counterexample"], counterexample._check_family)
     try:
-        fam = counterexample.build_family(
-            ce["levels"], p=ce["p"], q=ce["q"], base_n=ce["base_n"], width0=ce["width0"], domain=cfg.domain
-        )
+        fam = counterexample.build_family(**fam_args, domain=cfg.domain)
     except counterexample.FamilyError as exc:
         _write_json(os.path.join(out, "counterexample.json"), {"error": str(exc)})
         return EXIT_NUMERICAL
-    scan = counterexample.counterexample_scan(
-        fam, ce["n_values"], R=ce["R"], F1=ce["F1"], G1=ce["G1"], c2=ce["c2"]
-    )
+    scan = counterexample.counterexample_scan(fam, **scan_args)
     _write_csv(
         os.path.join(out, "counterexample.csv"),
         ["n", "branch", "y_n", "y_achieved", "P_n", "margin", "member_mix", "sign"],
@@ -478,9 +459,9 @@ def main(argv=None):
             os.makedirs(out, exist_ok=True)
             with open(os.path.join(out, "config.json"), "w") as fh:
                 fh.write(cfg.serialize() + "\n")
-        except OSError as exc:
-            raise ConfigError(f"out {out!r} is not a writable directory: {exc}") from exc
-    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        except OSError as exc:  # its text would repeat the path
+            raise ConfigError(f"out {_quote(out)} is not a writable directory: {exc.strerror}") from exc
+    except (ValueError, OSError) as exc:  # ValueError: ConfigError, bad JSON or UTF-8, an int past the digit limit, a NUL in a path
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 

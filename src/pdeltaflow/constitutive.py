@@ -289,6 +289,17 @@ def _component_dot(c, e, rows):
     return reduce(np.add, (q[k] for k in rows.flat))
 
 
+def _check_sampling(samples, dim):
+    """The range rule of a sample size and matrix dimension, which ``_sample_pairs`` runs first."""
+    for name, value in (("samples", samples), ("dim", dim)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if samples < 10_000:
+        raise ValueError(f"need at least 1e4 samples, got {samples}")
+    if dim not in (2, 3):
+        raise ValueError(f"matrix dimension must be 2 or 3, got {dim}")
+
+
 def _sample_pairs(rng, n_random, dim):
     """Random pairs over magnitude decades plus structured extreme pairs.
 
@@ -299,13 +310,7 @@ def _sample_pairs(rng, n_random, dim):
     on a log-magnitude grid (and pairs with B = 0 or B ~ A), which pins
     the extremal ratios far more reliably than blind sampling.
     """
-    for name, value in (("samples", n_random), ("dim", dim)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_random < 10_000:
-        raise ValueError(f"need at least 1e4 samples, got {n_random}")
-    if dim not in (2, 3):
-        raise ValueError(f"matrix dimension must be 2 or 3, got {dim}")
+    _check_sampling(n_random, dim)
     decades = (-4.0, 4.0)  # the magnitude range, log10
     mags = np.logspace(*decades, 17)
     ta, tb = (t.ravel() for t in np.meshgrid(mags, mags, indexing="ij"))

@@ -91,15 +91,22 @@ class CounterexampleRecord:
     sign: str  # of P_n: negative, zero (within the bisection tolerance) or positive
 
 
+def _check_family(levels, p, q, base_n, width0):
+    """The range rule of ``build_family``'s arguments, which it runs first."""
+    if levels < 3:
+        raise ValueError(f"need at least 3 levels, got {levels}")
+    if base_n < 2:
+        raise ValueError(f"need base_n >= 2, got {base_n}")
+    if not width0 > 0:  # every bump width is width0 * 2^-k and divides
+        raise ValueError(f"width0 must be positive, got {width0}")
+    if not q > p:
+        raise FamilyError(f"norm pair is degenerate: q={q} <= p={p} gives constant ratios")
+
+
 def build_family(levels, p=1.5, q=3.0, base_n=8, width0=0.32, domain=None):
     """Bumps of width width0 * 2^-k on meshes base_n * 2^k, prolonged to the
     finest mesh and normalized to unit p-gradient norm."""
-    if levels < 3:
-        raise ValueError(f"need at least 3 levels, got {levels}")
-    if not width0 > 0:  # every bump width is width0 * 2^-k and divides
-        raise ValueError(f"width0 must be positive, got {width0}")
-    if q <= p:
-        raise FamilyError(f"norm pair is degenerate: q={q} <= p={p} gives constant ratios")
+    _check_family(levels, p, q, base_n, width0)
     domain = domain or RectDomain()
     spaces = [build_space(domain, base_n * 2**k, base_n * 2**k) for k in range(levels)]
     fine = spaces[-1]
@@ -232,6 +239,13 @@ def _discrete_f(family, n):
     return min(combine_level_norm(1.0, r, family.q, n) / r for r in family.ratios)
 
 
+def _check_scan(n_values, R, F1, G1, c2):
+    """The range rule of ``counterexample_scan``'s arguments, which it runs first."""
+    # F1 = 0 divides by zero in the step-1 threshold; without G1 > 0 a negative P_n exhibits nothing
+    if not (R > 0 and F1 > 0 and G1 > 0 and c2 > 1.0) or len(n_values) == 0 or min(n_values) <= 0:
+        raise ValueError(f"need R, F1, G1 > 0, c2 > 1 and positive n_values, got R={R}, F1={F1}, G1={G1}, c2={c2}")
+
+
 def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
     """Evaluate P_n on constructed sphere fields across the n grid.
 
@@ -242,9 +256,7 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
     |P_n| <= BISECT_RTOL (p G1 ||Du||_p^p + q y^q / n + F1 y); N0 is the
     first n after which every P_n is negative beyond that.
     """
-    # G1 is P_n's coercive coefficient: without it a negative P_n exhibits nothing
-    if not (R > 0 and F1 > 0 and G1 > 0 and c2 > 1.0) or len(n_values) == 0 or min(n_values) <= 0:
-        raise ValueError(f"need R, F1, G1 > 0, c2 > 1 and positive n_values, got R={R}, F1={F1}, G1={G1}, c2={c2}")
+    _check_scan(n_values, R, F1, G1, c2)
     c1 = 2.0 * R ** (family.q - 1.0) / F1 * (1.0 + 1e-3)
     records = []
     for n in n_values:

@@ -177,6 +177,14 @@ class Field:
             object.__setattr__(self, "coeffs", self.coeffs - mean)
 
 
+def _check_mesh(nx, ny, quad_degree):
+    """The range rule of a space's mesh and quadrature, which ``DiscreteSpace`` runs first."""
+    if nx < 2 or ny < 2:
+        raise ValueError(f"need nx, ny >= 2, got {nx}, {ny}")
+    if quad_degree < 2:
+        raise ValueError(f"need quad_degree >= 2, got {quad_degree}")
+
+
 class DiscreteSpace:
     """Triangulated rectangle with P2 velocity / P1 pressure approximation.
 
@@ -196,10 +204,7 @@ class DiscreteSpace:
     """
 
     def __init__(self, domain, nx, ny, quad_degree=8):
-        if nx < 2 or ny < 2:
-            raise ValueError(f"need nx, ny >= 2, got {nx}, {ny}")
-        if quad_degree < 2:
-            raise ValueError(f"need quad_degree >= 2, got {quad_degree}")
+        _check_mesh(nx, ny, quad_degree)
         self.domain = domain
         self.nx, self.ny = int(nx), int(ny)
         self.quad_degree = int(quad_degree)

@@ -86,12 +86,12 @@ class SolverConfig:
 
     def __post_init__(self):
         self.n_schedule = tuple(self.n_schedule)
-        if not self.q >= 2:  # the frozen penalty weight |Du|^(q-2) must stay finite
-            raise ValueError("q must be at least 2")
-        if self.picard_tol <= 0:
+        if not 2 <= self.q < np.inf:  # the frozen penalty weight |Du|^(q-2) must stay finite
+            raise ValueError("q must be finite and at least 2")
+        if not self.picard_tol > 0:  # a NaN tolerance would never be met
             raise ValueError("picard_tol must be positive")
-        if self.picard_max < 1:
-            raise ValueError(f"picard_max must be at least 1, got {self.picard_max!r}")
+        if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, (int, np.integer)) or self.picard_max < 1:
+            raise ValueError(f"picard_max must be an integer at least 1, got {self.picard_max!r}")
         if not self.n_schedule or min(self.n_schedule) <= 0:
             raise ValueError("n_schedule must be non-empty with positive entries")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):

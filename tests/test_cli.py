@@ -15,6 +15,9 @@ from pdeltaflow.cli import (
     RunConfig,
     main,
 )
+from pdeltaflow.constitutive import PDeltaModel, estimate_characteristics
+from pdeltaflow.counterexample import FamilyError, build_family, counterexample_scan
+from pdeltaflow.discretization import RectDomain, build_space
 from pdeltaflow.lifting import BoundaryData
 
 
@@ -117,6 +120,139 @@ def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
         RunConfig.load(path)
     assert main(["solve", "--config", path]) == EXIT_INVALID_CONFIG
     assert not (tmp_path / "t").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "section, bad, call",
+    [
+        ("domain", {"nx": 1}, lambda fam: build_space(RectDomain(), 1, 16)),
+        ("domain", {"ny": 0}, lambda fam: build_space(RectDomain(), 16, 0)),
+        ("domain", {"quad_degree": 1}, lambda fam: build_space(RectDomain(), 16, 16, quad_degree=1)),
+        ("characteristics", {"samples": 9999}, lambda fam: estimate_characteristics(PDeltaModel(1.8), samples=9999)),
+        ("characteristics", {"dim": 4}, lambda fam: estimate_characteristics(PDeltaModel(1.8), dim=4)),
+        ("characteristics", {"dim": 0}, lambda fam: estimate_characteristics(PDeltaModel(1.8), dim=0)),
+        ("counterexample", {"levels": 2}, lambda fam: build_family(2)),
+        ("counterexample", {"base_n": 1}, lambda fam: build_family(4, base_n=1)),
+        ("counterexample", {"width0": 0}, lambda fam: build_family(4, width0=0)),
+        ("counterexample", {"q": 1.5}, lambda fam: build_family(4, q=1.5)),
+        ("counterexample", {"p": 3.5}, lambda fam: build_family(4, p=3.5)),
+        ("counterexample", {"R": 0}, lambda fam: counterexample_scan(fam, [4], R=0)),
+        ("counterexample", {"F1": 0}, lambda fam: counterexample_scan(fam, [4], F1=0)),
+        ("counterexample", {"G1": -1}, lambda fam: counterexample_scan(fam, [4], G1=-1)),
+        ("counterexample", {"c2": 1.0}, lambda fam: counterexample_scan(fam, [4], c2=1.0)),
+        ("counterexample", {"n_values": []}, lambda fam: counterexample_scan(fam, [])),
+        ("counterexample", {"n_values": [4, -8]}, lambda fam: counterexample_scan(fam, [4, -8])),
+    ],
+    ids=lambda v: "call" if callable(v) else str(v),
+)
+def test_config_range_message_is_the_library_calls(tmp_path, capsys, section, bad, call):
+    # each range rule lives in the library call that consumes the section; the config runs it at load
+    with pytest.raises((ValueError, FamilyError)) as info:
+        call(build_family(3, base_n=4))
+    path = _write_cfg(tmp_path, "bad.json", {section: bad, "out": str(tmp_path / "t")})
+    assert main(["counterexample", "--config", path]) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == f"invalid config: bad {section} section: {info.value}\n"
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"seed": "x" * 20000}, {"k" * 20000: 1}, {"model": {"p": "y" * 20000}}, {"out": "o" * 20000}, {"out": "a\0b"}],
+    ids=["value", "key", "nested-value", "long-out", "nul-out"],
+)
+def test_invalid_config_message_is_one_short_line(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.chdir(tmp_path)
+    assert main(["lift", "--config", _write_cfg(tmp_path, "c.json", raw)]) == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1 and len(err.encode()) < 300
+
+
+def test_integer_past_the_digit_limit_exits_4(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"seed": ' + "1" * 5000 + "}")
+    assert main(["lift", "--config", str(path), "--out", str(tmp_path / "t")]) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err.startswith("invalid config: ")
+    assert not (tmp_path / "t").exists()
+
+
+# the default config's text; DEFAULT_CONFIG reads most of it from library signatures,
+# so a changed library default shows here rather than moving the command line's default
+_DEFAULT_TEXT = """{
+  "certify": {
+    "sweep_lambdas": null
+  },
+  "characteristics": {
+    "dim": 2,
+    "samples": 100000
+  },
+  "counterexample": {
+    "F1": 1.0,
+    "G1": 1.0,
+    "R": 1.0,
+    "base_n": 8,
+    "c2": 2.0,
+    "levels": 4,
+    "n_values": [
+      2,
+      4,
+      8,
+      12,
+      16,
+      24,
+      32,
+      64,
+      128,
+      256
+    ],
+    "p": 1.5,
+    "q": 3.0,
+    "width0": 0.32
+  },
+  "data": {
+    "f": [
+      "0",
+      "0"
+    ],
+    "g1": "0",
+    "g2": [
+      "0.01 * pi * sin(pi*x) * cos(pi*y)",
+      "-0.01 * pi * cos(pi*x) * sin(pi*y)"
+    ]
+  },
+  "domain": {
+    "nx": 16,
+    "ny": 16,
+    "quad_degree": 8,
+    "x0": 0.0,
+    "x1": 1.0,
+    "y0": 0.0,
+    "y1": 1.0
+  },
+  "embedding": {
+    "iters": 40
+  },
+  "model": {
+    "delta": 0.01,
+    "mu": 1.0,
+    "mu0": 0.0,
+    "p": 1.8
+  },
+  "out": "runs/out",
+  "seed": 0,
+  "solver": {
+    "include_convective": true,
+    "levels": 7,
+    "n_schedule": null,
+    "penalty": true,
+    "picard_max": 50,
+    "picard_tol": 1e-09,
+    "q": null
+  }
+}"""
+
+
+def test_default_config_is_pinned():
+    assert RunConfig().serialize() == _DEFAULT_TEXT
 
 
 _LEAF = st.one_of(

@@ -64,6 +64,21 @@ class TestConfig:
         with pytest.raises(TypeError):  # the step is the full solve; there is no damping
             SolverConfig(q=3.0, n_schedule=(10,), damping=0.5)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"picard_tol": float("nan")},
+            {"picard_max": float("nan")},
+            {"picard_max": 2.5},
+            {"picard_max": True},
+            {"q": float("inf")},
+            {"q": float("nan")},
+        ],
+    )
+    def test_rejects_nan_infinite_and_fractional_values(self, bad):
+        with pytest.raises(ValueError):
+            SolverConfig(**{"q": 3.0, "n_schedule": (10,), **bad})
+
 
 class TestOperators:
     def test_apply_S_zero(self, space8):
