@@ -24,6 +24,7 @@ from . import certifier, counterexample, solver
 from .constitutive import PDeltaModel, _check_sampling, _check_tensor, estimate_characteristics, young_gap
 from .discretization import (
     RectDomain,
+    _check_iters,
     _check_mesh,
     build_space,
     critical_exponent,
@@ -137,11 +138,11 @@ def _merge(defaults, user, path=""):
 
 
 def _build(section, make, *args, **kwargs):
-    """make(*args, **kwargs), its ValueError or FamilyError reported as a bad config section."""
+    """make(*args, **kwargs), its ValueError or FamilyError reported, cut short, as a bad config section."""
     try:
         return make(*args, **kwargs)
     except (ValueError, counterexample.FamilyError) as exc:
-        raise ConfigError(f"bad {section} section: {exc}") from exc
+        raise ConfigError(f"bad {section} section: {_quote(exc, 200, str)}") from exc
 
 
 class RunConfig:
@@ -174,8 +175,7 @@ class RunConfig:
         self.boundary = BoundaryData(g1=g1, g2=tuple(g2))
         self.body_force = None if [c.strip() for c in dd["f"]] == ["0", "0"] else (fx, fy)
         _build("characteristics", _check_sampling, **cfg["characteristics"])
-        if cfg["embedding"]["iters"] < 1:
-            raise ConfigError("embedding.iters must be at least 1")
+        _build("embedding", _check_iters, **cfg["embedding"])
         fam_args, scan_args = _split(cfg["counterexample"], counterexample._check_family)
         _build("counterexample", counterexample._check_family, **fam_args)
         _build("counterexample", counterexample._check_scan, **scan_args)

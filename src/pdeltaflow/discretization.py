@@ -351,12 +351,15 @@ class DiscreteSpace:
         return float(np.sum(self.qw * vals))
 
     def lr_norm(self, r, *moduli):
-        """(integral of the sum of modulus**r over the moduli)**(1/r), each a (C, Q) array >= 0.
+        """(integral of the sum of modulus**r over the moduli)**(1/r), each a (C, Q) array >= 0."""
+        m, total = self._power_sum(r, *moduli)
+        return m * total ** (1.0 / r)
 
-        The norm is 1-homogeneous.  When the powers could leave the float
-        range (largest modulus m with r |log10 m| > 100, as in the Sobolev
-        objective), the moduli are scaled by m first, so a large r neither
-        underflows to 0 nor overflows; otherwise they are taken as they are.
+    def _power_sum(self, r, *moduli):
+        """(m, integral of the sum of (modulus / m)**r), the scaled power sum behind ``lr_norm``.
+
+        m is the largest modulus when the powers could leave the float range
+        (r |log10 m| > 100), so a large r neither underflows nor overflows; else 1.
         """
         m = max(float(a.max()) for a in moduli)
         if m > 0.0 and r * abs(np.log10(m)) > 100.0:
@@ -366,7 +369,7 @@ class DiscreteSpace:
         total = moduli[0] ** r
         for a in moduli[1:]:
             total = total + a**r
-        return m * self.integrate(total) ** (1.0 / r)
+        return m, self.integrate(total)
 
     def pressure_mean_vector(self):
         if "mean_vec" not in self._cache:
@@ -545,9 +548,16 @@ class ConstantEstimate:
     start: str | None = None  # what an estimator's ascent started from
     evaluations: int = 0  # objective calls, scoring the starts included
     stop: str | None = None  # why the ascent stopped; None when none ran
+    degenerate: bool = False  # won by a start that is a critical point of the ratio
 
 
 ASCENT_ITERS = 40  # iteration budget of every embedding ascent, and the config's embedding.iters
+
+
+def _check_iters(iters):
+    """The range rule of an iteration budget, which every estimator runs first."""
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
 
 
 def _ratio_ascent(x, first, objective, iters):
@@ -596,6 +606,24 @@ def _ratio_ascent(x, first, objective, iters):
             pairs.append((s, y, 1.0 / (s @ y)))
         x, val, g = xt, trial, g_new
     return x / np.linalg.norm(x), val, "cap", iters, evals
+
+
+def _ascend(objective, starts, witness, iters):
+    """ConstantEstimate of the best of the (name, vector, critical) starts, raised by one ascent.
+
+    Each start's unit vector is scored by one objective call.  A winner
+    declared critical is a critical point of the ratio: its value stands
+    with no ascent and the estimate is degenerate.  Any other winner runs
+    one ``_ratio_ascent``; ``witness`` maps the final unit vector to its field.
+    """
+    units = [x / np.linalg.norm(x) for _, x, _ in starts]
+    scored = [objective(x) for x in units]  # the winner's pair is the ascent's first evaluation
+    best = int(np.argmax([val for val, _ in scored]))
+    name, _, critical = starts[best]
+    x, val, stop, used, evals = units[best], scored[best][0], None, 0, 0
+    if not critical:
+        x, val, stop, used, evals = _ratio_ascent(x, scored[best], objective, iters)
+    return ConstantEstimate(float(np.exp(val)), witness(x), stop != "cap", used, name, len(starts) + evals, stop, critical)
 
 
 def _power_weight(mag, expo):
@@ -673,6 +701,7 @@ def estimate_korn(space, p, iters=ASCENT_ITERS):
     centre (width 0.32 of the shorter side), which is also the p = 2 witness;
     it is converged only when the ascent stops before its iteration cap.
     """
+    _check_iters(iters)
     if not (1.0 < p <= 2.0):
         raise ValueError(f"need p in (1, 2], got {p}")
     dom = space.domain
@@ -680,11 +709,8 @@ def estimate_korn(space, p, iters=ASCENT_ITERS):
     if p == 2.0:
         return ConstantEstimate(np.sqrt(2.0), swirl, True, 0, "exact")
     free = space.free_vel_dofs
-    objective = _korn_objective(space, p)
-    x0 = swirl.coeffs[free] / np.linalg.norm(swirl.coeffs[free])
-    xf, val, stop, used, evals = _ratio_ascent(x0, objective(x0), objective, iters)
-    witness = space.velocity_field(_masked(xf, free, space.n_vel))
-    return ConstantEstimate(float(np.exp(val)), witness, stop != "cap", used, "divfree", 1 + evals, stop)
+    starts = [("divfree", swirl.coeffs[free], False)]
+    return _ascend(_korn_objective(space, p), starts, lambda xf: space.velocity_field(_masked(xf, free, space.n_vel)), iters)
 
 
 def _sobolev_objective(space, s, r):
@@ -693,13 +719,7 @@ def _sobolev_objective(space, s, r):
     def objective(x):
         v, g = space.velocity_values(x), space.velocity_gradients(x)
         vals, gn = np.linalg.norm(v, axis=-1), mandel_norm(g)
-        # Both norms are 1-homogeneous.  When the powers could leave the float
-        # range, each norm is taken of the field scaled by its own largest modulus.
-        mv, md = vals.max(), max(vals.max(), gn.max())
-        if max(r, s) * max(abs(np.log10(mv)), abs(np.log10(md))) <= 100.0:
-            mv = md = 1.0
-        nr = space.integrate((vals / mv) ** r)
-        nd = space.integrate((vals / md) ** s + (gn / md) ** s)
+        (mv, nr), (md, nd) = space._power_sum(r, vals), space._power_sum(s, vals, gn)
 
         def grad():
             wv = _power_weight(vals / mv, r - 2.0) / (nr * mv**2) - _power_weight(vals / md, s - 2.0) / (nd * md**2)
@@ -722,27 +742,20 @@ def estimate_sobolev(space, from_p, to_r, iters=ASCENT_ITERS, starts=None):
     so an ascent from it has no direction to take.
     Fails fast when the target exponent exceeds the critical one.
     """
+    _check_iters(iters)
     pstar = critical_exponent(from_p, 2)
     if to_r > pstar * (1 + 1e-12):
         raise ExponentRangeError(f"target exponent {to_r} exceeds the critical exponent {pstar}")
     if to_r < 1 or from_p < 1:
         raise ValueError("exponents must be >= 1")
-    objective = _sobolev_objective(space, from_p, to_r)
     const = np.concatenate([np.ones(space.n_p2), np.zeros(space.n_p2)])
     cx, cy = space.domain.centre
     w = 0.15 * min(space.domain.x1 - space.domain.x0, space.domain.y1 - space.domain.y0)
     bump = space.interpolate_velocity(
         (lambda x, y: np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / w**2), lambda x, y: 0.0 * x)
     ).coeffs
-    cands = [("constant", const), ("bump", bump)] + [("given", f.coeffs) for f in starts or ()]
-    units = [x / np.linalg.norm(x) for _, x in cands]
-    scored = [objective(x) for x in units]  # the winner's pair is the ascent's first evaluation
-    best = int(np.argmax([val for val, _ in scored]))
-    start, x0 = cands[best][0], units[best]
-    if start == "constant":
-        return ConstantEstimate(float(np.exp(scored[best][0])), space.velocity_field(x0), True, 0, start, len(cands))
-    xf, val, stop, used, evals = _ratio_ascent(x0, scored[best], objective, iters)
-    return ConstantEstimate(float(np.exp(val)), space.velocity_field(xf), stop != "cap", used, start, len(cands) + evals, stop)
+    cands = [("constant", const, True), ("bump", bump, False)] + [("given", f.coeffs, False) for f in starts or ()]
+    return _ascend(_sobolev_objective(space, from_p, to_r), cands, space.velocity_field, iters)
 
 
 def estimate_dual_norm(space, load, p, iters=15):
@@ -753,6 +766,7 @@ def estimate_dual_norm(space, load, p, iters=15):
     means p = 2 (one solve is exact), a vanishing load, or last two iterates
     whose values agree to 1e-10 relative.
     """
+    _check_iters(iters)
     free = space.free_vel_dofs
     lf = load[free]
     if np.linalg.norm(lf) == 0.0:
@@ -807,6 +821,7 @@ class EmbeddingConstants:
 
 def estimate_embedding_constants(space, p, s, iters=ASCENT_ITERS):
     """Estimate the trio (korn_p, W^{1,p} -> L^{p*}, W^{1,s} -> L^{2p'})."""
+    _check_iters(iters)
     pstar = critical_exponent(p, 2)
     target1 = min(pstar, 64.0)  # cap the numerically explored exponent
     two_pprime = 2.0 * p / (p - 1.0)
@@ -823,7 +838,7 @@ def estimate_embedding_constants(space, p, s, iters=ASCENT_ITERS):
         witnesses={k: e.witness for k, e in est.items()},
         converged={k: e.converged for k, e in est.items()},
         ascent={
-            k: {"start": e.start, "iters": e.iters, "evaluations": e.evaluations, "stop": e.stop, "degenerate": e.start == "constant"}
+            k: {"start": e.start, "iters": e.iters, "evaluations": e.evaluations, "stop": e.stop, "degenerate": e.degenerate}
             for k, e in est.items()
         },
     )

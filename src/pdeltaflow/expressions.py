@@ -62,10 +62,10 @@ _UNARY = {ast.UAdd: lambda v: v, ast.USub: np.negative}
 MAX_DEPTH = 200
 
 
-def _quote(value):
-    """repr(value), cut after 60 characters, so an error message stays short for any input."""
-    text = repr(value)
-    return text if len(text) <= 60 else text[:60] + "..."
+def _quote(value, limit=60, show=repr):
+    """show(value), cut after limit characters, so an error message stays short for any input."""
+    text = show(value)
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def _compile(node, depth=1):

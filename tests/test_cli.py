@@ -17,7 +17,7 @@ from pdeltaflow.cli import (
 )
 from pdeltaflow.constitutive import PDeltaModel, estimate_characteristics
 from pdeltaflow.counterexample import FamilyError, build_family, counterexample_scan
-from pdeltaflow.discretization import RectDomain, build_space
+from pdeltaflow.discretization import RectDomain, build_space, estimate_embedding_constants
 from pdeltaflow.lifting import BoundaryData
 
 
@@ -142,6 +142,7 @@ def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
         ("counterexample", {"c2": 1.0}, lambda fam: counterexample_scan(fam, [4], c2=1.0)),
         ("counterexample", {"n_values": []}, lambda fam: counterexample_scan(fam, [])),
         ("counterexample", {"n_values": [4, -8]}, lambda fam: counterexample_scan(fam, [4, -8])),
+        ("embedding", {"iters": 0}, lambda fam: estimate_embedding_constants(build_space(RectDomain(), 4, 4), 1.8, 1.8, iters=0)),
     ],
     ids=lambda v: "call" if callable(v) else str(v),
 )
@@ -155,10 +156,24 @@ def test_config_range_message_is_the_library_calls(tmp_path, capsys, section, ba
     assert not (tmp_path / "t").exists()
 
 
+_HUGE_KEYS = [
+    ("model", "p"),
+    ("model", "delta"),
+    ("domain", "nx"),
+    ("domain", "quad_degree"),
+    ("characteristics", "samples"),
+    ("solver", "picard_max"),
+    ("counterexample", "levels"),
+    ("counterexample", "R"),
+]
+
+
 @pytest.mark.parametrize(
     "raw",
-    [{"seed": "x" * 20000}, {"k" * 20000: 1}, {"model": {"p": "y" * 20000}}, {"out": "o" * 20000}, {"out": "a\0b"}],
-    ids=["value", "key", "nested-value", "long-out", "nul-out"],
+    [{"seed": "x" * 20000}, {"k" * 20000: 1}, {"model": {"p": "y" * 20000}}, {"out": "o" * 20000}, {"out": "a\0b"}]
+    # a 4001-digit integer in a range the library calls check
+    + [{section: {key: -(10**4000)}} for section, key in _HUGE_KEYS],
+    ids=["value", "key", "nested-value", "long-out", "nul-out"] + [f"huge-{s}.{k}" for s, k in _HUGE_KEYS],
 )
 def test_invalid_config_message_is_one_short_line(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.chdir(tmp_path)

@@ -450,6 +450,48 @@ class TestSobolev:
         est = estimate_sobolev(space8, 1.8, 4.5, iters=60)
         assert est.value >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("k", [-150, -10, 0, 10, 150])
+    @pytest.mark.parametrize("s, r", [(1.8, 4.5), (500.5, 2002.0)])
+    def test_objective_scales_as_lr_norm(self, space8, s, r, k):
+        # one overflow rule: the objective's value is the log-ratio of the two lr_norm values
+        x = 10.0**k * np.random.default_rng(12).standard_normal(space8.n_vel)
+        v = np.linalg.norm(space8.velocity_values(x), axis=-1)
+        g = discretization.mandel_norm(space8.velocity_gradients(x))
+        expected = np.log(space8.lr_norm(r, v)) - np.log(space8.lr_norm(s, v, g))
+        assert abs(discretization._sobolev_objective(space8, s, r)(x)[0] - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "domain, p, values, converged, ascent",
+    [
+        (
+            RectDomain(),
+            1.8,
+            ("0x1.75d3411fa36b3p+0", "0x1.0000000000000p+0", "0x1.ffffffffffffcp-1"),
+            (False, True, True),
+            (("divfree", 40, 43, "cap", False), ("constant", 0, 2, None, True), ("constant", 0, 2, None, True)),
+        ),
+        (
+            RectDomain(0.0, 0.0, 8.0, 2.0),
+            1.6,
+            ("0x1.741370d68d8a4p+0", "0x1.87872054ef121p-2", "0x1.306fe0a31b714p-2"),
+            (False, False, True),
+            (("divfree", 40, 41, "cap", False), ("bump", 40, 44, "cap", False), ("constant", 0, 2, None, True)),
+        ),
+    ],
+    ids=["unit-square", "rectangle-8x2"],
+)
+def test_embedding_estimates_are_pinned(domain, p, values, converged, ascent):
+    # the bitwise values, flags and ascent records of the three estimates on 8x8 meshes
+    from pdeltaflow.certifier import compute_s
+
+    emb = discretization.estimate_embedding_constants(build_space(domain, 8, 8), p, compute_s(p, 2))
+    keys = ("korn_p", "sob_p_to_pstar", "sob_s_to_2pprime")
+    assert tuple(float.hex(getattr(emb, k)) for k in keys) == values
+    assert emb.converged == dict(zip(keys, converged))
+    fields = ("start", "iters", "evaluations", "stop", "degenerate")
+    assert emb.to_json()["ascent"] == {k: dict(zip(fields, a)) for k, a in zip(keys, ascent)}
+
 
 class TestRatioAscent:
     """The L-BFGS ascent on a Rayleigh quotient, whose maximum is known."""
@@ -496,6 +538,23 @@ class TestRatioAscent:
             return 0.0, lambda: np.zeros_like(x)
 
         assert discretization._ratio_ascent(x0, flat(x0), flat, 10)[2:] == ("flat", 0, 0)
+
+
+@pytest.mark.parametrize("iters", [0, -3, True, 2.5])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda space, iters: estimate_korn(space, 1.8, iters=iters),
+        lambda space, iters: estimate_sobolev(space, 1.8, 4.5, iters=iters),
+        lambda space, iters: estimate_dual_norm(space, np.zeros(space.n_vel), 1.8, iters=iters),
+        lambda space, iters: discretization.estimate_embedding_constants(space, 1.8, 1.8, iters=iters),
+    ],
+    ids=["korn", "sobolev", "dual_norm", "embedding"],
+)
+def test_iteration_budget_is_a_positive_integer(space4, estimate, iters):
+    # one range rule, run by every estimator before any work
+    with pytest.raises(ValueError, match="iters must be an integer >= 1"):
+        estimate(space4, iters)
 
 
 def test_one_iteration_default():
