@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import certifier, counterexample, solver
-from .constitutive import PDeltaModel, _check_sampling, _check_tensor, estimate_characteristics, young_gap
+from .constitutive import PDeltaModel, _check_growth, _check_sampling, estimate_characteristics, inequality_sweep, young_gap
 from .discretization import (
     RectDomain,
     _check_iters,
@@ -76,7 +76,8 @@ DEFAULT_CONFIG = {
         ],
         "f": ["0", "0"],
     },
-    "characteristics": _defaults(estimate_characteristics, leave=("seed",)),
+    # the sample of the check-tensor sweep; the characteristics themselves take only dim
+    "characteristics": _defaults(inequality_sweep, leave=("seed", "tol", "chars")),
     "embedding": _defaults(estimate_embedding_constants),
     # q and n_schedule are derived from s and levels unless set
     "solver": _defaults(solver.default_config, solver.SolverConfig),
@@ -230,7 +231,7 @@ def build_certificate(cfg):
     """
     model, s = cfg.model, cfg.s
     space = _space(cfg)
-    chars = estimate_characteristics(model, seed=cfg["seed"], **cfg["characteristics"])
+    chars = estimate_characteristics(model, dim=cfg["characteristics"]["dim"])
     emb = estimate_embedding_constants(space, model.p, s, **cfg["embedding"])
     lf = lift(cfg.boundary, space, model.p, s)
     f = None if cfg.body_force is None else solver._load_vector(space, cfg.body_force)
@@ -260,7 +261,8 @@ def build_certificate(cfg):
 
 
 def cmd_check_tensor(cfg, out):
-    report, chars = _check_tensor(cfg.model, seed=cfg["seed"], **cfg["characteristics"])
+    chars = estimate_characteristics(cfg.model, dim=cfg["characteristics"]["dim"])
+    report = inequality_sweep(cfg.model, seed=cfg["seed"], chars=chars, **cfg["characteristics"])
     payload = {"inequalities": report, "characteristics": chars.to_json()}
     violations = sum(report[k] for k in report if k.startswith("violations_"))
     payload["verdict"] = "pass" if violations == 0 else "fail"
@@ -454,6 +456,9 @@ def main(argv=None):
         # the other commands take p = 2
         if args.command in ("certify", "solve", "verify-lemmas") and cfg.model.p == 2.0:
             raise ConfigError(f"{args.command} needs model.p in (1, 2), got 2")
+        # the commands that use C1-C3 need a model that has them
+        if args.command in ("certify", "solve", "check-tensor"):
+            _build("model", _check_growth, cfg.model)
         out = cfg["out"]
         try:
             os.makedirs(out, exist_ok=True)

@@ -9,9 +9,16 @@ tensor, this module estimates its three growth constants
 * ``C2`` -- growth: ``|S(A)-S(B)| <= C2*w(A,B)*|A-B|``,
 * ``C3`` -- integral lower bound against ``int_0^|A-B| (delta+|B|+s)**(p-2) s ds``,
 
-with the shared weight ``w(A,B) = (delta + |B| + |A-B|)**(p-2)``, by
-stratified sampling over several magnitude decades.  The estimates are
-empirical (reported with extremizing witnesses, never rigorous bounds).
+with the shared weight ``w(A,B) = (delta + |B| + |A-B|)**(p-2)``.  S is
+isotropic, so each ratio depends on a pair only through b = |B|,
+t = |A-B| and the angle between B and A-B; with mu0 = 0 it is also
+unchanged under (A, B, delta) -> lambda (A, B, delta).  The constants are
+found by a deterministic grid-and-zoom search over those three numbers
+and do not depend on a seed or on the dimension.  ``inequality_sweep``
+checks them against a stratified random sample of matrix pairs.  The
+estimates are empirical (reported with extremizing witnesses, never
+rigorous bounds).  With mu0 > 0 and p < 2 the growth ratio has no bound
+(B = 0 gives mu0 (delta + |A|)**(2-p) + mu), so such a model has no C2.
 """
 
 from __future__ import annotations
@@ -71,10 +78,11 @@ class PDeltaModel:
 
 @dataclass(frozen=True)
 class Characteristics:
-    """Sampled growth constants of a stress tensor, with extremizer witnesses.
+    """Growth constants of a stress tensor, with extremizer witnesses.
 
-    The values are empirical bounds over the drawn sample (C1, C3 sampled
-    infima; C2 a sampled supremum) and are flagged non-rigorous.
+    C1 and C3 are infima and C2 a supremum over the points of the reduced
+    search, ``samples`` of them; each witness is its extremizing pair (A, B)
+    as dim-by-dim matrices.  The values are flagged non-rigorous.
     """
 
     C1: float
@@ -84,7 +92,6 @@ class Characteristics:
     witness_C2: tuple
     witness_C3: tuple
     samples: int
-    seed: int
     dim: int = 2
     non_rigorous: bool = True
 
@@ -169,9 +176,14 @@ def young_int(a, t, p):
     Uses the antiderivative for moderate t/a and a truncated series when
     t << a, where the antiderivative cancels catastrophically.  Each
     element goes through the one formula of its case; a case that holds
-    for every element is evaluated without gathering.
+    for every element is evaluated without gathering.  At p = 2 the
+    integral is t**2 / 2 for every a, which the antiderivative would
+    reach only to ~1e-11.
     """
     a, t = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
+    if p == 2.0:
+        out = 0.5 * t * t
+        return out if out.ndim else float(out)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = t / a
     zero = a <= 0.0
@@ -263,11 +275,6 @@ def _components(m, out):
     return out
 
 
-def _matrices(c):
-    """The symmetric (..., d, d) matrices of component rows c."""
-    return np.moveaxis(c[_entry_rows(_dim_of(c))], (0, 1), (-2, -1))
-
-
 def _component_norm(c, rows):
     """Frobenius norms of the matrices of component rows c.
 
@@ -289,15 +296,34 @@ def _component_dot(c, e, rows):
     return reduce(np.add, (q[k] for k in rows.flat))
 
 
-def _check_sampling(samples, dim):
-    """The range rule of a sample size and matrix dimension, which ``_sample_pairs`` runs first."""
-    for name, value in (("samples", samples), ("dim", dim)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if samples < 10_000:
-        raise ValueError(f"need at least 1e4 samples, got {samples}")
+def _check_integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_dim(dim):
+    """The range rule of a matrix dimension, which ``estimate_characteristics`` runs first."""
+    _check_integer("dim", dim)
     if dim not in (2, 3):
         raise ValueError(f"matrix dimension must be 2 or 3, got {dim}")
+
+
+def _check_sampling(samples, dim):
+    """The range rule of a sample size and matrix dimension, which ``_sample_pairs`` runs first."""
+    _check_integer("samples", samples)
+    _check_dim(dim)
+    if samples < 10_000:
+        raise ValueError(f"need at least 1e4 samples, got {samples}")
+
+
+def _check_growth(model):
+    """The range rule of a model with finite growth constants, which ``estimate_characteristics`` runs first.
+
+    With mu0 > 0 and p < 2, the pairs with B = 0 give the C2 ratio
+    mu0 (delta + |A|)**(2-p) + mu, which grows without bound in |A|.
+    """
+    if model.mu0 > 0.0 and model.p < 2.0:
+        raise ValueError(f"mu0 > 0 with p < 2 has no finite growth constant C2, got mu0={model.mu0}, p={model.p}")
 
 
 def _sample_pairs(rng, n_random, dim):
@@ -384,59 +410,146 @@ def _growth_ratios(model, a, b):
 
     The pairs (component rows) are evaluated in chunks of _CHUNK, so the
     per-pair temporaries stay small, and each chunk's non-coincident
-    pairs are written on into arrays sized for the whole sample.  The
-    ratios are in sample order, and ``idx`` gives each ratio's pair, a
-    column of (a, b).
+    pairs are written on into arrays sized for the whole sample, in
+    sample order.
     """
     n = a.shape[1]
     out, kept = {}, 0
     for start in range(0, n, _CHUNK):
         part = _chunk_ratios(model, a[:, start:start + _CHUNK], b[:, start:start + _CHUNK])
         keep = part.pop("keep")
-        part["idx"] = np.arange(start, start + keep.size)
-        if not keep.all():
+        size = int(np.count_nonzero(keep))
+        if size < keep.size:
             part = {key: val[keep] for key, val in part.items()}
         for key, val in part.items():
-            out.setdefault(key, np.empty(n, val.dtype))[kept:kept + val.size] = val
-        kept += part["idx"].size
+            out.setdefault(key, np.empty(n, val.dtype))[kept:kept + size] = val
+        kept += size
     if kept == 0:
         raise DegenerateSampleError("all sampled pairs coincide")
     return {key: val[:kept] for key, val in out.items()}
 
 
-def _sampled_ratios(model, samples, seed, dim):
-    """The pairs (a, b) drawn with ``seed`` and their ``_growth_ratios``."""
-    a, b = _sample_pairs(np.random.default_rng(seed), samples, dim)
-    return a, b, _growth_ratios(model, a, b)
+# the regions of the reduced search, each with its map from coordinates to (delta, b, t, theta) and,
+# per coordinate, its (low, high, grid points): t/b and b/delta, t/delta in log10, theta in radians.
+# With mu0 = 0 the ratios are scale-free, so the limit takes b = 1 and the others delta = 1.
+_REGIONS = {
+    # delta / b -> 0, which is also the whole delta = 0 model
+    "limit": (lambda x: (0.0, 1.0, 10.0 ** x[0], x[1]), ((-8.0, 6.0, 57), (0.0, np.pi, 25))),
+    "interior": (lambda x: (1.0, 10.0 ** x[0], 10.0 ** x[1], x[2]), ((-6.0, 6.0, 13), (-8.0, 8.0, 17), (0.0, np.pi, 13))),
+    "zero_b": (lambda x: (1.0, 0.0, 10.0 ** x[0], 0.0), ((-8.0, 8.0, 33),)),
+}
+# zoom rounds around each constant's best point, and points per coordinate in each round's box
+_ZOOM_ROUNDS, _ZOOM_POINTS = 8, 7
+# C1 and C3 are infima, C2 a supremum: each is the minimum of its ratio times this sign
+_SENSE = np.array([1.0, -1.0, 1.0])
 
 
-def _characteristics_of(a, b, r, seed, dim):
-    """Characteristics of the ratios r of the pairs (a, b)."""
-    i1 = int(np.argmin(r["r1"]))
-    i2 = int(np.argmax(r["r2"]))
-    i3 = int(np.argmin(r["r3"]))
-    pair = lambda i: (_matrices(a[:, r["idx"][i]]), _matrices(b[:, r["idx"][i]]))
+def _reduced_ratios(p, delta, b, t, theta):
+    """r1, r2, r3 at mu = 1 of the pairs |B| = b, |A-B| = t at the angle theta between B and A-B.
+
+    S(A) - S(B) = (fa - fb) B + fa (A - B) with f(a) = (delta + a)**(p-2),
+    so the monotonicity term is fa t**2 + (fa - fb) b t c.  fa / fb is
+    taken through log1p of (a - b) / (delta + b), a - b as
+    (2bc + t) t / (a + b), and fa - fb through expm1: no difference of
+    near-equal numbers is formed.  The ratios are stacked as (3, ...).
+    Where delta + a < 1e-6 (delta + b) (A near 0 with delta << b) the two
+    terms of fa + (fa - fb) b c / t cancel by up to fa / fb; the ratios
+    are nan there.  They are continuous at A = 0, and their grid
+    neighbours are scored.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    a = np.hypot(b + t * c, t * s)
+    rel = (2.0 * b * c + t) * t / ((a + b) * (delta + b))  # (a - b) / (delta + b)
+    q = (p - 2.0) * np.log1p(rel)
+    fb = (delta + b) ** (p - 2.0)
+    fa, dfa = fb * np.exp(q), fb * np.expm1(q)
+    d = dfa * b / t
+    mono = fa + d * c  # (S(A) - S(B)):(A - B) / t**2
+    w = (delta + b + t) ** (p - 2.0)
+    r = np.stack([mono / w, np.hypot(d + fa * c, fa * s) / w, mono * t * t / young_int(delta + b, t, p)])
+    return np.where(rel < 1e-6 - 1.0, np.nan, r)
+
+
+def _grid(bounds, centre=None, shrink=1.0):
+    """The coordinates (dims, n) of the grid over bounds, or of a zoom box around centre.
+
+    The box spans one grid spacing / shrink on each side of centre in
+    _ZOOM_POINTS points per coordinate, clipped to bounds.
+    """
+    if centre is None:
+        axes = [np.linspace(lo, hi, n) for lo, hi, n in bounds]
+    else:
+        half = [(hi - lo) / (n - 1) / shrink for lo, hi, n in bounds]
+        axes = [np.clip(x + h * np.linspace(-1.0, 1.0, _ZOOM_POINTS), lo, hi) for x, h, (lo, hi, _) in zip(centre, half, bounds)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _scan(model, boxes):
+    """The ratios at mu = 1 times their sense, (3, n), at the n points x of each (region, x) in boxes.
+
+    The points of all boxes go through one ``_reduced_ratios`` call.
+    """
+    points = [np.broadcast_arrays(*_REGIONS[region][0](x)) for region, x in boxes]
+    obj = _reduced_ratios(model.p, *(np.concatenate(c) for c in zip(*points))) * _SENSE[:, None]
+    return np.split(obj, np.cumsum([x.shape[1] for _, x in boxes])[:-1], axis=1)
+
+
+def _witness(model, region, x, dim):
+    """The pair (A, B) of one point x of a region, as dim-by-dim matrices in the model's own scale.
+
+    B = b E and A = B + t (cos(theta) E + sin(theta) F), with E and F the
+    first two diagonal unit matrices.  The limit region takes b = 1e12 delta,
+    within about 1e-12 of delta / b -> 0, capped at 1e300 so that the
+    matrices stay finite (b = 1 at delta = 0); the others scale b and t by
+    delta.
+    """
+    _, b, t, theta = _REGIONS[region][0](x)
+    scale = (min(model.delta * 1e12, 1e300) if region == "limit" else model.delta) or 1.0
+    e, f = np.zeros((2, dim, dim))
+    e[0, 0] = f[1, 1] = 1.0
+    bm = scale * b * e
+    return bm + scale * t * (np.cos(theta) * e + np.sin(theta) * f), bm
+
+
+def estimate_characteristics(model, dim=2):
+    """(C1, C2, C3) by a deterministic search over the three numbers that fix each ratio.
+
+    The ratios are scored once on a grid over each region of
+    ``_REGIONS``: the delta / b -> 0 limit over (log10 t/b, theta), and
+    for delta > 0 the interior over (log10 b/delta, log10 t/delta, theta)
+    and the line B = 0 over log10 t/delta.  A box of _ZOOM_POINTS per
+    coordinate then shrinks _ZOOM_ROUNDS times around each constant's best
+    point.  C1 and C3 are the least values found, C2 the greatest, each
+    times mu0 + mu: the stress factor is mu (delta + |A|)**(p-2) for p < 2
+    (``_check_growth`` rules out mu0 > 0 there) and mu0 + mu at p = 2.
+    C1 and C3 are infima approached as t/b -> 0, which the limit region
+    stops at 1e-8, so they sit about 1e-9 above them.  The result is the
+    same for every delta > 0 and for d = 2 and 3; ``dim`` only shapes the
+    witnesses.
+    """
+    _check_growth(model)
+    _check_dim(dim)
+    best = [None] * 3  # per constant: (objective, region, point)
+    count = 0
+    # first one grid per region, which every constant reads; then, each round, one box per
+    # constant around its best point, a third as wide as the round before
+    boxes = [(region, _grid(bounds)) for region, (_, bounds) in _REGIONS.items() if model.delta > 0.0 or region == "limit"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for zoom in range(_ZOOM_ROUNDS + 1):
+            for j, ((region, x), obj) in enumerate(zip(boxes, _scan(model, boxes))):
+                count += x.shape[1]
+                for k in range(3) if zoom == 0 else (j,):
+                    i = int(np.nanargmin(obj[k]))
+                    if best[k] is None or obj[k, i] < best[k][0]:
+                        best[k] = (obj[k, i], region, x[:, i])
+            boxes = [(region, _grid(_REGIONS[region][1], centre, 3.0**zoom)) for _, region, centre in best]
+    scale = model.mu0 + model.mu
     return Characteristics(
-        C1=float(r["r1"][i1]),
-        C2=float(r["r2"][i2]),
-        C3=float(r["r3"][i3]),
-        witness_C1=pair(i1),
-        witness_C2=pair(i2),
-        witness_C3=pair(i3),
-        samples=int(r["r1"].size),
-        seed=seed,
+        *(float(scale * sense * val) for sense, (val, _, _) in zip(_SENSE, best)),
+        *(_witness(model, region, centre, dim) for _, region, centre in best),
+        samples=count,
         dim=dim,
     )
-
-
-def estimate_characteristics(model, samples=100_000, seed=0, dim=2):
-    """Estimate (C1, C2, C3) by stratified Monte-Carlo over magnitude decades.
-
-    C1 and C3 are sampled infima, C2 a sampled supremum; the extremizing
-    pair is recorded for each.  The result is an empirical bound for the
-    drawn sample, not a proof.
-    """
-    return _characteristics_of(*_sampled_ratios(model, samples, seed, dim), seed, dim)
 
 
 def inequality_sweep(model, samples=100_000, seed=0, dim=2, tol=1e-10, chars=None):
@@ -446,20 +559,11 @@ def inequality_sweep(model, samples=100_000, seed=0, dim=2, tol=1e-10, chars=Non
     the C1/C2/C3 forms are checked against ``chars``.  With ``chars=None``
     the constants are taken from this very sample, so ``violations_C1``
     to ``violations_C3`` are 0 by construction; the out-of-sample check
-    passes ``chars`` estimated from another seed.  Returns a JSON-ready
-    report.
+    passes ``chars`` from ``estimate_characteristics``.  Returns a
+    JSON-ready report.
     """
-    return _sweep_of(model, _sampled_ratios(model, samples, seed, dim)[2], seed, dim, tol, chars)
-
-
-def _check_tensor(model, samples, seed, dim):
-    """``inequality_sweep`` and ``estimate_characteristics`` of one sample, drawn and evaluated once."""
-    a, b, r = _sampled_ratios(model, samples, seed, dim)
-    return _sweep_of(model, r, seed, dim), _characteristics_of(a, b, r, seed, dim)
-
-
-def _sweep_of(model, r, seed, dim, tol=1e-10, chars=None):
-    """The ``inequality_sweep`` report of the ratios r."""
+    a, b = _sample_pairs(np.random.default_rng(seed), samples, dim)
+    r = _growth_ratios(model, a, b)
     if chars is None:
         c1, c2, c3 = float(np.min(r["r1"])), float(np.max(r["r2"])), float(np.min(r["r3"]))
     else:

@@ -104,6 +104,11 @@ _SYMMETRIC_8 = (
 )
 
 
+def _gauss_points(degree):
+    """The one-dimensional points m of the collapsed Gauss rule exact to degree: 2m - 2 >= degree."""
+    return int(-(-(degree + 2) // 2))
+
+
 def _triangle_rule(degree):
     """Quadrature points (Q, 2) and weights (Q,) on the unit triangle, exact to `degree`.
 
@@ -118,7 +123,7 @@ def _triangle_rule(degree):
         bary = np.array([pt for pts, _ in orbits for pt in pts])
         weights = np.concatenate([np.full(len(pts), 0.5 * w) for pts, w in orbits])  # area 1/2
         return bary[:, 1:], weights
-    m = int(np.ceil((degree + 2) / 2))
+    m = _gauss_points(degree)
     u, wu = _gauss01(m)
     v, wv = _gauss01(m)
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -177,12 +182,28 @@ class Field:
             object.__setattr__(self, "coeffs", self.coeffs - mean)
 
 
+# upper bounds of a mesh: grid squares, and quadrature points over its 2 nx ny triangles
+_MAX_SQUARES, _MAX_QUAD_POINTS = 2**26, 2**31
+
+
 def _check_mesh(nx, ny, quad_degree):
-    """The range rule of a space's mesh and quadrature, which ``DiscreteSpace`` runs first."""
+    """The range rule of a space's mesh and quadrature, which ``DiscreteSpace`` runs first.
+
+    The upper bounds make a mesh or rule that no memory holds a config
+    error rather than a failed run.  The space alone holds about 1 kB per
+    grid square and 30 bytes per quadrature point (``build_space`` on
+    32x32 to 64x64), so 2**26 squares or 2**31 points take 60 GB before
+    any solve.  With nx, ny >= 2 they also bound nx and ny below 2**25.  A
+    triangle rule has at most m**2 points (see ``_triangle_rule``).
+    """
     if nx < 2 or ny < 2:
         raise ValueError(f"need nx, ny >= 2, got {nx}, {ny}")
     if quad_degree < 2:
         raise ValueError(f"need quad_degree >= 2, got {quad_degree}")
+    if nx * ny > _MAX_SQUARES:
+        raise ValueError(f"need nx * ny <= 2**26 grid squares, got {nx} x {ny}")
+    if 2 * nx * ny * _gauss_points(quad_degree) ** 2 > _MAX_QUAD_POINTS:
+        raise ValueError(f"need at most 2**31 quadrature points, got quad_degree {quad_degree} on {nx} x {ny}")
 
 
 class DiscreteSpace:
@@ -613,8 +634,10 @@ def _ascend(objective, starts, witness, iters):
 
     Each start's unit vector is scored by one objective call.  A winner
     declared critical is a critical point of the ratio: its value stands
-    with no ascent and the estimate is degenerate.  Any other winner runs
-    one ``_ratio_ascent``; ``witness`` maps the final unit vector to its field.
+    with no ascent, and the estimate is degenerate and not converged (a
+    critical point need not be a maximum).  Any other winner runs one
+    ``_ratio_ascent``, converged when it stops before its cap; ``witness``
+    maps the final unit vector to its field.
     """
     units = [x / np.linalg.norm(x) for _, x, _ in starts]
     scored = [objective(x) for x in units]  # the winner's pair is the ascent's first evaluation
@@ -623,7 +646,8 @@ def _ascend(objective, starts, witness, iters):
     x, val, stop, used, evals = units[best], scored[best][0], None, 0, 0
     if not critical:
         x, val, stop, used, evals = _ratio_ascent(x, scored[best], objective, iters)
-    return ConstantEstimate(float(np.exp(val)), witness(x), stop != "cap", used, name, len(starts) + evals, stop, critical)
+    converged = not critical and stop != "cap"  # a critical start is no maximum
+    return ConstantEstimate(float(np.exp(val)), witness(x), converged, used, name, len(starts) + evals, stop, critical)
 
 
 def _power_weight(mag, expo):

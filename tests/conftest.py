@@ -104,7 +104,7 @@ def model18():
 
 @pytest.fixture(scope="session")
 def chars18(model18):
-    return estimate_characteristics(model18, samples=30000, seed=11)
+    return estimate_characteristics(model18)
 
 
 @pytest.fixture(scope="session")

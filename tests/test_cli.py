@@ -15,7 +15,7 @@ from pdeltaflow.cli import (
     RunConfig,
     main,
 )
-from pdeltaflow.constitutive import PDeltaModel, estimate_characteristics
+from pdeltaflow.constitutive import PDeltaModel, inequality_sweep
 from pdeltaflow.counterexample import FamilyError, build_family, counterexample_scan
 from pdeltaflow.discretization import RectDomain, build_space, estimate_embedding_constants
 from pdeltaflow.lifting import BoundaryData
@@ -128,9 +128,9 @@ def test_bad_solver_and_model_values_exit_4(tmp_path, bad):
         ("domain", {"nx": 1}, lambda fam: build_space(RectDomain(), 1, 16)),
         ("domain", {"ny": 0}, lambda fam: build_space(RectDomain(), 16, 0)),
         ("domain", {"quad_degree": 1}, lambda fam: build_space(RectDomain(), 16, 16, quad_degree=1)),
-        ("characteristics", {"samples": 9999}, lambda fam: estimate_characteristics(PDeltaModel(1.8), samples=9999)),
-        ("characteristics", {"dim": 4}, lambda fam: estimate_characteristics(PDeltaModel(1.8), dim=4)),
-        ("characteristics", {"dim": 0}, lambda fam: estimate_characteristics(PDeltaModel(1.8), dim=0)),
+        ("characteristics", {"samples": 9999}, lambda fam: inequality_sweep(PDeltaModel(1.8), samples=9999)),
+        ("characteristics", {"dim": 4}, lambda fam: inequality_sweep(PDeltaModel(1.8), dim=4)),
+        ("characteristics", {"dim": 0}, lambda fam: inequality_sweep(PDeltaModel(1.8), dim=0)),
         ("counterexample", {"levels": 2}, lambda fam: build_family(2)),
         ("counterexample", {"base_n": 1}, lambda fam: build_family(4, base_n=1)),
         ("counterexample", {"width0": 0}, lambda fam: build_family(4, width0=0)),
@@ -154,6 +154,20 @@ def test_config_range_message_is_the_library_calls(tmp_path, capsys, section, ba
     assert main(["counterexample", "--config", path]) == EXIT_INVALID_CONFIG
     assert capsys.readouterr().err == f"invalid config: bad {section} section: {info.value}\n"
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("key", ["nx", "ny", "quad_degree"])
+@pytest.mark.parametrize("value", [10**20, 10**4000], ids=["1e20", "1e4000"])
+def test_huge_mesh_is_a_config_error(tmp_path, capsys, key, value):
+    # no memory holds such a space: a config error, not a run that fails converting the size to a float
+    path = _write_cfg(tmp_path, "c.json", {"domain": {key: value}, "out": str(tmp_path / "t")})
+    assert main(["lift", "--config", path]) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err.startswith("invalid config: bad domain section: need ")
+    assert not (tmp_path / "t").exists()
+
+
+def test_mesh_bounds_accept_large_meshes():
+    assert RunConfig({"domain": {"nx": 256, "ny": 256, "quad_degree": 10}})["domain"]["nx"] == 256
 
 
 _HUGE_KEYS = [
@@ -357,6 +371,32 @@ class TestExitCodes:
         assert main([command, "--config", path]) == EXIT_INVALID_CONFIG
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("command", ["certify", "solve", "check-tensor"])
+    def test_mu0_with_p_below_2_rejected_before_work(self, tmp_path, capsys, command):
+        # B = 0 gives the C2 ratio mu0 (delta + |A|)**(2-p) + mu, which has no bound
+        cfg = {"domain": {"nx": 8, "ny": 8}, "model": {"mu0": 0.5}, "out": str(tmp_path / "t")}
+        assert main([command, "--config", _write_cfg(tmp_path, "c.json", cfg)]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("invalid config: bad model section: mu0 > 0 with p < 2 has no finite")
+        assert not (tmp_path / "t").exists()
+
+    def test_mu0_at_p2_checks_the_tensor(self, tmp_path):
+        cfg = dict(QUICK, out=str(tmp_path / "t"), model={"p": 2.0, "mu0": 0.5, "mu": 1.0})
+        assert main(["check-tensor", "--config", _write_cfg(tmp_path, "c.json", cfg)]) == EXIT_OK
+        chars = json.loads((tmp_path / "t" / "tensor_report.json").read_text())["characteristics"]
+        assert (chars["C1"], chars["C2"], chars["C3"]) == (1.5, 1.5, 3.0)
+
+    def test_certify_characteristics_are_seed_free(self, tmp_path, monkeypatch):
+        from pdeltaflow import constitutive
+
+        calls = []
+        monkeypatch.setattr(constitutive, "_sample_pairs", lambda *args: calls.append(args))
+        path = _write_cfg(tmp_path, "c.json", QUICK)
+        for seed in ("0", "7"):
+            assert main(["certify", "--config", path, "--seed", seed, "--out", str(tmp_path / seed)]) == EXIT_OK
+        prov = [json.loads((tmp_path / seed / "certificate.json").read_text())["provenance"] for seed in ("0", "7")]
+        assert prov[0]["characteristics"] == prov[1]["characteristics"]
+        assert calls == []
+
     def test_check_tensor_pass(self, tmp_path):
         cfg = dict(QUICK, out=str(tmp_path / "t"), model={"p": 2.0, "delta": 0.0, "mu0": 0.0, "mu": 1.0})
         path = _write_cfg(tmp_path, "c.json", cfg)
@@ -466,7 +506,7 @@ class TestExitCodes:
         def fail(*args, **kw):
             raise MemoryError(reason)
 
-        monkeypatch.setattr(cli, "_check_tensor", fail)
+        monkeypatch.setattr(cli, "inequality_sweep", fail)
         path = _write_cfg(tmp_path, "c.json", dict(QUICK, out=str(tmp_path / "t")))
         assert main(["check-tensor", "--config", path]) == EXIT_NUMERICAL
         assert capsys.readouterr().err == f"run failed: {reason or 'MemoryError'}\n"
@@ -613,7 +653,13 @@ _AMPLITUDE = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e3))
 @given(
     command=st.sampled_from(["lift", "certify", "solve"]),
     model=st.fixed_dictionaries(
-        {"p": st.floats(1.001, 2.0), "delta": st.floats(0.0, 1.0), "mu0": st.floats(0.0, 1.0), "mu": _log_uniform(1e-3, 1e3)}
+        {
+            "p": st.floats(1.001, 2.0),
+            "delta": st.floats(0.0, 1.0),
+            # mu0 > 0 with p < 2 is a config error for certify and solve; mu0 = 0 reaches the run
+            "mu0": st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            "mu": _log_uniform(1e-3, 1e3),
+        }
     ),
     g1=_AMPLITUDE,
     g2=_AMPLITUDE,
@@ -672,7 +718,7 @@ def test_report_key_sets(tmp_path):
     path = _write_cfg(tmp_path, "c.json", {"domain": {"nx": 8, "ny": 8}, "certify": {"sweep_lambdas": [1.0, 2.0]}})
     for cmd in ("check-tensor", "lift", "certify"):
         assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == EXIT_OK
-    chars = {"C1", "C2", "C3", "witnesses", "samples", "seed", "dim", "non_rigorous"}
+    chars = {"C1", "C2", "C3", "witnesses", "samples", "dim", "non_rigorous"}
     lift_keys = {"p", "s", "norms", "div_defect", "div_defect_pointwise", "boundary_defect", "compat_defect"}
     cert = json.loads((tmp_path / "certify" / "certificate.json").read_text())
     assert set(cert) == {"p", "d", "s", "G1", "G2", "G3", "lhs", "rhs", "satisfied", "R", "verdict", "provenance"}

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -192,46 +193,52 @@ def test_monotonicity_property(p, delta, seed):
 
 class TestEstimateCharacteristics:
     def test_linear_case(self):
-        ch = estimate_characteristics(PDeltaModel(p=2.0, delta=0.0), samples=10000, seed=0)
+        ch = estimate_characteristics(PDeltaModel(p=2.0, delta=0.0))
         assert abs(ch.C1 - 1.0) < 1e-12
         assert abs(ch.C2 - 1.0) < 1e-12
 
     def test_linear_with_viscosities(self):
-        ch = estimate_characteristics(PDeltaModel(p=2.0, delta=0.3, mu0=0.5, mu=1.0), samples=10000, seed=0)
+        ch = estimate_characteristics(PDeltaModel(p=2.0, delta=0.3, mu0=0.5, mu=1.0))
         assert abs(ch.C1 - 1.5) < 1e-11
         assert abs(ch.C2 - 1.5) < 1e-11
         assert abs(ch.C3 - 3.0) < 1e-7
 
     def test_mu0_does_not_decrease_c1(self):
-        base = estimate_characteristics(PDeltaModel(p=1.5), samples=15000, seed=1)
-        prev = base.C1
+        # the sampled constants: with mu0 > 0 and p < 2 there is no C2 to estimate
+        base = inequality_sweep(PDeltaModel(p=1.5), samples=15000, seed=1)
+        prev = base["C1"]
         for mu0 in (1.0, 10.0):
-            ch = estimate_characteristics(PDeltaModel(p=1.5, mu0=mu0), samples=15000, seed=1)
-            assert ch.C1 >= prev - 1e-12
-            prev = ch.C1
+            ch = inequality_sweep(PDeltaModel(p=1.5, mu0=mu0), samples=15000, seed=1)
+            assert ch["C1"] >= prev - 1e-12
+            prev = ch["C1"]
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.999])
+    def test_mu0_below_p2_has_no_c2(self, p):
+        with pytest.raises(ValueError, match="no finite growth constant C2"):
+            estimate_characteristics(PDeltaModel(p=p, delta=0.01, mu0=0.5))
 
     def test_shear_thinning_positive(self):
-        ch = estimate_characteristics(PDeltaModel(p=1.5, delta=0.0), samples=100000, seed=2)
+        ch = estimate_characteristics(PDeltaModel(p=1.5, delta=0.0))
         assert 0.0 < ch.C1 <= 1.0 + 1e-12
         assert ch.C1 <= ch.C2
         assert ch.C3 > 0
 
     def test_seed_stability(self):
-        a = estimate_characteristics(PDeltaModel(p=1.5), samples=50000, seed=3)
-        b = estimate_characteristics(PDeltaModel(p=1.5), samples=50000, seed=12345)
-        assert abs(a.C1 - b.C1) < 0.05 * a.C1
-        assert abs(a.C2 - b.C2) < 0.05 * a.C2
+        a = inequality_sweep(PDeltaModel(p=1.5), samples=50000, seed=3)
+        b = inequality_sweep(PDeltaModel(p=1.5), samples=50000, seed=12345)
+        assert abs(a["C1"] - b["C1"]) < 0.05 * a["C1"]
+        assert abs(a["C2"] - b["C2"]) < 0.05 * a["C2"]
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            estimate_characteristics(PDeltaModel(p=1.5), samples=100, seed=0)
+            inequality_sweep(PDeltaModel(p=1.5), samples=100, seed=0)
 
     def test_dim3(self):
-        ch = estimate_characteristics(PDeltaModel(p=1.8), samples=10000, seed=0, dim=3)
+        ch = estimate_characteristics(PDeltaModel(p=1.8), dim=3)
         assert ch.C1 > 0 and ch.dim == 3
 
     def test_witnesses_recorded(self):
-        ch = estimate_characteristics(PDeltaModel(p=1.5), samples=10000, seed=0)
+        ch = estimate_characteristics(PDeltaModel(p=1.5))
         a, b = ch.witness_C1
         assert a.shape == (2, 2) and b.shape == (2, 2)
         assert ch.non_rigorous
@@ -239,15 +246,13 @@ class TestEstimateCharacteristics:
     def test_chunking_leaves_results_unchanged(self, monkeypatch):
         # 20000 random pairs plus the structured block span several chunks
         m = PDeltaModel(p=1.6, delta=0.05)
-        chunked = estimate_characteristics(m, samples=20000, seed=7).to_json()
         sweep = inequality_sweep(m, samples=20000, seed=7)
         monkeypatch.setattr(constitutive, "_CHUNK", 10**9)
-        assert estimate_characteristics(m, samples=20000, seed=7).to_json() == chunked
         assert inequality_sweep(m, samples=20000, seed=7) == sweep
 
     def test_characteristics_invariants(self):
         with pytest.raises(ValueError):
-            Characteristics(2.0, 1.0, 1.0, (0, 0), (0, 0), (0, 0), 1, 0)  # C1 > C2
+            Characteristics(2.0, 1.0, 1.0, (0, 0), (0, 0), (0, 0), 1)  # C1 > C2
 
 
 def test_inequality_sweep_rejects_bad_dimension():
@@ -279,10 +284,11 @@ def test_inequality_sweep_self_consistent():
 def test_inequality_sweep_fresh_sample_tolerant():
     # constants estimated on one sample hold on a fresh one within a few percent
     m = PDeltaModel(p=1.5, delta=0.1)
-    ch = estimate_characteristics(m, samples=100000, seed=10)
+    ch = inequality_sweep(m, samples=100000, seed=10)
+    wit = estimate_characteristics(m)
     loose = Characteristics(
-        ch.C1 * 0.95, ch.C2 * 1.05, ch.C3 * 0.95,
-        ch.witness_C1, ch.witness_C2, ch.witness_C3, ch.samples, ch.seed,
+        ch["C1"] * 0.95, ch["C2"] * 1.05, ch["C3"] * 0.95,
+        wit.witness_C1, wit.witness_C2, wit.witness_C3, ch["pairs_checked"],
     )
     rep = inequality_sweep(m, samples=50000, seed=11, chars=loose)
     assert rep["violations_monotonicity"] == 0
@@ -302,7 +308,7 @@ def test_degenerate_sample_error():
 def test_s_bdd_counting_measure():
     # ||S(Dw)||_p' <= C2 || |Dw| + delta ||_p^(p-1) over a finite sample set
     m = PDeltaModel(p=1.6, delta=0.2)
-    ch = estimate_characteristics(m, samples=20000, seed=12)
+    ch = estimate_characteristics(m)
     rng = np.random.default_rng(13)
     dw = random_sym(rng, 500) * 10.0 ** rng.uniform(-2, 2, 500)[:, None, None]
     sv = eval_stress(m, dw)
@@ -363,7 +369,7 @@ def test_sample_pairs_are_component_rows():
     a, b = constitutive._sample_pairs(np.random.default_rng(4), 10_000, 3)
     assert a.shape == b.shape == (6, 10_000 + 3 * (3 * 289 + 2 * 17))
     for c, full in zip((a, b), _full_matrices(a, b)):
-        assert np.array_equal(constitutive._matrices(c), full)
+        assert np.array_equal(constitutive._components(full, np.empty_like(c)), c)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -373,23 +379,22 @@ def test_dim3_characteristics_match_full_matrix_oracle(model, seed):
     # reproduce, so dim 3 agrees to roundoff, not bitwise.  A pair's stress difference cancels by
     # (|A| + |B|) / |A - B| (2e4 for the pairs B = A (1 + 1e-4)), so the bound is 1e-14 relative
     # times that factor of the extremizing pair.
-    ch = estimate_characteristics(model, 20_000, seed=seed, dim=3)
+    ch = inequality_sweep(model, 20_000, seed=seed, dim=3)
     a, b = _full_matrices(*constitutive._sample_pairs(np.random.default_rng(seed), 20_000, 3))
     want = _reference_ratios(model, a, b)
-    assert ch.samples == want["r1"].size
-    for got, key, pick in ((ch.C1, "r1", np.argmin), (ch.C2, "r2", np.argmax), (ch.C3, "r3", np.argmin)):
+    assert ch["pairs_checked"] == want["r1"].size
+    for got, key, pick in ((ch["C1"], "r1", np.argmin), (ch["C2"], "r2", np.argmax), (ch["C3"], "r3", np.argmin)):
         i = pick(want[key])
         j = want["idx"][i]
         cond = (frobenius(a[j]) + frobenius(b[j])) / want["dd"][i]
         assert abs(got - want[key][i]) <= 1e-14 * cond * abs(want[key][i]), key
-    assert [m.shape for m in ch.witness_C1] == [(3, 3), (3, 3)]
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 1e5}, {"samples": 20000.5}, {"samples": True}, {"dim": 2.0}])
 def test_non_integer_sample_arguments_are_rejected(kwargs):
     name = next(iter(kwargs))
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        estimate_characteristics(PDeltaModel(p=1.5), **({"samples": 20_000} | kwargs))
+        inequality_sweep(PDeltaModel(p=1.5), **({"samples": 20_000} | kwargs))
 
 
 def test_random_sym_draws_are_symmetrized_gaussians():
@@ -403,21 +408,10 @@ def _hex(values):
 
 
 def test_default_characteristics_pinned_bitwise():
-    # the certified pipeline's tensor (p = 1.8, delta = 0.01) at the default sample size
-    ch = estimate_characteristics(PDeltaModel(p=1.8, delta=0.01), 100_000, seed=0)
-    assert _hex([ch.C1, ch.C2, ch.C3]) == ["0x1.999cc587c930dp-1", "0x1.42a596ff2b2dfp+0", "0x1.999c12998dcedp+0"]
-    assert ch.samples == 102652
-    w13 = (
-        ["-0x1.b76a62743fb1bp+12", "0x1.e4b5636234b93p+11", "0x1.e4b5636234b93p+11", "0x1.1af6660a5e251p+12"],
-        ["-0x1.b775a2353bb4fp+12", "0x1.e4c1cbf834c7ap+11", "0x1.e4c1cbf834c7ap+11", "0x1.1afda476a8236p+12"],
-    )
-    w2 = (
-        ["0x1.dd22e842fd978p+2", "-0x1.26b6c40cc8350p+3", "-0x1.26b6c40cc8350p+3", "0x1.545d2849a7a8cp+4"],
-        ["-0x1.267b574b87db8p+4", "0x1.6340c0f27466cp+4", "0x1.6340c0f27466cp+4", "-0x1.4638b3bab1908p+5"],
-    )
-    for got, want in ((ch.witness_C1, w13), (ch.witness_C2, w2), (ch.witness_C3, w13)):
-        assert [m.shape for m in got] == [(2, 2), (2, 2)]
-        assert (_hex(got[0]), _hex(got[1])) == want
+    # the certified pipeline's tensor (p = 1.8, delta = 0.01), sampled at the default sample size
+    rep = inequality_sweep(PDeltaModel(p=1.8, delta=0.01), 100_000, seed=0)
+    assert _hex([rep["C1"], rep["C2"], rep["C3"]]) == ["0x1.999cc587c930dp-1", "0x1.42a596ff2b2dfp+0", "0x1.999c12998dcedp+0"]
+    assert rep["pairs_checked"] == 102652
 
 
 def test_sweep_report_pinned_bitwise():
@@ -450,8 +444,82 @@ def test_estimator_memory_peak():
     model = PDeltaModel(p=1.8, delta=0.01)
     tracemalloc.start()
     try:
-        estimate_characteristics(model, 100_000, seed=0)
+        inequality_sweep(model, 100_000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 15e6
+
+
+# -- the reduced search of estimate_characteristics ----------------------------------------------
+
+_PS = [1.2, 1.5, 1.8, 2.0]
+
+
+@functools.cache
+def _pairs(seed, dim):
+    """The sampled pairs of inequality_sweep (10^5 in d = 2, 2*10^4 in d = 3), drawn once per seed and dim."""
+    return constitutive._sample_pairs(np.random.default_rng(seed), {2: 100_000, 3: 20_000}[dim], dim)
+
+
+@pytest.mark.parametrize("p", _PS)
+@pytest.mark.parametrize("delta", [0.0, 0.01, 0.1, 1.0])
+def test_reduced_constants_dominate_the_sample(p, delta):
+    model = PDeltaModel(p=p, delta=delta)
+    for dim in (2, 3):
+        ch = estimate_characteristics(model, dim=dim)
+        for seed in (0, 1):
+            r = constitutive._growth_ratios(model, *_pairs(seed, dim))
+            assert ch.C1 <= np.min(r["r1"]) * (1 + 1e-12)
+            assert ch.C2 >= np.max(r["r2"]) * (1 - 1e-12)
+            assert ch.C3 <= np.min(r["r3"]) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p", _PS)
+def test_reduced_constants_are_invariant_in_delta_and_dim(p):
+    ref = estimate_characteristics(PDeltaModel(p=p, delta=0.01))
+    for delta in (1e-6, 0.1, 1.0, 100.0, 1e300):
+        for dim in (2, 3):
+            ch = estimate_characteristics(PDeltaModel(p=p, delta=delta), dim=dim)
+            for c in ("C1", "C2", "C3"):
+                assert abs(getattr(ch, c) - getattr(ref, c)) <= 1e-12 * getattr(ref, c), (delta, dim, c)
+
+
+@pytest.mark.parametrize("p", _PS)
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_reduced_constants_reach_the_radial_limits(p, delta):
+    # inf C1 = p - 1 and inf C3 = 2 (p - 1), approached as t/b -> 0 with A - B parallel to B
+    ch = estimate_characteristics(PDeltaModel(p=p, delta=delta, mu=2.5))
+    assert abs(ch.C1 - 2.5 * (p - 1.0)) <= 1e-8
+    assert abs(ch.C3 - 2.5 * 2.0 * (p - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("p", _PS)
+@pytest.mark.parametrize("delta", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_reduced_witnesses_rescore_to_their_constants(p, delta, dim):
+    # _chunk_ratios forms S(A) - S(B) from the matrices, which cancels by cond = (|A| + |B|) / |A - B|:
+    # about 2e8 for the C1 and C3 witnesses at t/b = 1e-8, about 2 for the C2 witness
+    model = PDeltaModel(p=p, delta=delta)
+    ch = estimate_characteristics(model, dim=dim)
+    for c, key in (("C1", "r1"), ("C2", "r2"), ("C3", "r3")):
+        a, b = getattr(ch, f"witness_{c}")
+        assert a.shape == b.shape == (dim, dim)
+        assert np.array_equal(a, a.T) and np.array_equal(b, b.T)
+        rows = lambda m: constitutive._components(m[None], np.empty((dim * (dim + 1) // 2, 1)))
+        got = constitutive._chunk_ratios(model, rows(a), rows(b))[key][0]
+        cond = (frobenius(a) + frobenius(b)) / frobenius(a - b)
+        assert abs(got - getattr(ch, c)) <= (1e-9 + 1e-14 * cond) * getattr(ch, c), c
+
+
+def test_reduced_characteristics_pinned_bitwise():
+    # the certified pipeline's tensor (p = 1.8, delta = 0.01); B = 1e12 delta E in the limit witnesses
+    ch = estimate_characteristics(PDeltaModel(p=1.8, delta=0.01))
+    assert _hex([ch.C1, ch.C2, ch.C3]) == ["0x1.999999a078d19p-1", "0x1.42bcc1014b841p+0", "0x1.9999999be4018p+0"]
+    assert ch.samples == 5507
+    b = np.diag([1e10, 0.0])
+    for c in ("C1", "C3"):
+        assert np.array_equal(getattr(ch, f"witness_{c}")[0], np.diag([1e10 + 100.0, 0.0]))
+        assert np.array_equal(getattr(ch, f"witness_{c}")[1], b)
+    assert np.array_equal(ch.witness_C2[1], b)
+    assert _hex(ch.witness_C2[0]) == ["-0x1.1f8c0c3418866p+32", "0x0.0p+0", "0x0.0p+0", "0x1.e7547a9094d76p-20"]
