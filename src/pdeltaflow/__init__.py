@@ -35,7 +35,6 @@ from .counterexample import (
     build_family,
     construct_u_n,
     counterexample_scan,
-    evaluate_P_n,
     find_y_n,
 )
 from .discretization import (

@@ -125,11 +125,18 @@ def full_grad_stiffness(space, weight=None):
 
 
 def div_coupling(space):
-    """D[q, u] = int q div(u) coupling pressure tests with velocity trials."""
+    """D[q, u] = int q div(u) coupling pressure tests with velocity trials; cached on the space with its transpose."""
     cache = space._cache
     if "div_mat" not in cache:
-        cache["div_mat"] = _assemble(space, space.shape_gemm(space.qw, _table(space, "div")), "p1", "vel")
+        mat = _assemble(space, space.shape_gemm(space.qw, _table(space, "div")), "p1", "vel")
+        cache["div_mat"], cache["div_mat_t"] = mat, mat.T
     return cache["div_mat"]
+
+
+def _div_coupling_t(space):
+    """The transpose of ``div_coupling``, built once per space."""
+    div_coupling(space)
+    return space._cache["div_mat_t"]
 
 
 def _transport_blocks(space, b_vals, g1_vals):

@@ -25,6 +25,7 @@ from .discretization import (
     build_space,
     combine_level_norm,
     level_norm,
+    mandel_norm,
     prolong_velocity,
     sym_grad_norms,
 )
@@ -38,7 +39,6 @@ __all__ = [
     "find_y_n",
     "level_norm",
     "construct_u_n",
-    "evaluate_P_n",
     "counterexample_scan",
     "BISECT_RTOL",
 ]
@@ -61,9 +61,11 @@ class TwoNormFamily:
     """Bump fields on one common fine space, normalized to ||Du||_p = 1.
 
     ``ratios`` holds ||Du||_q per member (strictly increasing); members
-    are stored as coefficient arrays on ``space``.  ``_gram`` caches the
-    pointwise strain products of the extreme members on their strained
-    support (see ``_endpoint_gram``), built on the first bisection.
+    are stored as coefficient arrays on ``space``.  ``_gram`` caches what
+    the scan needs of the family at every n (a ``_PathCache``, built on
+    first use): the extreme members' strain products on their strained
+    support, the unscaled norms of the highest-ratio member, and the
+    unscaled norms of each path point the bisection has read.
     """
 
     space: object
@@ -73,7 +75,25 @@ class TwoNormFamily:
     q: float
     widths: list
     meshes: list
-    _gram: tuple = field(default=None, repr=False, compare=False)
+    _gram: _PathCache = field(default=None, repr=False, compare=False)
+
+
+@dataclass
+class _PathCache:
+    """A family's results that do not depend on n, built once by ``_path_cache``.
+
+    ``gram`` is ``(keep, w, g00, g01, g11)``: the flat indices of the
+    quadrature points where Dlo or Dhi is nonzero, their weights, and
+    Dlo:Dlo, Dlo:Dhi and Dhi:Dhi at those points.  D is linear, so
+    |D((1-t) lo + t hi)|^2 is a quadratic in t with these coefficients, and
+    it vanishes at every dropped point.  ``top`` holds (||Du||_p, ||Du||_q) of ``members[-1]``, evaluated
+    directly; ``path`` maps theta to (||Du||_p, ||Du||_q) of (1-theta) lo +
+    theta hi, summed from ``gram`` for the bisection's comparisons only.
+    """
+
+    gram: tuple
+    top: tuple
+    path: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -135,27 +155,22 @@ def find_y_n(n, c2, F1, q):
     return (n * F1 / c2) ** (1.0 / (q - 1.0))
 
 
-def _on_sphere(family, coeffs, n, R):
-    """The field of the coefficients scaled onto the level-norm sphere."""
-    ln = level_norm(family.space.velocity_field(coeffs), family.p, family.q, n)
-    return family.space.velocity_field(coeffs * (R / ln))
+def _on_sphere(family, coeffs, norms, n, R):
+    """The field of the coefficients scaled onto the level-norm sphere, from their unscaled (||Du||_p, ||Du||_q)."""
+    return family.space.velocity_field(coeffs * (R / combine_level_norm(*norms, family.q, n)))
 
 
-def _endpoint_gram(family):
-    """The extreme members' strained support and their strain products there.
-
-    Returns ``(keep, w, g00, g01, g11)``: the flat indices of the quadrature
-    points where Dlo or Dhi is nonzero, their weights, and Dlo:Dlo, Dlo:Dhi
-    and Dhi:Dhi at those points.  D is linear, so |D((1-t) lo + t hi)|^2 is
-    a quadratic in t with these coefficients, and it vanishes at every
-    dropped point.  Built once per family and cached on it.
-    """
+def _path_cache(family):
+    """The family's ``_PathCache``, built on first use from one strain evaluation per extreme member."""
     if family._gram is None:
         s = family.space
         lo, hi = (s.sym_gradients(c) for c in (family.members[0], family.members[-1]))
         g00, g01, g11 = (np.einsum("...a,...a->...", a, b).ravel() for a, b in ((lo, lo), (lo, hi), (hi, hi)))
         keep = np.flatnonzero((g00 != 0.0) | (g11 != 0.0))
-        family._gram = (keep, s.qw.ravel()[keep], g00[keep], g01[keep], g11[keep])
+        gram = (keep, s.qw.ravel()[keep], g00[keep], g01[keep], g11[keep])
+        del lo, g00, g01, g11  # freed before the top member's norms add their temporaries
+        mag = mandel_norm(hi)  # the top member's norms as sym_grad_norms takes them
+        family._gram = _PathCache(gram=gram, top=tuple(s.lr_norm(r, mag) for r in (family.p, family.q)))
     return family._gram
 
 
@@ -169,12 +184,22 @@ def _sphere_y(family, theta, n, R):
     """q-norm of (1-theta) lo + theta hi scaled onto the sphere, from the cached Gram arrays.
 
     Every norm is 1-homogeneous, so the scaled field's q-norm is
-    ||Du||_q R / level_norm(u); no field is built.  The integrals run over
-    the strained support only: the strain is 0 everywhere else.
+    ||Du||_q R / level_norm(u); no field is built.  n enters only through
+    the level norm, so the unscaled pair (||Du||_p, ||Du||_q) is summed once
+    per theta and family and kept in its ``_PathCache``.  The sums run over
+    the strained support only (the strain is 0 everywhere else) and take
+    both powers from one log of the strain square, |Du|^r = exp((r/2)
+    log |Du|^2); a strain clamped to 0 logs to -inf, and exp(-inf) = 0.
     """
-    gram = _endpoint_gram(family)
-    w, sq = gram[1], _strain_sq(gram, theta)
-    norm_p, norm_q = (float(np.sum(w * sq ** (0.5 * r))) ** (1.0 / r) for r in (family.p, family.q))
+    cache = _path_cache(family)
+    norms = cache.path.get(theta)
+    if norms is None:
+        w, sq = cache.gram[1], _strain_sq(cache.gram, theta)
+        with np.errstate(divide="ignore"):
+            log_sq = np.log(sq)
+        norms = tuple(float(w @ np.exp((0.5 * r) * log_sq)) ** (1.0 / r) for r in (family.p, family.q))
+        cache.path[theta] = norms
+    norm_p, norm_q = norms
     return norm_q * (R / combine_level_norm(norm_p, norm_q, family.q, n))
 
 
@@ -185,9 +210,11 @@ def construct_u_n(family, n, R, y_n, rel_tol=BISECT_RTOL):
     target is hit by bisection on the interpolation parameter (the q-norm
     varies continuously along the path, so a bracketed root exists), and the
     low end theta = 0 is kept when it meets the target within ``rel_tol``.
-    The bisection reads the q-norm off the cached endpoint strain products,
-    and the returned q-norm is the one it read at the final parameter; the
-    returned field is evaluated directly there.
+    The bisection reads the q-norm through ``_sphere_y``, whose sums per
+    path point are cached on the family and shared by every n; only the
+    bisection's comparisons read them.  The returned q-norm is the one it
+    read at the final parameter; the returned field is scaled onto the
+    sphere by norms evaluated directly there.
 
     The q-norm along the path need not be monotone, and the target can be
     met at more than one parameter: the result is the crossing the
@@ -220,17 +247,14 @@ def construct_u_n(family, n, R, y_n, rel_tol=BISECT_RTOL):
         else:
             ta = theta
             fa = y - y_target
-    return _on_sphere(family, (1 - theta) * lo_c + theta * hi_c, n, R), theta, y
+    coeffs = (1 - theta) * lo_c + theta * hi_c
+    norms = sym_grad_norms(family.space.velocity_field(coeffs), (family.p, family.q))
+    return _on_sphere(family, coeffs, norms, n, R), theta, y
 
 
 def _P_n(norm_p, y, n, G1, F1, p, q):
     """P_n from ||Du||_p and y = ||Du||_q."""
     return G1 * norm_p**p + y**q / n - F1 * y
-
-
-def evaluate_P_n(field, n, G1, F1, p, q):
-    """G1 ||Du||_p^p + (1/n) ||Du||_q^q - F1 ||Du||_q."""
-    return _P_n(*sym_grad_norms(field, (p, q)), n, G1, F1, p, q)
 
 
 def _discrete_f(family, n):
@@ -270,8 +294,8 @@ def counterexample_scan(family, n_values, R=1.0, F1=1.0, G1=1.0, c2=2.0):
                 branch = "step2"
             except RangeError:
                 branch = "step1-fallback"
-        if branch != "step2":  # the highest-ratio member, scaled onto the sphere
-            field, theta = _on_sphere(family, family.members[-1], n, R), 1.0
+        if branch != "step2":  # the highest-ratio member, scaled onto the sphere by its cached norms
+            field, theta = _on_sphere(family, family.members[-1], _path_cache(family).top, n, R), 1.0
         norm_p, y = sym_grad_norms(field, (family.p, family.q))  # y: the achieved q-norm
         val = _P_n(norm_p, y, n, G1, F1, family.p, family.q)
         slack = BISECT_RTOL * (family.p * G1 * norm_p**family.p + family.q * y**family.q / n + F1 * y)

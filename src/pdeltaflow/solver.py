@@ -126,6 +126,7 @@ class ProblemInstance:
     div g.  ``factor`` holds the saddle LU of the instance's last linear solve.
     Every later solve on the instance (the next Newton step, the next
     penalty level, the pressure recovery) starts GMRES on it.
+    ``_data_scales`` keeps ``_data_scale`` per ``include_convective``.
     """
 
     model: object
@@ -137,6 +138,7 @@ class ProblemInstance:
     g_sym: np.ndarray = field(repr=False, default=None)
     g1_vals: np.ndarray = field(repr=False, default=None)
     factor: assembly.FactorHolder = field(repr=False, compare=False, default_factory=assembly.FactorHolder)
+    _data_scales: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def g_coeffs(self):
@@ -257,12 +259,19 @@ class SolveResult:
 
 
 def _data_scale(inst, cfg):
-    """Size of the data terms (f, stress and transport of g alone) on the free dofs."""
-    free = inst.space.free_vel_dofs
-    scale = np.linalg.norm(inst.f_vec[free]) + np.linalg.norm(_stress_term(inst, 0.0)[free])
-    if cfg.include_convective:
-        scale += np.linalg.norm(_transport_term(inst, inst.g_vals)[free])
-    return scale
+    """Size of the data terms (f, stress and transport of g alone) on the free dofs, at least 1e-300.
+
+    It depends on no level and no iterate, so each instance computes it once
+    per ``cfg.include_convective``.
+    """
+    convective = bool(cfg.include_convective)
+    if convective not in inst._data_scales:
+        free = inst.space.free_vel_dofs
+        scale = np.linalg.norm(inst.f_vec[free]) + np.linalg.norm(_stress_term(inst, 0.0)[free])
+        if convective:
+            scale += np.linalg.norm(_transport_term(inst, inst.g_vals)[free])
+        inst._data_scales[convective] = max(scale, 1e-300)
+    return inst._data_scales[convective]
 
 
 def _momentum(inst, cfg, n, du, v):
@@ -289,7 +298,7 @@ def _state(inst, cfg, n, u_coeffs):
 def _residual(inst, r0, u_coeffs, lam):
     """Nonlinear momentum residual (free dofs) plus the divergence defect, from R0 at u."""
     space = inst.space
-    res = r0 + assembly.div_coupling(space).T @ lam
+    res = r0 + assembly._div_coupling_t(space) @ lam
     div_res = assembly.div_coupling(space) @ u_coeffs
     return np.sqrt(np.linalg.norm(res[space.free_vel_dofs]) ** 2 + np.linalg.norm(div_res) ** 2)
 
@@ -357,7 +366,7 @@ def solve_regularized(inst, cfg, n, warm_start=None):
     u = np.zeros(space.n_vel) if warm_start is None else warm_start.coeffs.copy()
     state = _state(inst, cfg, n, u)
     lam = np.zeros(space.n_p1)
-    scale = max(_data_scale(inst, cfg), 1e-300)
+    scale = _data_scale(inst, cfg)
     history = []
     converged = False
     rel = np.inf
@@ -475,7 +484,7 @@ def recover_pressure(inst, u, cfg=None, n=np.inf):
     state = _state(inst, cfg, n, u.coeffs)
     a_mat, rhs = _linearize(inst, cfg, n, u.coeffs, state=state)
     _, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=inst.factor)
-    rel = _residual(inst, state[2], u.coeffs, lam) / max(_data_scale(inst, cfg), 1e-300)
+    rel = _residual(inst, state[2], u.coeffs, lam) / _data_scale(inst, cfg)
     return space.pressure_field(-lam), float(rel)
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import sympy as sy
 
+from pdeltaflow import counterexample
 from pdeltaflow.constitutive import PDeltaModel, estimate_characteristics
-from pdeltaflow.discretization import RectDomain, build_space, estimate_embedding_constants
+from pdeltaflow.discretization import RectDomain, build_space, estimate_embedding_constants, sym_grad_norms
 from pdeltaflow.lifting import BoundaryData, lift
 
 
@@ -49,6 +50,11 @@ def gradient_matrices(c):
     return np.stack(
         [np.stack([c[..., 0], off[0] + off[1]], axis=-1), np.stack([off[0] - off[1], c[..., 1]], axis=-1)], axis=-2
     )
+
+
+def evaluate_P_n(field, n, G1, F1, p, q):
+    """G1 ||Du||_p^p + (1/n) ||Du||_q^q - F1 ||Du||_q of a field, the counterexample's P_n."""
+    return counterexample._P_n(*sym_grad_norms(field, (p, q)), n, G1, F1, p, q)
 
 
 def tangential_g2(amp):

@@ -12,13 +12,12 @@ from pdeltaflow.counterexample import (
     build_family,
     construct_u_n,
     counterexample_scan,
-    evaluate_P_n,
     find_y_n,
     level_norm,
 )
 from pdeltaflow.discretization import DiscreteSpace, norm_sym_grad_p
 
-from conftest import gradient_matrices
+from conftest import evaluate_P_n, gradient_matrices
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +124,29 @@ def test_default_n32_record_holds_the_first_crossing_reached():
     }
 
 
+# float.hex of (theta, y_achieved, level_norm, norm_Du_p, P_n) per record of the
+# default n grid, on the 3-level family from mesh 6 on the unit square
+DEFAULT_GRID_RECORDS = {
+    2.0: ("0x1.0000000000000p+0", "0x1.51cb453b9536dp+0", "0x1.0000000000000p+0", "0x1.4d435ccceba32p-2", "0x1.e6cbdaaa10180p-7"),
+    4.0: ("0x1.0000000000000p+0", "0x1.bdb8cdadbe121p+0", "0x1.0000000000000p+0", "0x1.b7be4bb51179bp-2", "-0x1.1f152af5213b0p-3"),
+    8.0: ("0x1.5e82ba9000000p-2", "0x1.fffffffbb4c39p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.12cf180000000p-31"),
+    12.0: ("0x1.cfbe52d000000p-2", "0x1.3988e142f1a99p+1", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.cc4709f193e20p-3"),
+    16.0: ("0x1.1460266000000p-1", "0x1.6a09e669d7a61p+1", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1", "-0x1.a82799983f4e0p-2"),
+    24.0: ("0x1.67e8cee000000p-1", "0x1.bb67ae866bd06p+1", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1", "-0x1.76cf5d093b8a0p-1"),
+    32.0: ("0x1.e000000000000p-1", "0x1.0000000000001p+2", "0x1.0000000000000p+0", "0x1.ff21e77470336p-1", "-0x1.00a68056ff658p+0"),
+    64.0: ("0x1.0000000000000p+0", "0x1.037aff3742409p+2", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.01ab3ee9bc62ap+1"),
+    128.0: ("0x1.0000000000000p+0", "0x1.037aff3742409p+2", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.44509eac2071ep+1"),
+    256.0: ("0x1.0000000000000p+0", "0x1.037aff3742409p+2", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.65a34e8d52798p+1"),
+}
+DEFAULT_N_GRID = [2, 4, 8, 12, 16, 24, 32, 64, 128, 256]
+
+
+def test_default_grid_scan_is_pinned_bitwise():
+    scan = counterexample_scan(build_family(3, base_n=6), DEFAULT_N_GRID)
+    fields = ("theta", "y_achieved", "level_norm", "norm_Du_p", "P_n")
+    assert {r.n: tuple(getattr(r, k).hex() for k in fields) for r in scan["records"]} == DEFAULT_GRID_RECORDS
+
+
 class TestEvaluatePn:
     def test_zero_field(self, family3):
         z = family3.space.zero_velocity()
@@ -200,7 +222,7 @@ def _direct_norm(space, coeffs, r):
 
 class TestCachedBisection:
     def test_gram_matches_direct_strain(self, family3):
-        gram = counterexample._endpoint_gram(family3)
+        gram = counterexample._path_cache(family3).gram
         keep = gram[0]
         dropped = np.ones(family3.space.qw.size, dtype=bool)
         dropped[keep] = False
@@ -261,3 +283,33 @@ class TestCachedBisection:
             counts.append((len(grads), len(steps)))
         assert counts[0][1] < counts[1][1] < counts[2][1]
         assert counts[0][0] == counts[1][0] == counts[2][0] > 0
+
+    def test_scan_scores_each_theta_once_and_the_top_member_once(self, monkeypatch):
+        family = build_family(3, base_n=6)  # a cold family: its caches are built inside the scan
+        visited, strained, top = [], [], []
+        sphere_y, strain_sq = counterexample._sphere_y, counterexample._strain_sq
+
+        def counted_sphere_y(fam, theta, n, R):
+            visited.append(theta)
+            return sphere_y(fam, theta, n, R)
+
+        def counted_strain_sq(gram, theta):
+            strained.append(theta)
+            return strain_sq(gram, theta)
+
+        def counted(method):
+            def gradients(self, coeffs):
+                top.append(coeffs is family.members[-1])
+                return method(self, coeffs)
+
+            return gradients
+
+        for name in ("velocity_gradients", "sym_gradients"):
+            monkeypatch.setattr(DiscreteSpace, name, counted(getattr(DiscreteSpace, name)))
+        monkeypatch.setattr(counterexample, "_sphere_y", counted_sphere_y)
+        monkeypatch.setattr(counterexample, "_strain_sq", counted_strain_sq)
+        scan = counterexample_scan(family, DEFAULT_N_GRID)
+        assert sum(r.branch != "step2" for r in scan["records"]) == 5
+        assert len(visited) > len(set(visited))  # the n values share path points
+        assert sorted(strained) == sorted(set(visited))
+        assert sum(top) == 1
