@@ -381,15 +381,19 @@ class DiscreteSpace:
 
         m is the largest modulus when the powers could leave the float range
         (r |log10 m| > 100), so a large r neither underflows nor overflows; else 1.
+        The powers go through ``_pos_pow``: a zero modulus (no strain, say)
+        adds an exact 0 and is never raised to the power, and the totals are
+        the same (C, Q) arrays summed in the same order, so the sum is the
+        plain one bit for bit.
         """
         m = max(float(a.max()) for a in moduli)
         if m > 0.0 and r * abs(np.log10(m)) > 100.0:
             moduli = [a / m for a in moduli]
         else:
             m = 1.0
-        total = moduli[0] ** r
+        total = _pos_pow(moduli[0], r)
         for a in moduli[1:]:
-            total = total + a**r
+            total = total + _pos_pow(a, r)
         return m, self.integrate(total)
 
     def pressure_mean_vector(self):
@@ -650,14 +654,29 @@ def _ascend(objective, starts, witness, iters):
     return ConstantEstimate(float(np.exp(val)), witness(x), converged, used, name, len(starts) + evals, stop, critical)
 
 
-def _power_weight(mag, expo):
-    """mag**expo where mag > 0 and 0 where mag vanishes (expo may be negative)."""
-    with np.errstate(divide="ignore"):
-        return np.where(mag > 1e-300, mag**expo, 0.0)
+def _pos_pow(a, r, floor=0.0):
+    """a**r where a > floor and +0.0 where a <= floor, raising only the kept lanes to the power.
+
+    numpy's ``**`` takes a slow special-value path on a zero lane (on
+    18 432 lanes at r = 1.8, 213 us for zeros against 56-78 us for
+    positive values), and the moduli here vanish cell by cell (58 % of the
+    quadrature points of the 3-level counterexample family from mesh 6
+    carry no strain), so the power runs with ``where=`` on the kept lanes
+    of a zeroed output; with no lane at or below the floor it is a ** r
+    after one min.  A kept lane gets the same bits as in a ** r, and at
+    floor 0 with r > 0 so does a zero lane.  A NaN lane is kept, so it
+    stays NaN as in a ** r.  A positive floor with a negative r gives a
+    weight that vanishes with its modulus, with no division by zero taken.
+    """
+    if a.min(initial=np.inf) > floor:
+        return a**r
+    return np.power(a, r, out=np.zeros_like(a), where=~(a <= floor))
 
 
 def _over(num, den):
-    """num / den where den > 0, and 0 where den = 0."""
+    """num / den where den > 0, and 0 where den = 0; a plain division when no den is 0 (``_pos_pow``'s check)."""
+    if den.min(initial=np.inf) > 0.0:
+        return num / den
     return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
 
 
@@ -702,7 +721,7 @@ def _korn_objective(space, p):
         m = space.velocity_gradients(c)
         s2 = m[..., 0] ** 2 + m[..., 1] ** 2 + m[..., 2] ** 2
         f2 = s2 + m[..., 3] ** 2
-        pf, ps = f2 ** (0.5 * p), s2 ** (0.5 * p)
+        pf, ps = _pos_pow(f2, 0.5 * p), _pos_pow(s2, 0.5 * p)
         nf, ns = space.integrate(pf), space.integrate(ps)
 
         def grad():
@@ -746,8 +765,8 @@ def _sobolev_objective(space, s, r):
         (mv, nr), (md, nd) = space._power_sum(r, vals), space._power_sum(s, vals, gn)
 
         def grad():
-            wv = _power_weight(vals / mv, r - 2.0) / (nr * mv**2) - _power_weight(vals / md, s - 2.0) / (nd * md**2)
-            wg = _power_weight(gn / md, s - 2.0) / (nd * md**2)
+            wv = _pos_pow(vals / mv, r - 2.0, 1e-300) / (nr * mv**2) - _pos_pow(vals / md, s - 2.0, 1e-300) / (nd * md**2)
+            wg = _pos_pow(gn / md, s - 2.0, 1e-300) / (nd * md**2)
             return assembly.velocity_load(space, wv[..., None] * v) - assembly.stress_load(space, wg[..., None] * g)
 
         return np.log(mv) - np.log(md) + np.log(nr) / r - np.log(nd) / s, grad

@@ -317,12 +317,13 @@ def _modulus(inst, cfg, n, du, tangent):
     penalty = cfg.penalty and np.isfinite(n)
     if penalty:
         mag_u = mandel_norm(du)
-        nu += mag_u ** (cfg.q - 2.0) / n  # the penalty weights Du only
+        weight_u = mag_u ** (cfg.q - 2.0)
+        nu += weight_u / n  # the penalty weights Du only
     if not tangent:
         return nu
     mod = (_over(slope, mag)[..., None] * a)[..., :, None] * a[..., None, :]
     if penalty:
-        mod += ((cfg.q - 2.0) / n * _over(mag_u ** (cfg.q - 2.0), mag_u**2)[..., None] * du)[..., :, None] * du[..., None, :]
+        mod += ((cfg.q - 2.0) / n * _over(weight_u, mag_u**2)[..., None] * du)[..., :, None] * du[..., None, :]
     mod.reshape(nu.shape + (9,))[..., ::4] += nu[..., None]
     return mod
 

@@ -147,6 +147,13 @@ def test_default_grid_scan_is_pinned_bitwise():
     assert {r.n: tuple(getattr(r, k).hex() for k in fields) for r in scan["records"]} == DEFAULT_GRID_RECORDS
 
 
+def test_family_norms_are_pinned_bitwise():
+    # the members' norm ratios and the top member's (||Du||_p, ||Du||_q), each a power sum over zero-strain points
+    family = build_family(3, base_n=6)
+    assert [r.hex() for r in family.ratios] == ["0x1.9bcea12fc9d53p+0", "0x1.46dc704c03b40p+1", "0x1.037aff3742409p+2"]
+    assert [r.hex() for r in counterexample._path_cache(family).top] == ["0x1.0000000000001p+0", "0x1.037aff374240ap+2"]
+
+
 class TestEvaluatePn:
     def test_zero_field(self, family3):
         z = family3.space.zero_velocity()

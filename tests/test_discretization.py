@@ -313,6 +313,94 @@ class TestNorms:
         assert abs(norm_Lp(g, 2.0) - exact) < 1e-12
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestPosPow:
+    """``_pos_pow``: a ** r with the lanes at or below the floor skipped and set to +0.0."""
+
+    @staticmethod
+    def _moduli(zeros, seed=3, shape=(96, 16)):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 50.0, shape) * 10.0 ** rng.integers(-8, 3, shape)
+        if zeros == "cells":  # the moduli vanish cell by cell
+            a[rng.random(shape[0]) < 0.6] = 0.0
+        elif zeros == "scattered":
+            a[rng.random(shape) < 0.5] = 0.0
+        elif zeros == "all":
+            a[:] = 0.0
+        return a
+
+    @pytest.mark.parametrize("zeros", ["cells", "scattered", "all", "none"])
+    @pytest.mark.parametrize("r", [0.5, 0.9, 1.0, 1.5, 1.8, 2.0, 3.0, 18.0])
+    def test_bitwise_the_plain_power(self, zeros, r):
+        a = self._moduli(zeros)
+        out = discretization._pos_pow(a, r)
+        assert out.shape == a.shape and _bits(out) == _bits(a**r)
+
+    @pytest.mark.parametrize("expo", [-0.2, -0.5, -0.9])
+    def test_negative_exponent_vanishes_below_the_floor(self, expo):
+        a = self._moduli("cells", seed=4)
+        a.ravel()[:6] = (1e-300, 5e-301, 1e-310, 5e-324, 1.1e-300, 1e-299)  # at, below and just above the floor
+        with np.errstate(divide="ignore"):
+            old = np.where(a > 1e-300, a**expo, 0.0)
+        assert _bits(discretization._pos_pow(a, expo, 1e-300)) == _bits(old)
+
+    def test_zero_lanes_are_positive_zero_and_raise_nothing(self):
+        a = self._moduli("cells")
+        with np.errstate(all="raise"):  # 0 ** -0.5 would divide by zero
+            out = discretization._pos_pow(a, -0.5, 1e-300)
+            zeros = discretization._pos_pow(np.zeros((4, 16)), 1.8)
+        assert np.all(out[a == 0.0] == 0.0) and not np.signbit(out[a == 0.0]).any()
+        assert _bits(zeros) == _bits(np.zeros((4, 16)))
+
+    def test_dense_moduli_take_the_plain_power(self, monkeypatch):
+        a = self._moduli("none")
+        monkeypatch.setattr(np, "zeros_like", lambda *args, **kw: pytest.fail("dense moduli were scattered"))
+        assert _bits(discretization._pos_pow(a, 1.8)) == _bits(a**1.8)
+
+    def test_nan_lane_stays_nan(self):
+        a = self._moduli("cells")
+        a[0, 0], a[-1, -1] = np.nan, 0.0
+        assert _bits(discretization._pos_pow(a, 1.8)) == _bits(a**1.8)
+
+    @pytest.mark.parametrize("zeros", ["cells", "none"])
+    def test_masked_division_is_bitwise_the_old_one(self, zeros):
+        den = self._moduli(zeros)
+        num = np.random.default_rng(5).standard_normal(den.shape)
+        old = np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
+        assert _bits(discretization._over(num, den)) == _bits(old)
+
+
+def test_power_sums_of_a_compact_bump_are_pinned(space8):
+    # |Du| of a compactly supported bump vanishes on 2/3 of the quadrature points
+    mag = discretization.mandel_norm(space8.sym_gradients(discretization._bump_velocity(space8, (0.4, 0.55), 0.25).coeffs))
+    assert np.mean(mag == 0.0) > 0.5
+    norms = ("0x1.33021f08b2d70p+4", "0x1.d9bdaa34b5080p+4", "0x1.02398809882c0p+6")
+    assert tuple(space8.lr_norm(r, mag).hex() for r in (1.8, 3.0, 18.0)) == norms
+
+
+def test_sobolev_objective_at_its_starts_is_pinned(space8, monkeypatch):
+    # the objective's value and squared gradient norm at the Gaussian bump start, and at a compact bump
+    starts = {}
+
+    def capture(objective, cands, witness, iters):
+        starts.update({name: x for name, x, _ in cands})
+
+    monkeypatch.setattr(discretization, "_ascend", capture)
+    estimate_sobolev(space8, 1.8, 4.0)
+    compact = discretization._bump_velocity(space8, (0.4, 0.55), 0.25).coeffs
+    pins = {
+        "bump": ("-0x1.808c7972b8a10p+0", "0x1.287ccba16b6e2p-5"),
+        "compact": ("-0x1.1197f5ce41bb0p+1", "0x1.cfe7e4b8e7838p-12"),
+    }
+    for name, x in (("bump", starts["bump"]), ("compact", compact)):
+        val, grad = discretization._sobolev_objective(space8, 1.8, 4.0)(x)
+        g = grad()
+        assert (val.hex(), float(g @ g).hex()) == pins[name]
+
+
 class TestKorn:
     def test_p2_identity(self, space8):
         # |grad u|^2 = 2 |Du|^2 - (div u)^2 for zero-boundary fields, exactly

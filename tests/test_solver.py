@@ -245,6 +245,28 @@ class TestSolveRegularized:
         direct = norm_sym_grad_p(rec.u, cfg.q) ** (cfg.q - 1.0) / 10.0
         assert abs(rec.penalty_norm - direct) < 1e-13 * max(direct, 1e-300)
 
+    @pytest.mark.parametrize(
+        "q, history, norms",
+        [
+            (
+                3.0,
+                ("0x1.a25b6b60c1d35p-13", "0x1.f97531b42b667p-34"),
+                ("0x1.351a6ed335b2ap-11", "0x1.7dd5eb1a497cbp-11", "0x1.351a6ed335b2ap-11", "0x1.c79ec0710d1d6p-25"),
+            ),
+            (
+                2.0,
+                ("0x1.67be33627a010p-13", "0x1.566e0d498f892p-34"),
+                ("0x1.21cd2aca70cbep-11", "0x1.2dbe4637e8444p-11", "0x1.21cd2aca70cbep-11", "0x1.e2ca09f30d3a0p-15"),
+            ),
+        ],
+    )
+    def test_cold_penalty_level_is_pinned(self, pipeline8, q, history, norms):
+        # u = 0 at the cold start, so the first penalty weights see only zero strains; a fresh instance holds no LU
+        inst = make_instance(pipeline8["model"], pipeline8["space"], lift_field=pipeline8["lift"])
+        rec = solve_regularized(inst, SolverConfig(q=q, n_schedule=(10,)), 10.0)
+        assert tuple(h.hex() for h in rec.residual_history) == history
+        assert tuple(getattr(rec, k).hex() for k in ("norm_Du_p", "norm_Du_q", "level_norm", "penalty_norm")) == norms
+
     def test_stokes_limit_matches_linear_solver(self, space8):
         # independent oracle: assemble and solve the linear Stokes system
         m = PDeltaModel(p=2.0, delta=0.0)
