@@ -15,14 +15,10 @@ from .constitutive import (
     estimate_characteristics,
     eval_stress,
     inequality_sweep,
-    rho_lower_bound,
-    shifted_stress,
     young_gap,
 )
 from .certifier import (
-    AlternativeBound,
     CoercivityReport,
-    alternative_bound_scan,
     check_smallness,
     compute_constants,
     compute_s,
@@ -43,21 +39,17 @@ from .discretization import (
     Field,
     RectDomain,
     build_space,
-    discrete_divergence,
     estimate_embedding_constants,
     estimate_korn,
     estimate_sobolev,
     norm_Lp,
     norm_sym_grad_p,
 )
-from .lifting import BoundaryData, LiftField, check_compatibility, lift, operator_norm_probe
+from .lifting import BoundaryData, LiftField, lift
 from .solver import (
     ProblemInstance,
     SolveResult,
     SolverConfig,
-    apply_P,
-    apply_S,
-    apply_T,
     continuation_solve,
     convective_identity_diagnostics,
     default_config,

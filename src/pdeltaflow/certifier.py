@@ -15,8 +15,7 @@ then tests the smallness condition
 and, when it holds, reports the coercivity radius
 R = [G3 / ((2-p) G1)]**(1/(p-1)).  Every constant carries provenance and
 the verdict is a numerical certificate (sampled, non-rigorous constants),
-not a proof.  The alternative low-regularity bound, which admits no such
-radius, is evaluated on a grid to exhibit its unboundedness below.
+not a proof.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .discretization import critical_exponent, mandel_norm
 
 __all__ = [
     "CoercivityReport",
-    "AlternativeBound",
     "CertifierError",
     "compute_s",
     "conjugate",
@@ -38,8 +36,6 @@ __all__ = [
     "polynomial_positivity_check",
     "weight_split_max_g3",
     "weight_optimality_scan",
-    "alternative_constants",
-    "alternative_bound_scan",
     "scaling_sweep",
 ]
 
@@ -86,16 +82,6 @@ class CoercivityReport:
 
     def to_json(self):
         return {**vars(self), "verdict": "numerical certificate" if self.satisfied else "smallness violated"}
-
-
-@dataclass
-class AlternativeBound:
-    F1: float
-    F2: float
-    G1: float
-    p: float
-    q: float
-    scan: list
 
 
 def weighted_shear_norm(lift_field, p, delta):
@@ -178,43 +164,6 @@ def weight_optimality_scan(G1, G2, p, resolution=1e-3):
     vals = np.array([weight_split_max_g3(G1, G2, p, t) for t in thetas])
     best = int(np.argmax(vals))
     return {"thetas": thetas, "g3_max": vals, "best_theta": float(thetas[best]), "optimal_theta": p - 1.0}
-
-
-def alternative_constants(chars, emb, lift_field, f_norm, p, q, delta, measure):
-    """Constants (F1, F2, G1) of the low-regularity bound.
-
-    The p-norm terms that the certifiable case controls by ||Du||_p are
-    absorbed into the ||Du||_q coefficient through the Lebesgue embedding
-    factor measure**(1/p - 1/q).
-    """
-    g1p = chars.C3 / p
-    dg_p = lift_field.norms["Dg_p"]
-    div_p = lift_field.norms["div_p"]
-    g_1p = lift_field.norms["W1p"]
-    c_pq = measure ** (1.0 / p - 1.0 / q)
-    f2 = emb.sob_p_to_pstar * emb.korn_p**2 * (dg_p + 0.5 * div_p)
-    f1 = emb.sob_s_to_2pprime * (g_1p**2 + emb.korn_p * div_p * g_1p) + c_pq * (
-        (chars.C2 + chars.C3) * weighted_shear_norm(lift_field, p, delta) ** (p - 1.0) + emb.korn_p * f_norm
-    )
-    return f1, f2, g1p
-
-
-def alternative_bound_scan(F1, F2, G1, p, q, R_grid, k_grid=(1.0, 2.0, 5.0, 10.0, 100.0)):
-    """Evaluate G1 R^p - F1 x_q - F2 R x_q along x_q = k R.
-
-    The scan exhibits that no radius yields a nonnegative lower bound: the
-    value decreases without bound in the unconstrained norm.
-    """
-    if F1 < 0:
-        raise CertifierError("F1 must be nonnegative")
-    scan = []
-    for r in R_grid:
-        vals = [
-            {"k": float(k), "value": float(G1 * r**p - F1 * k * r - F2 * r * (k * r))}
-            for k in k_grid
-        ]
-        scan.append({"R": float(r), "values": vals, "worst": vals[-1]["value"]})
-    return AlternativeBound(F1=F1, F2=F2, G1=G1, p=p, q=q, scan=scan)
 
 
 def scaling_sweep(chars, emb, lift_field, f_norm, p, s, delta, lambdas):

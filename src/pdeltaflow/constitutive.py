@@ -37,10 +37,8 @@ __all__ = [
     "random_sym",
     "eval_stress",
     "sym_stress",
-    "shifted_stress",
     "young_int",
     "young_gap",
-    "rho_lower_bound",
     "estimate_characteristics",
     "inequality_sweep",
 ]
@@ -165,11 +163,6 @@ def _stress_factor(model, nrm, slope=False):
     return nu, np.where(base > floor, model.mu * (model.p - 2.0) * clipped ** (model.p - 3.0), 0.0)
 
 
-def shifted_stress(model, g, a):
-    """Stress of the shifted argument, S(A + G)."""
-    return eval_stress(model, np.asarray(a, dtype=float) + np.asarray(g, dtype=float))
-
-
 def young_int(a, t, p):
     """Closed form of ``int_0^t (a+s)**(p-2) s ds`` for p in (1, 2].
 
@@ -228,20 +221,6 @@ def young_gap(a, t, p):
     t = np.asarray(t, dtype=float)
     gap = young_int(a, t, p) - (t**p / p - t * a ** (p - 1.0))
     return gap if gap.ndim else float(gap)
-
-
-def rho_lower_bound(model, g, b, t, c1=1.0):
-    """Monotonicity modulus ``rho_B(t) = C1*(delta + |B+G| + t)**(p-2) * t**2``.
-
-    ``c1`` is the monotonicity constant (take it from
-    :func:`estimate_characteristics`); the default 1.0 gives the
-    normalized shape function.
-    """
-    t = np.asarray(t, dtype=float)
-    base = model.delta + frobenius(symmetrize(b) + symmetrize(g)) + t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(base > 0.0, c1 * base ** (model.p - 2.0) * t**2, 0.0)
-    return val if val.ndim else float(val)
 
 
 def _sym_entries(dim):

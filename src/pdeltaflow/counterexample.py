@@ -24,7 +24,6 @@ from .discretization import (
     _bump_velocity,
     build_space,
     combine_level_norm,
-    level_norm,
     mandel_norm,
     prolong_velocity,
     sym_grad_norms,
@@ -37,7 +36,6 @@ __all__ = [
     "RangeError",
     "build_family",
     "find_y_n",
-    "level_norm",
     "construct_u_n",
     "counterexample_scan",
     "BISECT_RTOL",

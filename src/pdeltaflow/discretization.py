@@ -11,7 +11,7 @@ velocity gradient has one format: its orthonormal components, those of Du
 (Mandel, ``sym_gradients``) and then the skew one (``velocity_gradients``).
 
 Besides the space itself, this module provides the exponent-p norms, the
-discrete divergence, and iterative estimation of the Korn and Sobolev
+pointwise divergence, and iterative estimation of the Korn and Sobolev
 embedding constants on the discrete space: each is at most one
 limited-memory BFGS ascent of a 0-homogeneous log-ratio (numpy two-loop
 recursion, backtracking Armijo search, ``ASCENT_ITERS`` iterations), with
@@ -54,7 +54,6 @@ __all__ = [
     "estimate_dual_norm",
     "estimate_embedding_constants",
     "ASCENT_ITERS",
-    "discrete_divergence",
     "critical_exponent",
     "save_field",
     "load_field",
@@ -546,13 +545,6 @@ def norm_W1p(field, p):
 def divergence_values(space, coeffs):
     d = space.sym_gradients(coeffs)
     return d[..., 0] + d[..., 1]
-
-
-def discrete_divergence(field):
-    """L2 projection of div v onto the pressure-degree scalar space."""
-    s = field.space
-    b = assembly.p1_load(s, divergence_values(s, field.coeffs))
-    return s.scalar_field(s.p1_mass_solve(b))
 
 
 def critical_exponent(p, d=2):

@@ -28,10 +28,7 @@ __all__ = [
     "BoundaryData",
     "LiftField",
     "LiftingError",
-    "check_compatibility",
     "lift",
-    "harmonic_extension",
-    "operator_norm_probe",
 ]
 
 COMPAT_TOL = 1e-8
@@ -103,11 +100,6 @@ class LiftField:
         return {k: v for k, v in vars(self).items() if k != "g"}
 
 
-def check_compatibility(data, space):
-    """Signed defect int_Omega g1 dx - boundary flux of the g2 interpolant."""
-    return _compat_defect(space, data.g1_values(space), data.g2_dof_values(space))
-
-
 def _compat_defect(space, g1_vals, ghat):
     return float(space.integrate(g1_vals) - space.boundary_flux(ghat))
 
@@ -173,89 +165,3 @@ def lift(data, space, p, s):
 
 def _div_norm(space, coeffs, r):
     return space.lr_norm(r, np.abs(divergence_values(space, coeffs)))
-
-
-def harmonic_extension(data, space):
-    """Discrete minimal-gradient extension of the boundary interpolant.
-
-    Its W^{1,p} norm stands in for the fractional boundary-trace norm in
-    the probe statistics.
-    """
-    k = assembly.full_grad_stiffness(space)
-    u, _ = assembly.solve_saddle(space, k, np.zeros(space.n_vel), fixed_vals=data.g2_dof_values(space))
-    return space.velocity_field(u)
-
-
-def _random_data(space, rng):
-    """Smooth random compatible data used by the operator-norm probe.
-
-    g1 is held by its quadrature-point values and g2 by its boundary
-    interpolant, each evaluated once; the compatibility shift of g1 comes
-    from those values.
-    """
-    a = rng.standard_normal(6)
-    k1, k2 = rng.integers(1, 3), rng.integers(1, 3)
-
-    def g2x(x, y):
-        return a[0] * x + a[1] * y + a[2] * np.sin(np.pi * k1 * x) * np.cos(np.pi * y)
-
-    def g2y(x, y):
-        return a[3] * y + a[4] * x + a[5] * np.cos(np.pi * x) * np.sin(np.pi * k2 * y)
-
-    def g1_raw(x, y):
-        return a[0] + a[3] + a[1] * np.cos(np.pi * x * k2)
-
-    g1_vals = BoundaryData(g1=g1_raw).g1_values(space)
-    ghat = BoundaryData(g2=(g2x, g2y)).g2_dof_values(space)
-    shift = _compat_defect(space, g1_vals, ghat) / space.domain.measure
-    return BoundaryData(g1=g1_vals - shift, g2=ghat)
-
-
-def operator_norm_probe(space, trials, p=2.0, s=2.0, seed=0):
-    """Empirical norms of the discrete lifting operators.
-
-    Splits each random compatible data set into its boundary part and its
-    divergence part, lifts each separately and records the norm ratios
-    against the extension norm resp. the L^p norm of g1.  Zero data is
-    excluded from the statistics.  The data of a trial are evaluated once
-    and handed on as arrays, so the lifts' ``boundary_defect`` is 0.
-    """
-    rng = np.random.default_rng(seed)
-    rows = []
-    c_lift, c_bog = 0.0, 0.0
-    wit_lift = wit_bog = None
-    for t in range(trials):
-        data = _random_data(space, rng)
-
-        # boundary-only part: g1 must carry the flux of g2 to stay compatible
-        fill = space.boundary_flux(data.g2) / space.domain.measure
-        bdata = BoundaryData(g1=fill, g2=data.g2)
-        lift_b = lift(bdata, space, p, s)
-        ext = harmonic_extension(bdata, space)
-        bnorm = norm_W1p(ext, p)
-        row = {"trial": t, "bnorm": bnorm}
-        if bnorm > 1e-14:
-            r = lift_b.norms["W1p"] / bnorm
-            row["ratio_lift"] = r
-            if r > c_lift:
-                c_lift, wit_lift = r, lift_b
-
-        # divergence-only part, compatibility restored by a mean shift
-        vals = data.g1
-        mean = space.integrate(vals) / space.domain.measure
-        lift_d = lift(BoundaryData(g1=vals - mean, g2=None), space, p, s)
-        g1norm = space.lr_norm(p, np.abs(vals - mean))
-        row["g1_norm"] = g1norm
-        if g1norm > 1e-14:
-            r = lift_d.norms["W1p"] / g1norm
-            row["ratio_bog"] = r
-            if r > c_bog:
-                c_bog, wit_bog = r, lift_d
-        rows.append(row)
-    return {
-        "c_lift_est": c_lift,
-        "c_bog_est": c_bog,
-        "rows": rows,
-        "witness_lift": wit_lift,
-        "witness_bog": wit_bog,
-    }

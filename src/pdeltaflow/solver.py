@@ -45,15 +45,10 @@ __all__ = [
     "CertificationRequired",
     "default_config",
     "make_instance",
-    "apply_S",
-    "apply_T",
-    "apply_P",
-    "apply_penalty",
     "solve_regularized",
     "continuation_solve",
     "recover_pressure",
     "convective_identity_diagnostics",
-    "penalty_norm",
 ]
 
 
@@ -191,39 +186,8 @@ def _transport_term(inst, v):
     return -assembly.stress_load(inst.space, _outer(v)) - assembly.velocity_load(inst.space, inst.g1_vals[..., None] * v)
 
 
-def apply_S(inst, u, phi):
-    """<S(Du + Dg), D phi>."""
-    return float(_stress_term(inst, inst.space.sym_gradients(u.coeffs)) @ phi.coeffs)
-
-
-def apply_T(inst, u, phi):
-    """-<(u+g) x (u+g), D phi> - <(div g)(u+g), phi>."""
-    v = inst.space.velocity_values(u.coeffs) + inst.g_vals
-    return float(_transport_term(inst, v) @ phi.coeffs)
-
-
-def apply_penalty(inst, u, phi, q, n):
-    """(1/n) <|Du|^(q-2) Du, D phi>."""
-    return float(_penalty_term(inst, inst.space.sym_gradients(u.coeffs), q, n) @ phi.coeffs)
-
-
-def apply_P(inst, u, phi, include_convective=True):
-    """Full operator <S(u) + T(u) - f, phi>."""
-    val = apply_S(inst, u, phi) - float(inst.f_vec @ phi.coeffs)
-    if include_convective:
-        val += apply_T(inst, u, phi)
-    return val
-
-
-def penalty_norm(u, q, n):
-    """||(1/n) |Du|^(q-2) Du||_{q'} which reduces to n^-1 ||Du||_q^(q-1)."""
-    if not np.isfinite(n):
-        return 0.0
-    return _penalty_of(norm_sym_grad_p(u, q), q, n)
-
-
 def _penalty_of(norm_q, q, n):
-    """penalty_norm from ||Du||_q at a finite n."""
+    """The penalty norm ||(1/n) |Du|^(q-2) Du||_{q'} = n^-1 ||Du||_q^(q-1) from ||Du||_q at a finite n."""
     return norm_q ** (q - 1.0) / n
 
 

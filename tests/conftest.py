@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sy
 
-from pdeltaflow import counterexample
+from pdeltaflow import counterexample, solver
 from pdeltaflow.constitutive import PDeltaModel, estimate_characteristics
 from pdeltaflow.discretization import RectDomain, build_space, estimate_embedding_constants, sym_grad_norms
 from pdeltaflow.lifting import BoundaryData, lift
@@ -55,6 +55,17 @@ def gradient_matrices(c):
 def evaluate_P_n(field, n, G1, F1, p, q):
     """G1 ||Du||_p^p + (1/n) ||Du||_q^q - F1 ||Du||_q of a field, the counterexample's P_n."""
     return counterexample._P_n(*sym_grad_norms(field, (p, q)), n, G1, F1, p, q)
+
+
+def weak_form(inst, kernel, u, phi, *args):
+    """<kernel at u, phi> for a load kernel of ``solver._momentum``; args follow u (q, n of the penalty).
+
+    ``solver._transport_term`` reads the total velocity values u + g, the
+    stress and penalty kernels the Mandel components of Du.
+    """
+    s = inst.space
+    at = s.velocity_values(u.coeffs) + inst.g_vals if kernel is solver._transport_term else s.sym_gradients(u.coeffs)
+    return float(kernel(inst, at, *args) @ phi.coeffs)
 
 
 def tangential_g2(amp):

@@ -3,8 +3,6 @@ import pytest
 
 from pdeltaflow.certifier import (
     CertifierError,
-    alternative_bound_scan,
-    alternative_constants,
     check_smallness,
     compute_constants,
     compute_s,
@@ -153,27 +151,6 @@ class TestPolynomialPositivity:
     def test_split_validation(self):
         with pytest.raises(CertifierError):
             weight_split_max_g3(1.0, 1.0, 1.5, 0.0)
-
-
-class TestAlternativeBound:
-    def test_direct_evaluation(self):
-        ab = alternative_bound_scan(1.0, 0.0, 1.0, 1.5, 3.0, [1.0], k_grid=(10.0,))
-        assert abs(ab.scan[0]["values"][0]["value"] - (-9.0)) < 1e-14
-
-    def test_decreasing_in_q_norm(self):
-        ab = alternative_bound_scan(0.5, 0.25, 1.0, 1.5, 3.0, [2.0], k_grid=(1.0, 2.0, 5.0, 50.0))
-        vals = [v["value"] for v in ab.scan[0]["values"]]
-        assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
-
-    def test_degenerate_f1(self):
-        ab = alternative_bound_scan(0.0, 0.0, 1.0, 1.5, 3.0, [1.0])
-        assert all(v["value"] >= 0 for v in ab.scan[0]["values"])
-
-    def test_f1_positive_for_nonzero_data(self, pipeline8):
-        f1, f2, g1 = alternative_constants(
-            pipeline8["chars"], pipeline8["emb"], pipeline8["lift"], 0.0, 1.8, 3.0, 0.01, 1.0
-        )
-        assert f1 > 0 and f2 > 0 and g1 > 0
 
 
 class TestScalingSweep:

@@ -16,8 +16,6 @@ from pdeltaflow.constitutive import (
     frobenius,
     inequality_sweep,
     random_sym,
-    rho_lower_bound,
-    shifted_stress,
     symmetrize,
     young_gap,
     young_int,
@@ -75,33 +73,6 @@ class TestEvalStress:
         assert small[0] > small[1] > small[2]
 
 
-class TestShiftedStress:
-    def test_zero_shift(self):
-        m = PDeltaModel(p=1.5, delta=0.1)
-        a = symmetrize(np.random.default_rng(1).standard_normal((3, 2, 2)))
-        assert np.array_equal(shifted_stress(m, np.zeros((2, 2)), a), eval_stress(m, a))
-
-    def test_zero_argument(self):
-        m = PDeltaModel(p=1.5, delta=0.1)
-        g = symmetrize(np.random.default_rng(2).standard_normal((2, 2)))
-        assert np.allclose(shifted_stress(m, g, np.zeros((2, 2))), eval_stress(m, g), rtol=1e-15)
-
-    def test_opposite_shift_gives_zero(self):
-        m = PDeltaModel(p=1.5, delta=0.0)
-        a = symmetrize(np.random.default_rng(3).standard_normal((2, 2)))
-        assert np.all(shifted_stress(m, -a, a) == 0.0)
-
-    def test_shift_consistency(self):
-        # shifted(G, A-G) agrees with S(A) up to float associativity
-        m = PDeltaModel(p=1.7, delta=0.2)
-        rng = np.random.default_rng(4)
-        a = symmetrize(rng.standard_normal((20, 2, 2)))
-        g = symmetrize(rng.standard_normal((20, 2, 2)))
-        lhs = shifted_stress(m, g, a - g)
-        rhs = eval_stress(m, a)
-        assert np.allclose(lhs, rhs, rtol=1e-14, atol=1e-14)
-
-
 class TestYoungGap:
     def test_zero_offset_is_exact(self):
         for t in (0.5, 2.0, 100.0):
@@ -146,33 +117,6 @@ class TestYoungGap:
 )
 def test_young_gap_property(a, t, p):
     assert young_gap(a, t, p) >= -1e-10 * (1.0 + t**p)
-
-
-class TestRhoLowerBound:
-    def test_zero_at_zero(self):
-        m = PDeltaModel(p=1.5, delta=0.0)
-        assert rho_lower_bound(m, np.zeros((2, 2)), np.zeros((2, 2)), 0.0) == 0.0
-
-    def test_p2_ignores_shift(self):
-        m = PDeltaModel(p=2.0, delta=0.4)
-        rng = np.random.default_rng(6)
-        b, g = rng.standard_normal((2, 2, 2))
-        assert abs(rho_lower_bound(m, g, b, 3.0, c1=2.0) - 2.0 * 9.0) < 1e-12
-
-    def test_reference_value(self):
-        m = PDeltaModel(p=1.5, delta=0.0)
-        b = np.diag([1.0, 0.0]) / 1.0
-        b = b / frobenius(b)  # |B+G| = 1 with G = 0
-        val = rho_lower_bound(m, np.zeros((2, 2)), b, 1.0, c1=1.0)
-        assert abs(val - 2.0**-0.5) < 1e-14
-
-    def test_strictly_increasing(self):
-        m = PDeltaModel(p=1.3, delta=0.05)
-        b = symmetrize(np.random.default_rng(7).standard_normal((2, 2)))
-        g = symmetrize(np.random.default_rng(8).standard_normal((2, 2)))
-        t = np.logspace(-4, 3, 40)
-        vals = rho_lower_bound(m, g, b, t)
-        assert np.all(np.diff(vals) > 0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,9 +13,8 @@ from pdeltaflow.counterexample import (
     construct_u_n,
     counterexample_scan,
     find_y_n,
-    level_norm,
 )
-from pdeltaflow.discretization import DiscreteSpace, norm_sym_grad_p
+from pdeltaflow.discretization import DiscreteSpace, level_norm, norm_sym_grad_p
 
 from conftest import evaluate_P_n, gradient_matrices
 

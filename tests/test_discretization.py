@@ -15,7 +15,6 @@ from pdeltaflow.discretization import (
     RectDomain,
     build_space,
     critical_exponent,
-    discrete_divergence,
     divergence_values,
     estimate_dual_norm,
     estimate_korn,
@@ -743,25 +742,16 @@ class TestDualNorm:
 
 
 class TestDiscreteDivergence:
-    def test_divergence_free(self, space8):
-        v = space8.interpolate_velocity((lambda x, y: x, lambda x, y: -y))
-        assert np.abs(discrete_divergence(v).coeffs).max() < 1e-12
-
-    def test_constant_divergence(self, space8):
-        v = space8.interpolate_velocity((lambda x, y: x, lambda x, y: y))
-        assert np.abs(discrete_divergence(v).coeffs - 2.0).max() < 1e-12
-
     def test_projection_oracle(self, space8):
+        # the L2 projection of div v onto the pressure space, by p1_mass_solve;
         # div(x^2, 0) = 2x is linear, so the projection equals the interpolant;
         # oracle: explicit mass-matrix solve of the assembled load
         v = space8.interpolate_velocity((lambda x, y: x**2, lambda x, y: 0 * y))
-        proj = discrete_divergence(v)
-        assert np.abs(proj.coeffs - 2.0 * space8.verts[:, 0]).max() < 1e-12
-        import scipy.sparse.linalg as spla
-
         b = assembly.p1_load(space8, divergence_values(space8, v.coeffs))
+        proj = space8.p1_mass_solve(b)
+        assert np.abs(proj - 2.0 * space8.verts[:, 0]).max() < 1e-12
         ref = spla.spsolve(assembly.p1_mass(space8).tocsc(), b)
-        assert np.abs(proj.coeffs - ref).max() < 1e-12
+        assert np.abs(proj - ref).max() < 1e-12
 
 
 class TestEvaluation:

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from pdeltaflow import assembly
 from pdeltaflow.discretization import RectDomain, build_space, norm_Lp, norm_W1p
 from pdeltaflow.lifting import (
     BoundaryData,
     LiftingError,
     _boundary_defect,
-    check_compatibility,
-    harmonic_extension,
+    _compat_defect,
     lift,
-    operator_norm_probe,
 )
 
 from conftest import tangential_g2
@@ -19,16 +16,22 @@ from conftest import tangential_g2
 class TestCompatibility:
     def test_tangential_data_has_zero_flux(self, space8):
         data = BoundaryData(g1=0.0, g2=tangential_g2(1.0))
-        assert abs(check_compatibility(data, space8)) < 1e-12
+        assert abs(_compat_defect(space8, data.g1_values(space8), data.g2_dof_values(space8))) < 1e-12
 
     def test_linear_field_flux(self, space8):
         # int g1 = 2, boundary flux of (x, y) = 2
         data = BoundaryData(g1=2.0, g2=(lambda x, y: x, lambda x, y: y))
-        assert abs(check_compatibility(data, space8)) < 1e-12
+        assert abs(_compat_defect(space8, data.g1_values(space8), data.g2_dof_values(space8))) < 1e-12
 
     def test_incompatible_data(self, space8):
         data = BoundaryData(g1=1.0, g2=None)
-        assert abs(check_compatibility(data, space8) - 1.0) < 1e-12
+        assert abs(_compat_defect(space8, data.g1_values(space8), data.g2_dof_values(space8)) - 1.0) < 1e-12
+
+    def test_g1_quadrature_values(self, space4):
+        vals = np.random.default_rng(4).standard_normal(space4.qw.shape)
+        assert BoundaryData(g1=vals).g1_values(space4) is vals
+        with pytest.raises(ValueError):
+            BoundaryData(g1=vals[:, :-1]).g1_values(space4)
 
     def test_boundary_defect_is_the_trace_interpolation_error(self):
         s = build_space(RectDomain(0.5, -0.3, 2.5, 0.7), 4, 3)
@@ -87,16 +90,6 @@ class TestLift:
             assert lf.div_defect <= 1e-8
             assert lf.boundary_defect < 1e-12
 
-    def test_harmonic_extension(self, space8):
-        data = BoundaryData(g2=tangential_g2(0.01))
-        u = harmonic_extension(data, space8).coeffs
-        bnd, free = space8.boundary_vel_dofs, space8.free_vel_dofs
-        ghat = space8.interpolate_velocity(tangential_g2(0.01)).coeffs
-        assert np.array_equal(u[bnd], ghat[bnd])
-        k = assembly.full_grad_stiffness(space8)
-        ref = np.linalg.norm((k @ data.g2_dof_values(space8))[free])  # the boundary values' load
-        assert np.linalg.norm((k @ u)[free]) <= 1e-10 * ref
-
     def test_manufactured_linear_with_divergence(self, space8):
         data = BoundaryData(g1=2.0, g2=(lambda x, y: x, lambda x, y: y))
         lf = lift(data, space8, 2.0, 2.0)
@@ -128,7 +121,8 @@ class TestLift:
         defects = []
         for n in (8, 16, 32):
             s = build_space(unit_domain, n, n)
-            shift = check_compatibility(BoundaryData(g1=g1_raw, g2=g2), s) / s.domain.measure
+            raw = BoundaryData(g1=g1_raw, g2=g2)
+            shift = _compat_defect(s, raw.g1_values(s), raw.g2_dof_values(s)) / s.domain.measure
             data = BoundaryData(g1=lambda x, y: g1_raw(x, y) - shift, g2=g2)
             lf = lift(data, s, 1.8, 1.8)
             assert lf.div_defect <= 1e-8
@@ -141,61 +135,3 @@ class TestLift:
             assert lf.norms[key] >= 0.0
         assert lf.norms["W1p"] > 0
         assert abs(lf.norms["W1p"] - norm_W1p(lf.g, 1.6)) < 1e-14
-
-
-class TestProbe:
-    def test_probe_bound_shape(self, space8):
-        # Lemma-shaped bound with the estimated operator norms holds for
-        # every probed trial by the triangle inequality
-        probe = operator_norm_probe(space8, trials=4, p=1.8, s=1.8, seed=0)
-        assert probe["c_lift_est"] > 0
-        assert probe["c_bog_est"] > 0
-        rng = np.random.default_rng(1)
-        from pdeltaflow.lifting import _random_data
-
-        for t in range(3):
-            data = _random_data(space8, rng)
-            lf = lift(data, space8, 1.8, 1.8)
-            ext = harmonic_extension(data, space8)
-            bnorm = norm_W1p(ext, 1.8)
-            vals = data.g1_values(space8)
-            mean = space8.integrate(vals) / space8.domain.measure
-            g1norm = space8.integrate(np.abs(vals - mean) ** 1.8) ** (1 / 1.8)
-            bound = probe["c_lift_est"] * (1 + probe["c_bog_est"]) * bnorm + probe["c_bog_est"] * g1norm
-            assert lf.norms["W1p"] <= bound * (1 + 1e-9)
-
-    def test_probe_evaluates_each_trial_once(self, space8, monkeypatch):
-        from pdeltaflow import lifting
-
-        counts = {"g1": 0, "g2": 0}
-        as_vec2, g1_values = lifting._as_vec2, BoundaryData.g1_values
-
-        def vec2(fun, x, y):
-            counts["g2"] += 1
-            return as_vec2(fun, x, y)
-
-        def values(self, space):
-            counts["g1"] += callable(self.g1)
-            return g1_values(self, space)
-
-        monkeypatch.setattr(lifting, "_as_vec2", vec2)
-        monkeypatch.setattr(BoundaryData, "g1_values", values)
-        operator_norm_probe(space8, trials=3, seed=0)
-        assert counts == {"g1": 3, "g2": 3}
-
-    def test_g1_quadrature_values(self, space4):
-        vals = np.random.default_rng(4).standard_normal(space4.qw.shape)
-        assert BoundaryData(g1=vals).g1_values(space4) is vals
-        with pytest.raises(ValueError):
-            BoundaryData(g1=vals[:, :-1]).g1_values(space4)
-
-    def test_probe_nondecreasing_under_refinement(self, space4, space8):
-        a = operator_norm_probe(space4, trials=3, p=2.0, s=2.0, seed=2)
-        b = operator_norm_probe(space8, trials=3, p=2.0, s=2.0, seed=2)
-        assert b["c_lift_est"] >= a["c_lift_est"] * (1 - 0.05)
-        assert b["c_bog_est"] >= a["c_bog_est"] * (1 - 0.05)
-
-    def test_probe_rows_recorded(self, space4):
-        probe = operator_norm_probe(space4, trials=2, seed=3)
-        assert len(probe["rows"]) == 2
-        assert all("ratio_lift" in r or r["bnorm"] <= 1e-14 for r in probe["rows"])

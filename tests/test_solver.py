@@ -18,20 +18,15 @@ from pdeltaflow.solver import (
     _data_scale,
     _linearize,
     _state,
-    apply_P,
-    apply_S,
-    apply_T,
-    apply_penalty,
     continuation_solve,
     convective_identity_diagnostics,
     default_config,
     make_instance,
-    penalty_norm,
     recover_pressure,
     solve_regularized,
 )
 
-from conftest import asymmetric_divfree, mandel_skew, manufactured_case, tangential_g2
+from conftest import asymmetric_divfree, mandel_skew, manufactured_case, tangential_g2, weak_form
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +81,7 @@ class TestOperators:
         inst = make_instance(m, space8)
         u = space8.zero_velocity()
         phi = _random_zero_boundary(space8, 0)
-        assert apply_S(inst, u, phi) == 0.0
+        assert weak_form(inst, solver._stress_term, u, phi) == 0.0
 
     def test_apply_S_stokes_form(self, space8):
         # p = 2, mu0 = 0, mu = 1, g = 0: <Du, Dphi> as a bilinear form
@@ -96,7 +91,7 @@ class TestOperators:
         phi = _random_zero_boundary(space8, 2)
         k = assembly.sym_grad_stiffness(space8)
         ref = float(u.coeffs @ (k @ phi.coeffs))
-        assert abs(apply_S(inst, u, phi) - ref) < 1e-12 * max(abs(ref), 1.0)
+        assert abs(weak_form(inst, solver._stress_term, u, phi) - ref) < 1e-12 * max(abs(ref), 1.0)
 
     def test_apply_S_linear_in_phi(self, inst8):
         space = inst8.space
@@ -104,8 +99,8 @@ class TestOperators:
         a = _random_zero_boundary(space, 4)
         b = _random_zero_boundary(space, 5)
         ab = space.velocity_field(2.0 * a.coeffs - 0.5 * b.coeffs)
-        lhs = apply_S(inst8, u, ab)
-        rhs = 2.0 * apply_S(inst8, u, a) - 0.5 * apply_S(inst8, u, b)
+        lhs = weak_form(inst8, solver._stress_term, u, ab)
+        rhs = 2.0 * weak_form(inst8, solver._stress_term, u, a) - 0.5 * weak_form(inst8, solver._stress_term, u, b)
         assert abs(lhs - rhs) < 1e-11 * max(abs(lhs), 1.0)
 
     def test_apply_S_second_rule_oracle(self, unit_domain):
@@ -120,19 +115,19 @@ class TestOperators:
             (lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), lambda x, y: (x * (1 - x) * y * (1 - y)) ** 2)
         ).coeffs
         m2 = PDeltaModel(p=2.0, delta=0.0)
-        va = apply_S(make_instance(m2, sa), sa.velocity_field(u), sa.velocity_field(phi))
-        vb = apply_S(make_instance(m2, sb), sb.velocity_field(u), sb.velocity_field(phi))
+        va = weak_form(make_instance(m2, sa), solver._stress_term, sa.velocity_field(u), sa.velocity_field(phi))
+        vb = weak_form(make_instance(m2, sb), solver._stress_term, sb.velocity_field(u), sb.velocity_field(phi))
         assert abs(va - vb) < 1e-10 * max(abs(va), 1.0)
         m15 = PDeltaModel(p=1.5, delta=0.2)
-        wa = apply_S(make_instance(m15, sa), sa.velocity_field(u), sa.velocity_field(phi))
-        wb = apply_S(make_instance(m15, sb), sb.velocity_field(u), sb.velocity_field(phi))
+        wa = weak_form(make_instance(m15, sa), solver._stress_term, sa.velocity_field(u), sa.velocity_field(phi))
+        wb = weak_form(make_instance(m15, sb), solver._stress_term, sb.velocity_field(u), sb.velocity_field(phi))
         assert abs(wa - wb) < 1e-4 * max(abs(wa), 1.0)
 
     def test_apply_T_zero_total_field(self, space8):
         m = PDeltaModel(p=1.8, delta=0.1)
         inst = make_instance(m, space8)
         phi = _random_zero_boundary(space8, 8)
-        assert apply_T(inst, space8.zero_velocity(), phi) == 0.0
+        assert weak_form(inst, solver._transport_term, space8.zero_velocity(), phi) == 0.0
 
     def test_apply_T_constant_field(self, space8):
         # u+g = c constant, div g = 0: <c x c, D phi> = 0 for zero-boundary phi
@@ -140,7 +135,7 @@ class TestOperators:
         lf = lift(BoundaryData(g1=0.0, g2=(lambda x, y: 0.7 + 0 * x, lambda x, y: -0.3 + 0 * x)), space8, 1.8, 1.8)
         inst = make_instance(m, space8, lift_field=lf)
         phi = _random_zero_boundary(space8, 9)
-        assert abs(apply_T(inst, space8.zero_velocity(), phi)) < 1e-12
+        assert abs(weak_form(inst, solver._transport_term, space8.zero_velocity(), phi)) < 1e-12
 
     def test_apply_T_skew_defect_decreases(self, unit_domain):
         m = PDeltaModel(p=1.8, delta=0.1)
@@ -150,14 +145,17 @@ class TestOperators:
             s = build_space(unit_domain, n, n)
             inst = make_instance(m, s)
             u = s.interpolate_velocity((ux, uy))
-            defects.append(abs(apply_T(inst, u, u)))
+            defects.append(abs(weak_form(inst, solver._transport_term, u, u)))
         assert defects[0] > defects[1] > defects[2]
 
     def test_apply_P_zero(self, space8):
         m = PDeltaModel(p=1.8, delta=0.1)
         inst = make_instance(m, space8)
         u = space8.zero_velocity()
-        assert apply_P(inst, u, _random_zero_boundary(space8, 10)) == 0.0
+        phi = _random_zero_boundary(space8, 10)
+        cfg = SolverConfig(q=3.0, n_schedule=(10,), penalty=False)
+        du, v = space8.sym_gradients(u.coeffs), space8.velocity_values(u.coeffs) + inst.g_vals
+        assert float(solver._momentum(inst, cfg, np.inf, du, v) @ phi.coeffs) == 0.0
 
     def test_penalty_identity(self, space8):
         u = _random_zero_boundary(space8, 11)
@@ -165,24 +163,25 @@ class TestOperators:
         inst = make_instance(m, space8)
         q, n = 3.0, 7.0
         # <(1/n)|Du|^{q-2}Du, Du> equals n^-1 ||Du||_q^q
-        val = apply_penalty(inst, u, u, q, n)
+        val = weak_form(inst, solver._penalty_term, u, u, q, n)
         assert abs(val - norm_sym_grad_p(u, q) ** q / n) < 1e-12 * max(val, 1.0)
-        assert abs(penalty_norm(u, q, n) - norm_sym_grad_p(u, q) ** (q - 1.0) / n) < 1e-14
+        assert abs(solver._penalty_of(norm_sym_grad_p(u, q), q, n) - norm_sym_grad_p(u, q) ** (q - 1.0) / n) < 1e-14
 
 
     def test_oracles_are_the_picard_residual(self, inst8):
-        # at a converged level, apply_P + apply_penalty - <pi, div phi> is the
-        # residual that the Picard loop drove below picard_tol, tested against phi
+        # at a converged level, the momentum residual (stress, penalty, transport,
+        # load) - <pi, div phi> is what the Picard loop drove below picard_tol, tested against phi
         cfg = default_config(1.8, levels=1, picard_tol=1e-9)
         n = cfg.n_schedule[0]
         rec = solve_regularized(inst8, cfg, n)
         assert rec.converged
         space = inst8.space
         bound = cfg.picard_tol * _data_scale(inst8, cfg)
+        du, v = space.sym_gradients(rec.u.coeffs), space.velocity_values(rec.u.coeffs) + inst8.g_vals
         for seed in range(3):
             phi = _random_zero_boundary(space, 400 + seed)
             press = space.integrate(space.p1_values(rec.pi.coeffs) * divergence_values(space, phi.coeffs))
-            val = apply_P(inst8, rec.u, phi) + apply_penalty(inst8, rec.u, phi, cfg.q, n) - press
+            val = float(solver._momentum(inst8, cfg, n, du, v) @ phi.coeffs) - press
             assert abs(val) <= bound * np.linalg.norm(phi.coeffs)
 
 
@@ -194,7 +193,7 @@ class TestMonotoneConsistency:
             u = _random_zero_boundary(space, 100 + k, scale=10.0 ** rng.uniform(-1, 1))
             w = _random_zero_boundary(space, 200 + k, scale=10.0 ** rng.uniform(-1, 1))
             diff = space.velocity_field(u.coeffs - w.coeffs)
-            val = apply_S(inst8, u, diff) - apply_S(inst8, w, diff)
+            val = weak_form(inst8, solver._stress_term, u, diff) - weak_form(inst8, solver._stress_term, w, diff)
             scale = norm_sym_grad_p(diff, 2.0) ** 2
             assert val >= -1e-10 * scale
 
@@ -208,7 +207,7 @@ class TestMonotoneConsistency:
         for u in fields:
             for scale in (0.1, 1.0, 5.0):
                 us = inst8.space.velocity_field(scale * u.coeffs)
-                lhs = apply_S(inst8, us, us)
+                lhs = weak_form(inst8, solver._stress_term, us, us)
                 ndu = norm_sym_grad_p(us, m.p)
                 rhs = chars.C3 / m.p * ndu**m.p - (chars.C2 + chars.C3) * shear ** (m.p - 1) * ndu
                 assert lhs >= rhs - 1e-8 * max(abs(lhs), 1.0)
@@ -222,7 +221,7 @@ class TestMonotoneConsistency:
         for scale in (0.2, 1.0, 4.0):
             us = inst8.space.velocity_field(scale * u.coeffs)
             ndu = norm_sym_grad_p(us, m.p)
-            lhs = abs(apply_T(inst8, us, us))
+            lhs = abs(weak_form(inst8, solver._transport_term, us, us))
             rhs = emb.sob_p_to_pstar * emb.korn_p**2 * (lf.norms["Dg_s"] + 0.5 * lf.norms["div_s"]) * ndu**2
             rhs += emb.sob_s_to_2pprime * (lf.norms["W1s"] ** 2 + emb.korn_p * lf.norms["div_s"] * lf.norms["W1s"]) * ndu
             assert lhs <= rhs
