@@ -309,12 +309,6 @@ def cmd_solve(cfg, out, override=False):
         _write_json(os.path.join(out, "solve_report.json"), {"error": str(exc)})
         return EXIT_NUMERICAL
     report = pipe["report"]
-    if not report.satisfied and not override:
-        _write_json(
-            os.path.join(out, "solve_report.json"),
-            {"refused": "certification failed; rerun with --override-certification", "certificate": report.to_json()},
-        )
-        return EXIT_CONDITION_FAILED
     inst = solver.make_instance(pipe["model"], pipe["space"], lift_field=pipe["lift"], f=pipe["f"], report=report)
 
     def write_history(records):
@@ -323,6 +317,12 @@ def cmd_solve(cfg, out, override=False):
 
     try:
         result = solver.continuation_solve(inst, cfg.solver_config, override=override)
+    except solver.CertificationRequired:
+        _write_json(
+            os.path.join(out, "solve_report.json"),
+            {"refused": "certification failed; rerun with --override-certification", "certificate": report.to_json()},
+        )
+        return EXIT_CONDITION_FAILED
     except solver.SolverError as exc:
         if exc.records:
             write_history(exc.records)

@@ -275,9 +275,11 @@ def _component_dot(c, e, rows):
     return reduce(np.add, (q[k] for k in rows.flat))
 
 
-def _check_integer(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_integer(name, value, low=None):
+    """The rule of an integer argument: an int or numpy integer, not a bool, and at least low if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def _check_dim(dim):

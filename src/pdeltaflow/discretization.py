@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly
+from .constitutive import _check_integer
 
 __all__ = [
     "RectDomain",
@@ -326,9 +327,6 @@ class DiscreteSpace:
     def pressure_field(self, coeffs):
         return Field(self, "pressure", coeffs)
 
-    def scalar_field(self, coeffs):
-        return Field(self, "scalar", coeffs)
-
     def zero_velocity(self):
         return Field(self, "velocity", np.zeros(self.n_vel))
 
@@ -465,12 +463,10 @@ class DiscreteSpace:
 
 
 def _as_vec2(fun, x, y):
-    if isinstance(fun, (tuple, list)):
-        return np.asarray(fun[0](x, y), dtype=float) + 0 * x, np.asarray(fun[1](x, y), dtype=float) + 0 * x
-    out = np.asarray(fun(x, y), dtype=float)
-    if out.ndim == 2 and out.shape[1] == 2:
-        return out[:, 0], out[:, 1]
-    raise ValueError("velocity callable must return an (N, 2) array or be a pair of scalar callables")
+    """The two components at (x, y) of a vector field given as a pair of scalar callables of (x, y)."""
+    if not (isinstance(fun, (tuple, list)) and len(fun) == 2 and all(map(callable, fun))):
+        raise ValueError(f"a vector field must be a pair of scalar callables of (x, y), got {type(fun).__name__}")
+    return np.asarray(fun[0](x, y), dtype=float) + 0 * x, np.asarray(fun[1](x, y), dtype=float) + 0 * x
 
 
 def build_space(domain, nx, ny, quad_degree=8):
@@ -573,8 +569,7 @@ ASCENT_ITERS = 40  # iteration budget of every embedding ascent, and the config'
 
 def _check_iters(iters):
     """The range rule of an iteration budget, which every estimator runs first."""
-    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
+    _check_integer("iters", iters, 1)
 
 
 def _ratio_ascent(x, first, objective, iters):

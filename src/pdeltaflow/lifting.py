@@ -44,10 +44,8 @@ class LiftingError(RuntimeError):
 
 @dataclass
 class BoundaryData:
-    """Divergence data g1 (callable, constant or (cells, points) array of
-    its quadrature-point values) and boundary velocity g2
-    (callable pair / vector callable, or a full-length velocity coefficient
-    array read only at boundary dofs)."""
+    """Divergence data g1 (callable of (x, y), constant or None for zero) and
+    boundary velocity g2 (pair of callables of (x, y), or None for zero)."""
 
     g1: object = None
     g2: object = None
@@ -55,32 +53,19 @@ class BoundaryData:
     def g1_values(self, space):
         if self.g1 is None:
             return np.zeros_like(space.qw)
-        if isinstance(self.g1, np.ndarray):
-            if self.g1.shape != space.qw.shape:
-                raise ValueError("g1 values must be a (cells, points) quadrature-point array")
-            return self.g1
         if np.isscalar(self.g1):
             return float(self.g1) * np.ones_like(space.qw)
         x, y = space.qpts[..., 0], space.qpts[..., 1]
         return np.asarray(self.g1(x, y), dtype=float) + np.zeros_like(space.qw)
 
     def g2_dof_values(self, space):
-        """Full velocity coefficient array carrying the boundary interpolant; a callable is evaluated at the boundary nodes."""
+        """Full velocity coefficient array carrying the boundary interpolant; g2 is evaluated at the boundary nodes."""
         out = np.zeros(space.n_vel)
         if self.g2 is None:
-            return out
-        if isinstance(self.g2, np.ndarray):
-            if self.g2.shape != (space.n_vel,):
-                raise ValueError("nodal g2 must be a full-length velocity coefficient array")
-            bnd = space.boundary_vel_dofs
-            out[bnd] = self.g2[bnd]
             return out
         bnd = space.boundary_p2
         out[bnd], out[bnd + space.n_p2] = _as_vec2(self.g2, *space.p2_coords[bnd].T)
         return out
-
-    def g2_callable(self):
-        return None if (self.g2 is None or isinstance(self.g2, np.ndarray)) else self.g2
 
 
 @dataclass
@@ -158,7 +143,7 @@ def lift(data, space, p, s):
         norms=norms,
         div_defect=div_defect,
         div_defect_pointwise=div_defect_pointwise,
-        boundary_defect=_boundary_defect(space, ghat, data.g2_callable()),
+        boundary_defect=_boundary_defect(space, ghat, data.g2),
         compat_defect=defect,
     )
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly
-from .constitutive import _stress_factor, sym_stress
+from .constitutive import _check_integer, _stress_factor, sym_stress
 from .discretization import Field, _as_vec2, _over, combine_level_norm, mandel_norm, norm_sym_grad_p, sym_grad_norms
 
 __all__ = [
@@ -85,8 +85,7 @@ class SolverConfig:
             raise ValueError("q must be finite and at least 2")
         if not self.picard_tol > 0:  # a NaN tolerance would never be met
             raise ValueError("picard_tol must be positive")
-        if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, (int, np.integer)) or self.picard_max < 1:
-            raise ValueError(f"picard_max must be an integer at least 1, got {self.picard_max!r}")
+        _check_integer("picard_max", self.picard_max, 1)
         if not self.n_schedule or min(self.n_schedule) <= 0:
             raise ValueError("n_schedule must be non-empty with positive entries")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
@@ -141,7 +140,7 @@ class ProblemInstance:
 
 
 def make_instance(model, space, lift_field=None, f=None, report=None):
-    """Build a ProblemInstance; f may be a callable, a load vector or None."""
+    """Build a ProblemInstance; f may be a pair of callables of (x, y), a load vector or None."""
     gc = np.zeros(space.n_vel) if lift_field is None else lift_field.g.coeffs
     g_vals, g_sym = space.velocity_values(gc), space.sym_gradients(gc)
     g1_vals = g_sym[..., 0] + g_sym[..., 1]
@@ -159,7 +158,7 @@ def make_instance(model, space, lift_field=None, f=None, report=None):
 
 
 def _load_vector(space, f):
-    """Load vector <f, phi_i> of a body force f, a vector callable or a pair of callables of (x, y)."""
+    """Load vector <f, phi_i> of a body force f given as a pair of callables of (x, y)."""
     x, y = space.qpts[..., 0], space.qpts[..., 1]
     fx, fy = _as_vec2(f, x.ravel(), y.ravel())
     return assembly.velocity_load(space, np.stack([fx.reshape(x.shape), fy.reshape(x.shape)], axis=-1))
@@ -432,7 +431,7 @@ def continuation_solve(inst, cfg, override=False):
     )
 
 
-def recover_pressure(inst, u, cfg=None, n=np.inf):
+def recover_pressure(inst, u, cfg, n=np.inf):
     """Pressure from the mixed system's multiplier at the converged state.
 
     One Newton saddle solve at u returns the multiplier; the pressure is
@@ -443,8 +442,6 @@ def recover_pressure(inst, u, cfg=None, n=np.inf):
     residual is the full momentum defect against unconstrained test
     functions, relative to the data scale.
     """
-    if cfg is None:
-        cfg = default_config(inst.model.p, penalty=False)
     space = inst.space
     state = _state(inst, cfg, n, u.coeffs)
     a_mat, rhs = _linearize(inst, cfg, n, u.coeffs, state=state)

@@ -468,8 +468,13 @@ class TestExitCodes:
         cfg["solver"] = {"levels": 1, "picard_tol": 1e-7, "picard_max": 80}
         path = _write_cfg(tmp_path, "c.json", cfg)
         assert main(["solve", "--config", path]) == EXIT_CONDITION_FAILED
-        rep = json.loads((tmp_path / "t" / "solve_report.json").read_text())
-        assert "refused" in rep
+        # the refusal carries the failed certificate, as certify reports it, and writes no history
+        assert main(["certify", "--config", path, "--out", str(tmp_path / "c")]) == EXIT_CONDITION_FAILED
+        cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
+        want = {"refused": "certification failed; rerun with --override-certification", "certificate": cert}
+        got = (tmp_path / "t" / "solve_report.json").read_text()
+        assert got == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert not (tmp_path / "t" / "solve_history.csv").exists()
         assert main(["solve", "--config", path, "--override-certification"]) == EXIT_OK
 
     def test_solve_certified(self, tmp_path):

@@ -69,7 +69,7 @@ class TestBuildSpace:
 
     def test_header_roundtrip_translated(self, tmp_path):
         s = build_space(RectDomain(0.3, -0.2, 1.7, 0.4), 5, 3, quad_degree=6)
-        p = s.scalar_field(np.arange(s.n_p1, dtype=float))
+        p = Field(s, "scalar", np.arange(s.n_p1, dtype=float))
         path = tmp_path / "p.txt"
         save_field(path, p)
         q = load_field(path, s, role="scalar")

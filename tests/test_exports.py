@@ -77,9 +77,13 @@ def _references(node, imports, module):
                 yield mod, sub.attr
 
 
+def _package_info():
+    return {p.stem: _module_info(p) for p in SRC.glob("*.py") if p.stem != "__init__"}
+
+
 def _reached():
     """(module, name) of every top-level definition of the package that the roots reach."""
-    info = {p.stem: _module_info(p) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    info = _package_info()
     todo = []
     for root in ROOTS:
         _, imports = info.get(root.stem) if root.parent == SRC else _module_info(root)
@@ -110,6 +114,57 @@ def test_every_public_name_is_reached_or_kept():
     unreached = {n for n in public if tuple(n.split(".")) not in reached}
     assert sorted(unreached - set(KEPT)) == []
     assert sorted(set(KEPT) - unreached) == []  # a kept name that is reached or gone leaves the list
+
+
+def _is_method(node):
+    return isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+
+
+def _attribute_loads(nodes):
+    subs = (sub for node in nodes for sub in ast.walk(node))
+    return {sub.attr for sub in subs if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def _unreached_methods(reached, info, roots):
+    """module.Class.method of every non-dunder method of a reached class whose name no reached code loads.
+
+    Reached code is the roots, the reached top-level definitions save their
+    classes' methods, and, until no more are found, the methods of a name
+    that reached code loads as an attribute.
+    """
+    code, methods = [ast.parse(root.read_text()) for root in roots], {}
+    for mod, name in reached:
+        node = info[mod][0].get(name)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if _is_method(item):
+                    methods[f"{mod}.{name}.{item.name}"] = item
+                else:
+                    code.append(item)
+        elif node is not None:
+            code.append(node)
+    loads, todo = set(), code
+    while todo:
+        loads |= _attribute_loads(todo)
+        found = [key for key, m in methods.items() if m.name in loads]
+        todo = [methods.pop(key) for key in found]
+    return sorted(methods)
+
+
+def test_every_method_of_a_reached_class_is_reached():
+    assert _unreached_methods(_reached(), _package_info(), ROOTS) == []
+
+
+def test_a_method_reached_only_from_an_unreached_method_is_unreached(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        return 1\n"
+        "    def dead(self):\n        return self.deader()\n"
+        "    def deader(self):\n        return 2\n"
+    )
+    info = {"m": _module_info(tmp_path / "m.py")}
+    assert _unreached_methods({("m", "A")}, info, []) == ["m.A.dead", "m.A.deader"]
 
 
 def test_name_resolution_is_not_by_token():

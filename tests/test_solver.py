@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from pdeltaflow import assembly, solver
 from pdeltaflow.certifier import check_smallness, compute_constants, weighted_shear_norm
 from pdeltaflow.constitutive import PDeltaModel, _stress_factor
-from pdeltaflow.discretization import RectDomain, build_space, divergence_values, mandel_norm, norm_Lp, norm_sym_grad_p
+from pdeltaflow.discretization import Field, RectDomain, build_space, divergence_values, mandel_norm, norm_Lp, norm_sym_grad_p
 from pdeltaflow.lifting import BoundaryData, lift
 from pdeltaflow.solver import (
     CertificationRequired,
@@ -721,7 +721,7 @@ class TestPressure:
             pi, rel = recover_pressure(inst, rec.u, cfg=cfg)
             pex = s.interpolate_scalar(case["pi"])
             pex = s.pressure_field(pex.coeffs)
-            errs.append(norm_Lp(s.scalar_field(pi.coeffs - pex.coeffs), 2.0))
+            errs.append(norm_Lp(Field(s, "scalar", pi.coeffs - pex.coeffs), 2.0))
             assert rel < 1e-9
         assert errs[1] < errs[0] / 2
 
