@@ -1,7 +1,9 @@
 """Coercivity certification for the lifted problem.
 
-Combines the sampled stress characteristics, the discrete embedding
-constants and the lift norms into the three dependent constants
+Combines the stress characteristics C1-C3 (closed forms in the reduced
+ratios, see ``constitutive``), the discrete Korn and Sobolev embedding
+constants (ascent estimates: lower bounds of their sups) and the lift
+norms into the three dependent constants
 
     G1 = C3/p,
     G2 = c_sob * c_korn**2 * (||Dg||_s + ||div g||_s / 2),
@@ -14,8 +16,8 @@ then tests the smallness condition
 
 and, when it holds, reports the coercivity radius
 R = [G3 / ((2-p) G1)]**(1/(p-1)).  Every constant carries provenance and
-the verdict is a numerical certificate (sampled, non-rigorous constants),
-not a proof.
+the verdict is a numerical certificate, not a proof: the embedding
+constants are estimated, and C1-C3 are extremal only as checked on grids.
 """
 
 from __future__ import annotations

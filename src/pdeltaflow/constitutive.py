@@ -3,22 +3,38 @@
 The constitutive map is ``S(A) = mu0*A + mu*(delta + |A|)**(p-2) * A`` on
 symmetric d-by-d matrices, the standard shear-thinning power-law family
 for ``1 < p <= 2`` (|.| is the Frobenius norm).  Besides evaluating the
-tensor, this module estimates its three growth constants
+tensor, this module gives its three growth constants
 
 * ``C1`` -- monotonicity: ``(S(A)-S(B)):(A-B) >= C1*w(A,B)*|A-B|**2``,
 * ``C2`` -- growth: ``|S(A)-S(B)| <= C2*w(A,B)*|A-B|``,
 * ``C3`` -- integral lower bound against ``int_0^|A-B| (delta+|B|+s)**(p-2) s ds``,
 
-with the shared weight ``w(A,B) = (delta + |B| + |A-B|)**(p-2)``.  S is
-isotropic, so each ratio depends on a pair only through b = |B|,
-t = |A-B| and the angle between B and A-B; with mu0 = 0 it is also
-unchanged under (A, B, delta) -> lambda (A, B, delta).  The constants are
-found by a deterministic grid-and-zoom search over those three numbers
-and do not depend on a seed or on the dimension.  ``inequality_sweep``
-checks them against a stratified random sample of matrix pairs.  The
-estimates are empirical (reported with extremizing witnesses, never
-rigorous bounds).  With mu0 > 0 and p < 2 the growth ratio has no bound
-(B = 0 gives mu0 (delta + |A|)**(2-p) + mu), so such a model has no C2.
+with the shared weight ``w(A,B) = (delta + |B| + |A-B|)**(p-2)`` (for the
+shifted structure behind them see Diening and Ettwein, Forum Math. 20,
+2008).  S is isotropic, so each ratio depends on a pair only through
+b = |B|, t = |A-B| and the angle between B and A-B, and with mu0 = 0 only
+through t/b, delta/b and the angle.  With mu0 > 0 and p < 2 the growth
+ratio has no bound (B = 0 gives mu0 (delta + |A|)**(2-p) + mu), so such a
+model has no C2; at p = 2, S(A) = (mu0 + mu) A.  Every ratio is thus
+mu0 + mu times its value at mu0 = 0, mu = 1, which is taken below, in the
+limit delta/b -> 0 (also the whole delta = 0 model) with b = 1 and x = t:
+
+* A - B = x B: S(A) - S(B) = ((1+x)**(p-1) - 1) B and w = (1+x)**(p-2), so
+  the C1 ratio ((1+x)**(p-1) - 1) (1+x)**(2-p) / x = (p-1) (1 + (2-p) x/2 + O(x**2))
+  tends to p - 1 as x -> 0, and the C3 ratio, whose denominator is
+  ``int_0^x (1+s)**(p-2) s ds = x**2/2 + O(x**3)``, to 2 (p - 1).
+* A - B = -x B with x > 1: A = (1-x) B, |A| = x - 1 and
+  S(A) - S(B) = -(1 + (x-1)**(p-1)) B, so the C2 ratio is
+  ``h_p(x) = (1 + (x-1)**(p-1)) (1+x)**(2-p) / x``, with h_p(1+) = 2**(2-p)
+  and h_p(inf) = 1.  ``_growth_peak`` finds its interior maximum x*
+  (h_p = 1 at p = 2).
+
+``estimate_characteristics`` returns C1 = p - 1, C2 = h_p(x*) and
+C3 = 2 (p - 1), each times mu0 + mu.  That no other angle, no delta/b > 0
+and no pair with B = 0 goes beyond them is not proved here: the tests
+check it by scanning the reduced ratios on grids at several p, and
+``inequality_sweep`` checks it on a stratified random sample of matrix
+pairs.  The constants are flagged non-rigorous.
 """
 
 from __future__ import annotations
@@ -78,9 +94,10 @@ class PDeltaModel:
 class Characteristics:
     """Growth constants of a stress tensor, with extremizer witnesses.
 
-    C1 and C3 are infima and C2 a supremum over the points of the reduced
-    search, ``samples`` of them; each witness is its extremizing pair (A, B)
-    as dim-by-dim matrices.  The values are flagged non-rigorous.
+    C1 and C3 are the infima and C2 the supremum of the reduced ratios, in
+    closed form; each witness is a pair (A, B), as dim-by-dim matrices, that
+    attains or nearly attains its constant.  The values are flagged
+    non-rigorous.
     """
 
     C1: float
@@ -89,7 +106,6 @@ class Characteristics:
     witness_C1: tuple
     witness_C2: tuple
     witness_C3: tuple
-    samples: int
     dim: int = 2
     non_rigorous: bool = True
 
@@ -180,9 +196,9 @@ def young_int(a, t, p):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = t / a
     zero = a <= 0.0
-    # below x ~ 3e-3 the antiderivative cancels; the 6-term series is then
-    # accurate to ~1e-15 relative while the closed form is only ~1e-11
-    small = (x < 3e-3) & ~zero
+    # below x ~ 3e-2 the antiderivative cancels (just above, it is off by 2e-13 relative at p = 1.8
+    # and 5e-12 at p = 1.05); the series holds ~1e-16 there
+    small = (x < 3e-2) & ~zero
     out = np.empty(a.shape)
     for case, formula in ((zero, _young_zero), (small, _young_series), (~(zero | small), _young_closed)):
         if case.all():
@@ -197,15 +213,15 @@ def _young_zero(a, t, x, p):
 
 
 def _young_series(a, t, x, p):
-    q2, q3, q4, q5 = p - 2.0, p - 3.0, p - 4.0, p - 5.0
-    return a ** (p - 2.0) * t**2 * (
-        0.5
-        + q2 * x / 3.0
-        + q2 * q3 * x**2 / 8.0
-        + q2 * q3 * q4 * x**3 / 30.0
-        + q2 * q3 * q4 * q5 * x**4 / 144.0
-        + q2 * q3 * q4 * q5 * (p - 6.0) * x**5 / 840.0
-    )
+    """a**(p-2) t**2 times the sum over k < 11 of binom(p-2, k) x**k / (k + 2), added left to right.
+
+    |binom(p-2, k)| <= 1, so at x < 3e-2 the first omitted term is below 3e-2**11 / 13 < 1e-17.
+    """
+    total, term = 0.5, 1.0
+    for k in range(1, 11):
+        term = term * (p - 1.0 - k) / k * x  # binom(p-2, k) x**k
+        total = total + term / (k + 2)
+    return a ** (p - 2.0) * t**2 * total
 
 
 def _young_closed(a, t, x, p):
@@ -341,11 +357,8 @@ def _sample_pairs(rng, n_random, dim):
         v = random_sym(rng, 1, dim)[0]
         v = v - np.sum(v * ui) * ui
         vn = frobenius(v)
-        if vn < 1e-8:  # re-draw is not worth it; skip the orthogonal leg
-            v = None
-        else:
-            v = v / vn
-        dirs = np.array([ui, -ui] + ([v] if v is not None else []))
+        # below 1e-8 a re-draw is not worth it; the orthogonal leg is skipped
+        dirs = np.array([ui, -ui] + ([v / vn] if vn >= 1e-8 else []))
         c = _components(dirs, np.empty((len(a), len(dirs))))  # column 0 is ui
         for j in range(len(dirs)):
             put(c[:, :1] * ta, c[:, j:j + 1] * tb)
@@ -410,127 +423,52 @@ def _growth_ratios(model, a, b):
     return {key: val[:kept] for key, val in out.items()}
 
 
-# the regions of the reduced search, each with its map from coordinates to (delta, b, t, theta) and,
-# per coordinate, its (low, high, grid points): t/b and b/delta, t/delta in log10, theta in radians.
-# With mu0 = 0 the ratios are scale-free, so the limit takes b = 1 and the others delta = 1.
-_REGIONS = {
-    # delta / b -> 0, which is also the whole delta = 0 model
-    "limit": (lambda x: (0.0, 1.0, 10.0 ** x[0], x[1]), ((-8.0, 6.0, 57), (0.0, np.pi, 25))),
-    "interior": (lambda x: (1.0, 10.0 ** x[0], 10.0 ** x[1], x[2]), ((-6.0, 6.0, 13), (-8.0, 8.0, 17), (0.0, np.pi, 13))),
-    "zero_b": (lambda x: (1.0, 0.0, 10.0 ** x[0], 0.0), ((-8.0, 8.0, 33),)),
-}
-# zoom rounds around each constant's best point, and points per coordinate in each round's box
-_ZOOM_ROUNDS, _ZOOM_POINTS = 8, 7
-# C1 and C3 are infima, C2 a supremum: each is the minimum of its ratio times this sign
-_SENSE = np.array([1.0, -1.0, 1.0])
+def _growth_peak(p):
+    """(u*, h) at the maximum over u > 0 of h(u) = (1 + u**(p-1)) (2 + u)**(2-p) / (1 + u), which is h_p(1 + u).
 
-
-def _reduced_ratios(p, delta, b, t, theta):
-    """r1, r2, r3 at mu = 1 of the pairs |B| = b, |A-B| = t at the angle theta between B and A-B.
-
-    S(A) - S(B) = (fa - fb) B + fa (A - B) with f(a) = (delta + a)**(p-2),
-    so the monotonicity term is fa t**2 + (fa - fb) b t c.  fa / fb is
-    taken through log1p of (a - b) / (delta + b), a - b as
-    (2bc + t) t / (a + b), and fa - fb through expm1: no difference of
-    near-equal numbers is formed.  The ratios are stacked as (3, ...).
-    Where delta + a < 1e-6 (delta + b) (A near 0 with delta << b) the two
-    terms of fa + (fa - fb) b c / t cancel by up to fa / fb; the ratios
-    are nan there.  They are continuous at A = 0, and their grid
-    neighbours are scored.
+    Bisection of the sign of the log-derivative
+    g(u) = (p-1) u**(p-2) / (1 + u**(p-1)) + (2-p) / (2+u) - 1 / (1+u) on (0, 1], where
+    g(0+) = +inf and g(1) = (p-2) / 6, until the midpoint is an end.  At p = 2, h = 1 and
+    g = 0 exactly for every u, so the bisection ends at u* = 1 (A = -B).
     """
-    c, s = np.cos(theta), np.sin(theta)
-    a = np.hypot(b + t * c, t * s)
-    rel = (2.0 * b * c + t) * t / ((a + b) * (delta + b))  # (a - b) / (delta + b)
-    q = (p - 2.0) * np.log1p(rel)
-    fb = (delta + b) ** (p - 2.0)
-    fa, dfa = fb * np.exp(q), fb * np.expm1(q)
-    d = dfa * b / t
-    mono = fa + d * c  # (S(A) - S(B)):(A - B) / t**2
-    w = (delta + b + t) ** (p - 2.0)
-    r = np.stack([mono / w, np.hypot(d + fa * c, fa * s) / w, mono * t * t / young_int(delta + b, t, p)])
-    return np.where(rel < 1e-6 - 1.0, np.nan, r)
+    lo, hi = 0.0, 1.0
+    while (u := 0.5 * (lo + hi)) not in (lo, hi):
+        if (p - 1.0) * u ** (p - 2.0) / (1.0 + u ** (p - 1.0)) + (2.0 - p) / (2.0 + u) - 1.0 / (1.0 + u) >= 0.0:
+            lo = u
+        else:
+            hi = u
+    return hi, (1.0 + hi ** (p - 1.0)) * (2.0 + hi) ** (2.0 - p) / (1.0 + hi)
 
 
-def _grid(bounds, centre=None, shrink=1.0):
-    """The coordinates (dims, n) of the grid over bounds, or of a zoom box around centre.
+def _witness(model, k, dim):
+    """The pair (A, B) = (k B, B) with B = b E, E the first diagonal unit matrix, as dim-by-dim matrices.
 
-    The box spans one grid spacing / shrink on each side of centre in
-    _ZOOM_POINTS points per coordinate, clipped to bounds.
+    b = 1e12 delta, within about 1e-12 of delta / b -> 0, capped at 1e300 so that the matrices
+    stay finite (b = 1 at delta = 0).
     """
-    if centre is None:
-        axes = [np.linspace(lo, hi, n) for lo, hi, n in bounds]
-    else:
-        half = [(hi - lo) / (n - 1) / shrink for lo, hi, n in bounds]
-        axes = [np.clip(x + h * np.linspace(-1.0, 1.0, _ZOOM_POINTS), lo, hi) for x, h, (lo, hi, _) in zip(centre, half, bounds)]
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-
-
-def _scan(model, boxes):
-    """The ratios at mu = 1 times their sense, (3, n), at the n points x of each (region, x) in boxes.
-
-    The points of all boxes go through one ``_reduced_ratios`` call.
-    """
-    points = [np.broadcast_arrays(*_REGIONS[region][0](x)) for region, x in boxes]
-    obj = _reduced_ratios(model.p, *(np.concatenate(c) for c in zip(*points))) * _SENSE[:, None]
-    return np.split(obj, np.cumsum([x.shape[1] for _, x in boxes])[:-1], axis=1)
-
-
-def _witness(model, region, x, dim):
-    """The pair (A, B) of one point x of a region, as dim-by-dim matrices in the model's own scale.
-
-    B = b E and A = B + t (cos(theta) E + sin(theta) F), with E and F the
-    first two diagonal unit matrices.  The limit region takes b = 1e12 delta,
-    within about 1e-12 of delta / b -> 0, capped at 1e300 so that the
-    matrices stay finite (b = 1 at delta = 0); the others scale b and t by
-    delta.
-    """
-    _, b, t, theta = _REGIONS[region][0](x)
-    scale = (min(model.delta * 1e12, 1e300) if region == "limit" else model.delta) or 1.0
-    e, f = np.zeros((2, dim, dim))
-    e[0, 0] = f[1, 1] = 1.0
-    bm = scale * b * e
-    return bm + scale * t * (np.cos(theta) * e + np.sin(theta) * f), bm
+    a, bm = np.zeros((2, dim, dim))
+    bm[0, 0] = min(model.delta * 1e12, 1e300) or 1.0
+    a[0, 0] = k * bm[0, 0]
+    return a, bm
 
 
 def estimate_characteristics(model, dim=2):
-    """(C1, C2, C3) by a deterministic search over the three numbers that fix each ratio.
+    """(C1, C2, C3) = (mu0 + mu) (p - 1, max h_p, 2 (p - 1)), the closed forms of the module docstring.
 
-    The ratios are scored once on a grid over each region of
-    ``_REGIONS``: the delta / b -> 0 limit over (log10 t/b, theta), and
-    for delta > 0 the interior over (log10 b/delta, log10 t/delta, theta)
-    and the line B = 0 over log10 t/delta.  A box of _ZOOM_POINTS per
-    coordinate then shrinks _ZOOM_ROUNDS times around each constant's best
-    point.  C1 and C3 are the least values found, C2 the greatest, each
-    times mu0 + mu: the stress factor is mu (delta + |A|)**(p-2) for p < 2
-    (``_check_growth`` rules out mu0 > 0 there) and mu0 + mu at p = 2.
-    C1 and C3 are infima approached as t/b -> 0, which the limit region
-    stops at 1e-8, so they sit about 1e-9 above them.  The result is the
-    same for every delta > 0 and for d = 2 and 3; ``dim`` only shapes the
-    witnesses.
+    The stress factor is mu (delta + |A|)**(p-2) for p < 2 (``_check_growth`` rules out mu0 > 0
+    there) and mu0 + mu at p = 2, where h_p = 1.  The result is the same for every delta >= 0 and
+    for d = 2 and 3; ``dim`` only shapes the witnesses: A = (1 + 1e-8) B for C1 and C3, whose
+    ratios lie about 1e-8 above the infima, and A = -u* B = (1 - x*) B for C2, which attains it
+    as delta / b -> 0.
     """
     _check_growth(model)
     _check_dim(dim)
-    best = [None] * 3  # per constant: (objective, region, point)
-    count = 0
-    # first one grid per region, which every constant reads; then, each round, one box per
-    # constant around its best point, a third as wide as the round before
-    boxes = [(region, _grid(bounds)) for region, (_, bounds) in _REGIONS.items() if model.delta > 0.0 or region == "limit"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for zoom in range(_ZOOM_ROUNDS + 1):
-            for j, ((region, x), obj) in enumerate(zip(boxes, _scan(model, boxes))):
-                count += x.shape[1]
-                for k in range(3) if zoom == 0 else (j,):
-                    i = int(np.nanargmin(obj[k]))
-                    if best[k] is None or obj[k, i] < best[k][0]:
-                        best[k] = (obj[k, i], region, x[:, i])
-            boxes = [(region, _grid(_REGIONS[region][1], centre, 3.0**zoom)) for _, region, centre in best]
     scale = model.mu0 + model.mu
-    return Characteristics(
-        *(float(scale * sense * val) for sense, (val, _, _) in zip(_SENSE, best)),
-        *(_witness(model, region, centre, dim) for _, region, centre in best),
-        samples=count,
-        dim=dim,
-    )
+    u, peak = _growth_peak(model.p)
+    c1 = scale * (model.p - 1.0)
+    near = 1.0 + 1e-8  # A / B of the C1 and C3 witnesses, whose ratios lie within about 1e-8 of the infima
+    witnesses = (_witness(model, k, dim) for k in (near, -u, near))
+    return Characteristics(c1, scale * peak, 2.0 * c1, *witnesses, dim=dim)
 
 
 def inequality_sweep(model, samples=100_000, seed=0, dim=2, tol=1e-10, chars=None):

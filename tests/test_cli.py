@@ -723,7 +723,7 @@ def test_report_key_sets(tmp_path):
     path = _write_cfg(tmp_path, "c.json", {"domain": {"nx": 8, "ny": 8}, "certify": {"sweep_lambdas": [1.0, 2.0]}})
     for cmd in ("check-tensor", "lift", "certify"):
         assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == EXIT_OK
-    chars = {"C1", "C2", "C3", "witnesses", "samples", "dim", "non_rigorous"}
+    chars = {"C1", "C2", "C3", "witnesses", "dim", "non_rigorous"}
     lift_keys = {"p", "s", "norms", "div_defect", "div_defect_pointwise", "boundary_defect", "compat_defect"}
     cert = json.loads((tmp_path / "certify" / "certificate.json").read_text())
     assert set(cert) == {"p", "d", "s", "G1", "G2", "G3", "lhs", "rhs", "satisfied", "R", "verdict", "provenance"}

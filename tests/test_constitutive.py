@@ -1,6 +1,7 @@
 import functools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -88,6 +89,17 @@ class TestYoungGap:
         assert abs(young_gap(1.0, 1.0, 1.5) - expected) < 1e-12
         assert abs(expected - (5.0 - 2.0 * np.sqrt(2.0)) / 3.0) < 1e-14
 
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.8])
+    def test_series_band_against_high_precision_quadrature(self, p):
+        # t/a in (3e-3, 3e-2): the antiderivative cancels there to ~1e-11 relative, the series holds ~1e-16
+        x = np.geomspace(3e-3, 3e-2, 13)[:-1]
+        for a in (0.3, 1.7, 4e3):
+            got = young_int(a, x * a, p)
+            with mpmath.workdps(50):
+                for t, val in zip(x * a, got):
+                    ref = mpmath.quad(lambda s: (a + s) ** (mpmath.mpf(p) - 2) * s, [0, t])
+                    assert abs(val - ref) <= 1e-13 * ref, (a, t)
+
     def test_against_quadrature_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -138,14 +150,14 @@ def test_monotonicity_property(p, delta, seed):
 class TestEstimateCharacteristics:
     def test_linear_case(self):
         ch = estimate_characteristics(PDeltaModel(p=2.0, delta=0.0))
-        assert abs(ch.C1 - 1.0) < 1e-12
-        assert abs(ch.C2 - 1.0) < 1e-12
+        assert (ch.C1, ch.C2, ch.C3) == (1.0, 1.0, 2.0)
 
     def test_linear_with_viscosities(self):
-        ch = estimate_characteristics(PDeltaModel(p=2.0, delta=0.3, mu0=0.5, mu=1.0))
-        assert abs(ch.C1 - 1.5) < 1e-11
-        assert abs(ch.C2 - 1.5) < 1e-11
-        assert abs(ch.C3 - 3.0) < 1e-7
+        # S(A) = (mu0 + mu) A: the closed forms give mu0 + mu, mu0 + mu and 2 (mu0 + mu) exactly
+        for delta in (0.0, 0.3):
+            for dim in (2, 3):
+                ch = estimate_characteristics(PDeltaModel(p=2.0, delta=delta, mu0=0.5, mu=1.0), dim=dim)
+                assert (ch.C1, ch.C2, ch.C3) == (1.5, 1.5, 3.0)
 
     def test_mu0_does_not_decrease_c1(self):
         # the sampled constants: with mu0 > 0 and p < 2 there is no C2 to estimate
@@ -196,7 +208,7 @@ class TestEstimateCharacteristics:
 
     def test_characteristics_invariants(self):
         with pytest.raises(ValueError):
-            Characteristics(2.0, 1.0, 1.0, (0, 0), (0, 0), (0, 0), 1)  # C1 > C2
+            Characteristics(2.0, 1.0, 1.0, (0, 0), (0, 0), (0, 0))  # C1 > C2
 
 
 def test_inequality_sweep_rejects_bad_dimension():
@@ -232,7 +244,7 @@ def test_inequality_sweep_fresh_sample_tolerant():
     wit = estimate_characteristics(m)
     loose = Characteristics(
         ch["C1"] * 0.95, ch["C2"] * 1.05, ch["C3"] * 0.95,
-        wit.witness_C1, wit.witness_C2, wit.witness_C3, ch["pairs_checked"],
+        wit.witness_C1, wit.witness_C2, wit.witness_C3,
     )
     rep = inequality_sweep(m, samples=50000, seed=11, chars=loose)
     assert rep["violations_monotonicity"] == 0
@@ -434,8 +446,8 @@ def test_reduced_constants_are_invariant_in_delta_and_dim(p):
 def test_reduced_constants_reach_the_radial_limits(p, delta):
     # inf C1 = p - 1 and inf C3 = 2 (p - 1), approached as t/b -> 0 with A - B parallel to B
     ch = estimate_characteristics(PDeltaModel(p=p, delta=delta, mu=2.5))
-    assert abs(ch.C1 - 2.5 * (p - 1.0)) <= 1e-8
-    assert abs(ch.C3 - 2.5 * 2.0 * (p - 1.0)) <= 1e-8
+    assert ch.C1 == 2.5 * (p - 1.0)
+    assert ch.C3 == 2.5 * 2.0 * (p - 1.0)
 
 
 @pytest.mark.parametrize("p", _PS)
@@ -443,7 +455,8 @@ def test_reduced_constants_reach_the_radial_limits(p, delta):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_reduced_witnesses_rescore_to_their_constants(p, delta, dim):
     # _chunk_ratios forms S(A) - S(B) from the matrices, which cancels by cond = (|A| + |B|) / |A - B|:
-    # about 2e8 for the C1 and C3 witnesses at t/b = 1e-8, about 2 for the C2 witness
+    # about 2e8 for the C1 and C3 witnesses at t/b = 1e-8, about 2 for the C2 witness.  The C1 and C3
+    # witnesses' ratios lie (2 - p) / 2 * 1e-8 (relative) above their infima, inside that bound
     model = PDeltaModel(p=p, delta=delta)
     ch = estimate_characteristics(model, dim=dim)
     for c, key in (("C1", "r1"), ("C2", "r2"), ("C3", "r3")):
@@ -457,13 +470,67 @@ def test_reduced_witnesses_rescore_to_their_constants(p, delta, dim):
 
 
 def test_reduced_characteristics_pinned_bitwise():
-    # the certified pipeline's tensor (p = 1.8, delta = 0.01); B = 1e12 delta E in the limit witnesses
+    # the certified pipeline's tensor (p = 1.8, delta = 0.01); B = 1e12 delta E in the witnesses,
+    # A = (1 + 1e-8) B for C1 and C3 and A = -u* B for C2, u* = x* - 1 = 0.48249
     ch = estimate_characteristics(PDeltaModel(p=1.8, delta=0.01))
-    assert _hex([ch.C1, ch.C2, ch.C3]) == ["0x1.999999a078d19p-1", "0x1.42bcc1014b841p+0", "0x1.9999999be4018p+0"]
-    assert ch.samples == 5507
+    assert _hex([ch.C1, ch.C2, ch.C3]) == ["0x1.999999999999ap-1", "0x1.42bcc10329cdbp+0", "0x1.999999999999ap+0"]
     b = np.diag([1e10, 0.0])
     for c in ("C1", "C3"):
         assert np.array_equal(getattr(ch, f"witness_{c}")[0], np.diag([1e10 + 100.0, 0.0]))
         assert np.array_equal(getattr(ch, f"witness_{c}")[1], b)
     assert np.array_equal(ch.witness_C2[1], b)
-    assert _hex(ch.witness_C2[0]) == ["-0x1.1f8c0c3418866p+32", "0x0.0p+0", "0x0.0p+0", "0x1.e7547a9094d76p-20"]
+    assert _hex(ch.witness_C2[0]) == ["-0x1.1f9596d2b7ae2p+32", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
+
+
+def _reduced_ratios(p, delta, b, t, theta):
+    """r1, r2, r3 at mu0 = 0, mu = 1 of the pairs |B| = b, |A-B| = t at the angle theta between B and A-B.
+
+    An oracle independent of estimate_characteristics.  S(A) - S(B) = (fa - fb) B + fa (A - B) with
+    f(a) = (delta + a)**(p-2), so the monotonicity term is fa t**2 + (fa - fb) b t c.  fa / fb is
+    taken through log1p of (a - b) / (delta + b), a - b as (2bc + t) t / (a + b), and fa - fb
+    through expm1: no difference of near-equal numbers is formed.  The ratios are stacked as
+    (3, ...).  Where delta + a < 1e-6 (delta + b) (A near 0 with delta << b) the two terms of
+    fa + (fa - fb) b c / t cancel by up to fa / fb; the ratios are nan there.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    a = np.hypot(b + t * c, t * s)
+    rel = (2.0 * b * c + t) * t / ((a + b) * (delta + b))  # (a - b) / (delta + b)
+    q = (p - 2.0) * np.log1p(rel)
+    fb = (delta + b) ** (p - 2.0)
+    fa, dfa = fb * np.exp(q), fb * np.expm1(q)
+    d = dfa * b / t
+    mono = fa + d * c  # (S(A) - S(B)):(A - B) / t**2
+    w = (delta + b + t) ** (p - 2.0)
+    r = np.stack([mono / w, np.hypot(d + fa * c, fa * s) / w, mono * t * t / young_int(delta + b, t, p)])
+    return np.where(rel < 1e-6 - 1.0, np.nan, r)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8, 1.95, 2.0])
+def test_reduced_ratios_stay_within_the_closed_forms(p):
+    # the limit delta / b -> 0 over (log10 t/b, angle) at b = 1, and the interior at delta = 1 over
+    # (log10 b/delta, log10 t/delta, angle) with the line B = 0
+    ch = estimate_characteristics(PDeltaModel(p=p))
+    limit = np.meshgrid(0.0, 1.0, 10.0 ** np.linspace(-8.0, 6.0, 1401), np.linspace(0.0, np.pi, 181), indexing="ij")
+    b = np.concatenate([[0.0], 10.0 ** np.linspace(-6.0, 6.0, 25)])
+    interior = np.meshgrid(1.0, b, 10.0 ** np.linspace(-8.0, 8.0, 33), np.linspace(0.0, np.pi, 25), indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.concatenate([_reduced_ratios(p, *(x.ravel() for x in grid)) for grid in (limit, interior)], axis=1)
+    assert np.count_nonzero(np.isnan(r[0])) < 0.01 * r.shape[1]
+    assert np.nanmin(r[0]) >= ch.C1 * (1 - 1e-12)
+    assert np.nanmax(r[1]) <= ch.C2 * (1 + 1e-12)
+    assert np.nanmin(r[2]) >= ch.C3 * (1 - 1e-12)
+    # the sup of r2 is reached: the limit grid's best point lies within its spacing of x*
+    assert np.nanmax(r[1]) >= ch.C2 * (1 - 1e-4)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+def test_growth_constant_matches_a_high_precision_maximum(p):
+    # max over x > 1 of h_p(x) = (1 + (x-1)**(p-1)) (1+x)**(2-p) / x, by a bracketed root of its
+    # numerical derivative at 50 digits
+    with mpmath.workdps(50):
+        q = mpmath.mpf(p)
+        h = lambda x: (1 + (x - 1) ** (q - 1)) * (1 + x) ** (2 - q) / x
+        x_star = mpmath.findroot(lambda x: mpmath.diff(h, x), (mpmath.mpf("1.01"), mpmath.mpf(2)), solver="anderson")
+        ref = h(x_star)
+    c2 = estimate_characteristics(PDeltaModel(p=p)).C2
+    assert abs(c2 - ref) <= 1e-14 * ref
