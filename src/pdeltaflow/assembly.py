@@ -391,13 +391,17 @@ def solve_saddle(space, a_mat, rhs_vel, div_rhs=None, fixed_vals=None, factor=No
     """
     free = space.free_vel_dofs
     u = np.zeros(space.n_vel)
-    if fixed_vals is not None:
+    bordered = div_rhs is not None
+    if fixed_vals is None:  # u = 0 off the free dofs: no product to subtract
+        rhs = rhs_vel[free]
+        if bordered:
+            rhs = np.concatenate([rhs, div_rhs[1:]])
+    else:
         fixed = space.boundary_vel_dofs
         u[fixed] = fixed_vals[fixed]
-    rhs = (rhs_vel - a_mat @ u)[free]
-    bordered = div_rhs is not None
-    if bordered:
-        rhs = np.concatenate([rhs, (div_rhs - div_coupling(space) @ u)[1:]])
+        rhs = (rhs_vel - a_mat @ u)[free]
+        if bordered:
+            rhs = np.concatenate([rhs, (div_rhs - div_coupling(space) @ u)[1:]])
     k, perm = _free_block(space, a_mat, bordered)
     sol = np.empty(rhs.size)
     sol[perm] = _factor_solve(k, rhs[perm], FactorHolder() if factor is None else factor)

@@ -167,16 +167,15 @@ def _stress_factor(model, nrm, slope=False):
     """The weight nu(|A|) = mu0 + mu (delta + |A|)**(p-2) of S(A) = nu A, at Frobenius norms nrm.
 
     delta + |A| is floored at 1e-12 (1 + its largest value), so nu is finite
-    at A = 0 and S(0) = 0.  With ``slope`` the result is ``(nu, nu'(|A|))``,
-    the slope 0 on the floor.
+    at A = 0 and S(0) = 0.  With ``slope`` the result is the slope nu'(|A|)
+    instead, 0 on the floor.
     """
     base = model.delta + nrm
     floor = 1e-12 * (1.0 + float(np.max(base, initial=0.0)))
     clipped = np.maximum(base, floor)
-    nu = model.mu0 + model.mu * clipped ** (model.p - 2.0)
-    if not slope:
-        return nu
-    return nu, np.where(base > floor, model.mu * (model.p - 2.0) * clipped ** (model.p - 3.0), 0.0)
+    if slope:
+        return np.where(base > floor, model.mu * (model.p - 2.0) * clipped ** (model.p - 3.0), 0.0)
+    return model.mu0 + model.mu * clipped ** (model.p - 2.0)
 
 
 def young_int(a, t, p):

@@ -794,7 +794,8 @@ def estimate_dual_norm(space, load, p, iters=15):
     Fixed-point iteration on the weighted symmetric stiffness; each iterate
     is itself a valid lower bound and the best one is returned.  Converged
     means p = 2 (one solve is exact), a vanishing load, or last two iterates
-    whose values agree to 1e-10 relative.
+    whose values agree to 1e-10 relative; the iteration stops there, and
+    the estimate's ``iters`` counts the iterations run.
     """
     _check_iters(iters)
     free = space.free_vel_dofs
@@ -805,6 +806,7 @@ def estimate_dual_norm(space, load, p, iters=15):
     xbest = None
     vals = []
     weight = np.ones_like(space.qw)
+    converged = p == 2.0  # one solve is exact
     for it in range(iters):
         c, _ = assembly.solve_saddle(space, assembly.sym_grad_stiffness(space, weight), load)
         dn_pt = mandel_norm(space.sym_gradients(c))
@@ -814,11 +816,11 @@ def estimate_dual_norm(space, load, p, iters=15):
         vals.append(float(lf @ c[free]) / dn)
         if vals[-1] > best:
             best, xbest = vals[-1], c
-        if p == 2.0:
+        converged = converged or (len(vals) >= 2 and abs(vals[-1] - vals[-2]) <= 1e-10 * abs(vals[-1]))
+        if converged:
             break
         floor = 1e-10 * max(dn_pt.max(), 1e-300)
         weight = np.maximum(dn_pt, floor) ** (p - 2.0)
-    converged = p == 2.0 or (len(vals) >= 2 and abs(vals[-1] - vals[-2]) <= 1e-10 * abs(vals[-1]))
     wit = space.velocity_field(xbest if xbest is not None else np.zeros(space.n_vel))
     return ConstantEstimate(best, wit, converged, it + 1)
 

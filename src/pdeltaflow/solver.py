@@ -12,29 +12,35 @@ linear saddle-point system of the momentum residual's derivative.  Every
 symmetric gradient is held as its Mandel components (A_00, A_11, sqrt 2
 A_01), in which the stress part of that derivative is the 3x3 modulus
 nu I + nu'(|A|) a a^T / |A| at A = Du + Dg with components a, nu and nu'
-from ``constitutive``.  A step that raises the residual is retaken as a
-Picard (Kacanov) step on the isotropic modulus, with the scalar stress
-weight, the penalty weight and the transport field frozen at the
-iterate.  The saddle systems are solved with a sparse LU held on the
-instance: a later solve runs GMRES on its own matrix, preconditioned by
-the held factor, and the current matrix is factored only when GMRES
-needs more than ``assembly.GMRES_CAP`` iterations.  A continuation run
-walks an increasing schedule of n, warm-starting each level from the
-last (and keeping its LU) and recording the uniform-bound and
-penalty-decay monitors; the pressure recovery at the converged velocity
-solves on the same LU.
+from ``constitutive``.  Each iterate has one pointwise state
+(``_state``): Du, u + g, A with |A| and nu(|A|), and the loads S(A) - f
+and T(u + g), none of which depends on n.  The step's residual, the next
+step's linearization, the level's record and the next level's first
+step all read it; only the penalty load is evaluated per level.  A step
+that raises the residual is retaken as a Picard (Kacanov) step on the
+isotropic modulus, with the scalar stress weight, the penalty weight and
+the transport field frozen at the iterate.  The saddle systems are
+solved with a sparse LU held on the instance: a later solve runs GMRES
+on its own matrix, preconditioned by the held factor, and the current
+matrix is factored only when GMRES needs more than
+``assembly.GMRES_CAP`` iterations.  A continuation run starts on a fresh
+LU holder and walks an increasing schedule of n, warm-starting each
+level from the last level's velocity and state (and keeping its LU) and
+recording the uniform-bound and penalty-decay monitors; the pressure
+recovery at the converged velocity solves on the same LU.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import assembly
 from .constitutive import _check_integer, _stress_factor, sym_stress
-from .discretization import Field, _as_vec2, _over, combine_level_norm, mandel_norm, norm_sym_grad_p, sym_grad_norms
+from .discretization import Field, _as_vec2, _over, combine_level_norm, mandel_norm, norm_sym_grad_p
 
 __all__ = [
     "ProblemInstance",
@@ -119,7 +125,8 @@ class ProblemInstance:
     ``g_sym`` (C, Q, 3) the Mandel components of Dg and ``g1_vals`` (C, Q)
     div g.  ``factor`` holds the saddle LU of the instance's last linear solve.
     Every later solve on the instance (the next Newton step, the next
-    penalty level, the pressure recovery) starts GMRES on it.
+    penalty level, the pressure recovery) starts GMRES on it;
+    ``continuation_solve`` replaces it with an empty holder first.
     ``_data_scales`` keeps ``_data_scale`` per ``include_convective``.
     """
 
@@ -170,9 +177,14 @@ def _stress_term(inst, du):
     return assembly.stress_load(inst.space, sym_stress(inst.model, a, mandel_norm(a)))
 
 
-def _penalty_term(inst, du, q, n):
-    """Load vector (1/n) <|Du|^(q-2) Du, D phi_i> at the Mandel components du of Du."""
-    return assembly.stress_load(inst.space, (mandel_norm(du) ** (q - 2.0) / n)[..., None] * du)
+def _penalty_term(inst, du, q, n, weight=None):
+    """Load vector (1/n) <|Du|^(q-2) Du, D phi_i> at the Mandel components du of Du.
+
+    ``weight`` is |Du|^(q-2) when the caller has it already.
+    """
+    if weight is None:
+        weight = mandel_norm(du) ** (q - 2.0)
+    return assembly.stress_load(inst.space, (weight / n)[..., None] * du)
 
 
 def _outer(v):
@@ -206,6 +218,8 @@ class LevelRecord:
     factorizations: int = 0  # fresh saddle LUs made in this level
     refinements: int = 0  # GMRES iterations run on a held or a fresh LU
     fallbacks: int = 0  # Newton steps retaken as Picard steps; the level made iters + fallbacks saddle solves
+    # the _State at u when the level was handed one; continuation_solve hands it on and drops it here
+    state: object = field(repr=False, compare=False, default=None)
 
 
 @dataclass
@@ -237,25 +251,66 @@ def _data_scale(inst, cfg):
     return inst._data_scales[convective]
 
 
-def _momentum(inst, cfg, n, du, v):
-    """Momentum residual R0 on all velocity dofs, without the multiplier, at Du = du and u + g = v."""
-    res = _stress_term(inst, du) - inst.f_vec
-    if cfg.penalty and np.isfinite(n):
-        res += _penalty_term(inst, du, cfg.q, n)
-    if cfg.include_convective:
-        res += _transport_term(inst, v)
-    return res
+class _State(NamedTuple):
+    """Pointwise state at an iterate u, and the loads that do not depend on n.
 
-
-def _state(inst, cfg, n, u_coeffs):
-    """(Du, u + g, R0) at u: Mandel components, total velocity values and ``_momentum``.
-
-    u + g is None without the convective term.  A step's residual and the
-    next step's linearization share one state.
+    ``du`` (C, Q, 3) holds the Mandel components of Du, ``mag_u`` |Du| and
+    ``weight_u`` |Du|^(q-2) (None without the penalty); ``v`` (C, Q, 2) is
+    u + g (None without the convective term); ``a`` holds the Mandel
+    components of A = Du + Dg, ``mag`` |A| and ``nu`` nu(|A|).  ``stress``
+    is the load vector S(A) - f and ``transport`` T(u + g) (None without
+    the convective term).
     """
-    du = inst.space.sym_gradients(u_coeffs)
-    v = inst.space.velocity_values(u_coeffs) + inst.g_vals if cfg.include_convective else None
-    return du, v, _momentum(inst, cfg, n, du, v)
+
+    du: np.ndarray
+    mag_u: np.ndarray
+    weight_u: np.ndarray | None
+    v: np.ndarray | None
+    a: np.ndarray
+    mag: np.ndarray
+    nu: np.ndarray
+    stress: np.ndarray
+    transport: np.ndarray | None
+
+
+def _state(inst, cfg, u_coeffs):
+    """The ``_State`` at the velocity coefficients u: one symmetric-gradient evaluation, one stress law.
+
+    It depends on no penalty level: a step's residual, the next step's
+    linearization, the level's record and, handed on by
+    ``continuation_solve``, the next level's first step all read it.
+    """
+    space = inst.space
+    du = space.sym_gradients(u_coeffs)
+    mag_u = mandel_norm(du)
+    a = du + inst.g_sym
+    mag = mandel_norm(a)
+    nu = _stress_factor(inst.model, mag)
+    v = space.velocity_values(u_coeffs) + inst.g_vals if cfg.include_convective else None
+    return _State(
+        du=du,
+        mag_u=mag_u,
+        weight_u=mag_u ** (cfg.q - 2.0) if cfg.penalty else None,
+        v=v,
+        a=a,
+        mag=mag,
+        nu=nu,
+        stress=assembly.stress_load(space, nu[..., None] * a) - inst.f_vec,
+        transport=None if v is None else _transport_term(inst, v),
+    )
+
+
+def _momentum(inst, cfg, n, state):
+    """Momentum residual R0 on all velocity dofs, without the multiplier, at the ``_State`` of u.
+
+    R0 = ((S(A) - f) + P) + T: only the penalty load P depends on n.
+    """
+    res = state.stress
+    if cfg.penalty and np.isfinite(n):
+        res = res + _penalty_term(inst, state.du, cfg.q, n, state.weight_u)
+    if state.transport is not None:
+        res = res + state.transport
+    return res
 
 
 def _residual(inst, r0, u_coeffs, lam):
@@ -266,32 +321,34 @@ def _residual(inst, r0, u_coeffs, lam):
     return np.sqrt(np.linalg.norm(res[space.free_vel_dofs]) ** 2 + np.linalg.norm(div_res) ** 2)
 
 
-def _modulus(inst, cfg, n, du, tangent):
-    """Per-point Mandel modulus of the stress part of J at Du = du.
+def _modulus(inst, cfg, n, state, tangent):
+    """Per-point Mandel modulus of the stress part of J at the ``_State`` of u.
 
-    With A = Du + Dg and a, d = du the Mandel components of A and Du, it is
+    With A = Du + Dg and a, d the Mandel components of A and Du, it is
     (nu(|A|) + |Du|^(q-2)/n) I + nu'(|A|)/|A| a a^T + (q-2)/n |Du|^(q-4) d d^T,
     the penalty terms only at a finite n, as (C, Q, 3, 3); without ``tangent``
-    only the isotropic weight, as (C, Q).  The strain temporaries end with the call.
+    only the isotropic weight, as (C, Q).  The state gives a, |A|, nu, |Du|
+    and |Du|^(q-2); only nu' is evaluated here.
     """
-    a = du + inst.g_sym
-    mag = mandel_norm(a)
-    nu, slope = _stress_factor(inst.model, mag, slope=True) if tangent else (_stress_factor(inst.model, mag), None)
+    nu = state.nu
     penalty = cfg.penalty and np.isfinite(n)
     if penalty:
-        mag_u = mandel_norm(du)
-        weight_u = mag_u ** (cfg.q - 2.0)
-        nu += weight_u / n  # the penalty weights Du only
+        nu = nu + state.weight_u / n  # the penalty weights Du only
     if not tangent:
         return nu
-    mod = (_over(slope, mag)[..., None] * a)[..., :, None] * a[..., None, :]
+    a, du = state.a, state.du
+    # the outer products by einsum and the diagonal by component: the bits of broadcasts, in less time
+    slope = _over(_stress_factor(inst.model, state.mag, slope=True), state.mag)  # nu'(|A|) / |A|
+    mod = np.einsum("...a,...b->...ab", slope[..., None] * a, a)
     if penalty:
-        mod += ((cfg.q - 2.0) / n * _over(weight_u, mag_u**2)[..., None] * du)[..., :, None] * du[..., None, :]
-    mod.reshape(nu.shape + (9,))[..., ::4] += nu[..., None]
+        wd = (cfg.q - 2.0) / n * _over(state.weight_u, state.mag_u**2)[..., None] * du
+        mod += np.einsum("...a,...b->...ab", wd, du)
+    for k in range(3):
+        mod[..., k, k] += nu
     return mod
 
 
-def _linearize(inst, cfg, n, u, tangent=True, state=None):
+def _linearize(inst, cfg, n, u, tangent=True, state=None, r0=None):
     """Newton system (J, J u - R0(u)) at the velocity coefficients u.
 
     J is the derivative of the momentum residual R0 at u, so the saddle
@@ -304,16 +361,20 @@ def _linearize(inst, cfg, n, u, tangent=True, state=None):
     ``tangent=False`` the derivative terms are left out: the weights and
     the transport field are frozen at u, the modulus is the isotropic
     weight, and the step is the Picard (Kacanov) step.  ``state`` is the
-    ``_state`` at u when the caller has it already.
+    ``_state`` at u and ``r0`` the ``_momentum`` at u and n, when the caller
+    has them already.
     """
     # the state before the matrix, so their temporaries do not add up
-    du, v, r0 = _state(inst, cfg, n, u) if state is None else state
-    b = None if v is None else (2.0 * v if tangent else v)
-    a_mat = assembly.modulus_stiffness(inst.space, _modulus(inst, cfg, n, du, tangent), b, inst.g1_vals)
+    if state is None:
+        state = _state(inst, cfg, u)
+    if r0 is None:
+        r0 = _momentum(inst, cfg, n, state)
+    b = None if state.v is None else (2.0 * state.v if tangent else state.v)
+    a_mat = assembly.modulus_stiffness(inst.space, _modulus(inst, cfg, n, state, tangent), b, inst.g1_vals)
     return a_mat, a_mat @ u - r0
 
 
-def solve_regularized(inst, cfg, n, warm_start=None):
+def solve_regularized(inst, cfg, n, warm_start=None, state=None):
     """One penalty level: Newton steps on the consistent tangent, with a Picard fallback.
 
     Each step solves the Newton system of ``_linearize``.  A step that
@@ -322,13 +383,22 @@ def solve_regularized(inst, cfg, n, warm_start=None):
     frozen-weight (Picard) matrix, and that step is kept;
     ``LevelRecord.fallbacks`` counts them.  The saddle solves run GMRES on
     the LU held in ``inst.factor`` and factor afresh only when it is too stale.
+    An iterate's ``_state`` is let go once its matrix is built, so none is
+    held through a solve; a retaken step evaluates it again.
+    ``state`` is the ``_state`` at ``warm_start`` (at u = 0 without one)
+    when the caller has it.  A call handed a state returns the state at its
+    u in the record's ``state``, for the next level; any other call's record
+    holds none, so it keeps no pointwise arrays alive.
     """
     space = inst.space
     model = inst.model
     held = inst.factor
     made, swept = held.factorizations, held.refinements
     u = np.zeros(space.n_vel) if warm_start is None else warm_start.coeffs.copy()
-    state = _state(inst, cfg, n, u)
+    handed = state is not None
+    if not handed:
+        state = _state(inst, cfg, u)
+    r0 = _momentum(inst, cfg, n, state)
     lam = np.zeros(space.n_p1)
     scale = _data_scale(inst, cfg)
     history = []
@@ -338,26 +408,30 @@ def solve_regularized(inst, cfg, n, warm_start=None):
 
     for it in range(1, cfg.picard_max + 1):
         for tangent in (True, False):
-            a_mat, rhs = _linearize(inst, cfg, n, u, tangent=tangent, state=state)
+            if state is None:  # a retaken step
+                state = _state(inst, cfg, u)
+            a_mat, rhs = _linearize(inst, cfg, n, u, tangent=tangent, state=state, r0=r0)
+            state = None  # the solve and the step's state run without it
             try:
                 u_new, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=held)
             except RuntimeError as exc:
                 raise SolverError(f"linear saddle solve broke down at level n={n}: {exc}") from exc
             if not np.all(np.isfinite(u_new)):
                 raise SolverError(f"linear solve returned non-finite values at level n={n}")
-            step_state = _state(inst, cfg, n, u_new)
-            rel = _residual(inst, step_state[2], u_new, lam) / scale
+            state = _state(inst, cfg, u_new)
+            step_r0 = _momentum(inst, cfg, n, state)
+            rel = _residual(inst, step_r0, u_new, lam) / scale
             if not tangent or not history or rel <= history[-1]:
                 break
+            state = None
             fallbacks += 1
-        u, state = u_new, step_state
+        u, r0 = u_new, step_r0
         history.append(rel)
         if rel < cfg.picard_tol:
             converged = True
             break
 
-    uf = space.velocity_field(u)
-    norm_p, norm_q = sym_grad_norms(uf, (model.p, cfg.q))
+    norm_p, norm_q = (space.lr_norm(r, state.mag_u) for r in (model.p, cfg.q))
     return LevelRecord(
         n=float(n),
         iters=it,
@@ -368,11 +442,12 @@ def solve_regularized(inst, cfg, n, warm_start=None):
         norm_Du_q=norm_q,
         level_norm=combine_level_norm(norm_p, norm_q, cfg.q, n),
         residual_history=history,
-        u=uf,
+        u=space.velocity_field(u),
         pi=space.pressure_field(-lam),
         factorizations=held.factorizations - made,
         refinements=held.refinements - swept,
         fallbacks=fallbacks,
+        state=state if handed else None,
     )
 
 
@@ -380,8 +455,12 @@ def continuation_solve(inst, cfg, override=False):
     """Walk the penalty schedule, warm-starting and monitoring the bounds.
 
     Refuses to run on an uncertified instance unless ``override`` is set.
-    The recorded successive-difference norms are the empirical stand-in
-    for the limit identification that the continuum argument provides.
+    The run starts on a fresh ``inst.factor``, so its results do not depend
+    on earlier solves on the instance.  Each level starts from the last
+    level's velocity and its ``_state``, so a warm start evaluates only its
+    own penalty load.  The recorded successive-difference norms are the
+    empirical stand-in for the limit identification that the continuum
+    argument provides.
     """
     report = inst.report
     if not override:
@@ -391,16 +470,22 @@ def continuation_solve(inst, cfg, override=False):
             )
     radius = report.R if (report is not None and report.satisfied) else None
 
+    inst.factor = assembly.FactorHolder()
     records = []
     diffs = []
     warm = None
+    # the state to hand on, the cold first iterate's at the start; popped, so that the level
+    # holds the only reference and lets it go with its first matrix
+    handoff = [_state(inst, cfg, np.zeros(inst.space.n_vel))]
     bound_ok = penalty_ok = True
     for n in cfg.n_schedule:
         try:
-            rec = solve_regularized(inst, cfg, n, warm_start=warm)
+            rec = solve_regularized(inst, cfg, n, warm_start=warm, state=handoff.pop())
         except SolverError as exc:
             exc.records = records
             raise
+        handoff.append(rec.state)
+        rec.state = None
         records.append(rec)
         if not rec.converged and rec.residual > 1e-3:
             raise SolverError(
@@ -443,10 +528,11 @@ def recover_pressure(inst, u, cfg, n=np.inf):
     functions, relative to the data scale.
     """
     space = inst.space
-    state = _state(inst, cfg, n, u.coeffs)
-    a_mat, rhs = _linearize(inst, cfg, n, u.coeffs, state=state)
+    state = _state(inst, cfg, u.coeffs)
+    r0 = _momentum(inst, cfg, n, state)
+    a_mat, rhs = _linearize(inst, cfg, n, u.coeffs, state=state, r0=r0)
     _, lam = assembly.solve_saddle(space, a_mat, rhs, np.zeros(space.n_p1), factor=inst.factor)
-    rel = _residual(inst, state[2], u.coeffs, lam) / _data_scale(inst, cfg)
+    rel = _residual(inst, r0, u.coeffs, lam) / _data_scale(inst, cfg)
     return space.pressure_field(-lam), float(rel)
 
 

@@ -740,6 +740,23 @@ class TestDualNorm:
         assert not estimate_dual_norm(space8, load, 1.6, iters=1).converged
         assert estimate_dual_norm(space8, load, 2.0, iters=1).converged
 
+    def test_stops_on_its_own_test(self, space32):
+        # f = (0.1 sin(pi y), 0.05 x): the iterates agree to 1e-10 well before the budget of 15
+        x, y = space32.qpts[..., 0], space32.qpts[..., 1]
+        load = assembly.velocity_load(space32, np.stack([0.1 * np.sin(np.pi * y), 0.05 * x], axis=-1))
+        est = estimate_dual_norm(space32, load, 1.8)
+        assert est.converged and est.iters < 15
+        free, weight, vals = space32.free_vel_dofs, np.ones_like(space32.qw), []
+        for _ in range(15):  # the same fixed point with no stopping test
+            c, _ = assembly.solve_saddle(space32, assembly.sym_grad_stiffness(space32, weight), load)
+            dn_pt = discretization.mandel_norm(space32.sym_gradients(c))
+            vals.append(float(load[free] @ c[free]) / space32.lr_norm(1.8, dn_pt))
+            weight = np.maximum(dn_pt, 1e-10 * dn_pt.max()) ** (1.8 - 2.0)
+        assert est.value == max(vals[: est.iters])  # the same iterates, stopped early
+        # the iterates change by a factor of about 0.04 per step, so the tail past a change of
+        # 1e-10 relative is about 4e-12 relative (4.0e-12 here)
+        assert abs(est.value - max(vals)) <= 1e-11 * max(vals)
+
 
 class TestDiscreteDivergence:
     def test_projection_oracle(self, space8):

@@ -9,7 +9,17 @@ import scipy.sparse.linalg as spla
 from pdeltaflow import assembly, solver
 from pdeltaflow.certifier import check_smallness, compute_constants, weighted_shear_norm
 from pdeltaflow.constitutive import PDeltaModel, _stress_factor
-from pdeltaflow.discretization import Field, RectDomain, build_space, divergence_values, mandel_norm, norm_Lp, norm_sym_grad_p
+from pdeltaflow.discretization import (
+    DiscreteSpace,
+    Field,
+    RectDomain,
+    _over,
+    build_space,
+    divergence_values,
+    mandel_norm,
+    norm_Lp,
+    norm_sym_grad_p,
+)
 from pdeltaflow.lifting import BoundaryData, lift
 from pdeltaflow.solver import (
     CertificationRequired,
@@ -32,6 +42,24 @@ from conftest import asymmetric_divfree, mandel_skew, manufactured_case, tangent
 @pytest.fixture(scope="module")
 def inst8(pipeline8):
     return make_instance(pipeline8["model"], pipeline8["space"], lift_field=pipeline8["lift"])
+
+
+def _certified_instance(pipeline8):
+    """A fresh instance of the certified 8x8 pipeline, with its satisfied smallness report."""
+    m, lf, s = pipeline8["model"], pipeline8["lift"], pipeline8["s"]
+    g1c, g2c, g3c = compute_constants(pipeline8["chars"], pipeline8["emb"], lf, 0.0, m.p, s, m.delta)
+    return make_instance(m, pipeline8["space"], lift_field=lf, report=check_smallness(g1c, g2c, g3c, m.p, s=s))
+
+
+def _assert_same_records(recs, refs):
+    """Bitwise-equal level records: monitors, histories, solve counts, velocities and multipliers."""
+    assert len(recs) == len(refs)
+    for a, b in zip(recs, refs):
+        keys = ("n", "iters", "residual", "converged", "penalty_norm", "norm_Du_p", "norm_Du_q", "level_norm")
+        assert [getattr(a, k) for k in keys] == [getattr(b, k) for k in keys]
+        assert a.residual_history == b.residual_history
+        assert (a.factorizations, a.refinements, a.fallbacks) == (b.factorizations, b.refinements, b.fallbacks)
+        assert np.array_equal(a.u.coeffs, b.u.coeffs) and np.array_equal(a.pi.coeffs, b.pi.coeffs)
 
 
 def _random_zero_boundary(space, seed, scale=1.0):
@@ -154,8 +182,7 @@ class TestOperators:
         u = space8.zero_velocity()
         phi = _random_zero_boundary(space8, 10)
         cfg = SolverConfig(q=3.0, n_schedule=(10,), penalty=False)
-        du, v = space8.sym_gradients(u.coeffs), space8.velocity_values(u.coeffs) + inst.g_vals
-        assert float(solver._momentum(inst, cfg, np.inf, du, v) @ phi.coeffs) == 0.0
+        assert float(solver._momentum(inst, cfg, np.inf, _state(inst, cfg, u.coeffs)) @ phi.coeffs) == 0.0
 
     def test_penalty_identity(self, space8):
         u = _random_zero_boundary(space8, 11)
@@ -177,11 +204,11 @@ class TestOperators:
         assert rec.converged
         space = inst8.space
         bound = cfg.picard_tol * _data_scale(inst8, cfg)
-        du, v = space.sym_gradients(rec.u.coeffs), space.velocity_values(rec.u.coeffs) + inst8.g_vals
+        state = _state(inst8, cfg, rec.u.coeffs)
         for seed in range(3):
             phi = _random_zero_boundary(space, 400 + seed)
             press = space.integrate(space.p1_values(rec.pi.coeffs) * divergence_values(space, phi.coeffs))
-            val = float(solver._momentum(inst8, cfg, n, du, v) @ phi.coeffs) - press
+            val = float(solver._momentum(inst8, cfg, n, state) @ phi.coeffs) - press
             assert abs(val) <= bound * np.linalg.norm(phi.coeffs)
 
 
@@ -519,7 +546,7 @@ class TestNewton:
         w = _random_zero_boundary(space4, 32).coeffs
 
         def r0(c):
-            return _state(inst, cfg, n, c)[2]
+            return solver._momentum(inst, cfg, n, _state(inst, cfg, c))
 
         jac, rhs = _linearize(inst, cfg, n, u)
         assert np.allclose(rhs, jac @ u - r0(u), rtol=0.0, atol=1e-12 * np.abs(rhs).max())
@@ -550,11 +577,37 @@ class TestNewton:
         inst = _newton_case(space4)
         cfg = SolverConfig(q=3.0, n_schedule=(1,))
         n = 0.5
-        du = space4.sym_gradients(_random_zero_boundary(space4, 31).coeffs)
+        u = _random_zero_boundary(space4, 31).coeffs
+        du = space4.sym_gradients(u)
         weight = _stress_factor(inst.model, mandel_norm(du + inst.g_sym)) + mandel_norm(du) ** (cfg.q - 2.0) / n
-        mod = solver._modulus(inst, cfg, n, du, tangent=False)
+        mod = solver._modulus(inst, cfg, n, _state(inst, cfg, u), tangent=False)
         assert mod.shape == du.shape[:-1]
         assert np.array_equal(mod, weight)
+
+    @pytest.mark.parametrize("n", [0.5, np.inf])
+    @pytest.mark.parametrize("tangent", [True, False], ids=["newton", "picard"])
+    @pytest.mark.parametrize("seed", [31, None], ids=["strained", "at_rest"])
+    def test_modulus_matches_the_broadcast_oracle_bitwise(self, space4, n, tangent, seed):
+        inst = _newton_case(space4)
+        cfg = SolverConfig(q=3.0, n_schedule=(1,))
+        u = np.zeros(space4.n_vel) if seed is None else _random_zero_boundary(space4, seed).coeffs
+        du = space4.sym_gradients(u)
+        # the modulus from du alone: broadcast outer products and a strided diagonal
+        a = du + inst.g_sym
+        mag = mandel_norm(a)
+        nu = _stress_factor(inst.model, mag)
+        if np.isfinite(n):
+            mag_u = mandel_norm(du)
+            weight_u = mag_u ** (cfg.q - 2.0)
+            nu += weight_u / n
+        ref = nu
+        if tangent:
+            ref = (_over(_stress_factor(inst.model, mag, slope=True), mag)[..., None] * a)[..., :, None] * a[..., None, :]
+            if np.isfinite(n):
+                ref += ((cfg.q - 2.0) / n * _over(weight_u, mag_u**2)[..., None] * du)[..., :, None] * du[..., None, :]
+            ref.reshape(nu.shape + (9,))[..., ::4] += nu[..., None]
+        mod = solver._modulus(inst, cfg, n, _state(inst, cfg, u), tangent)
+        assert mod.shape == ref.shape and np.array_equal(mod, ref)
 
     def test_rising_step_is_retaken_frozen(self, space8, monkeypatch):
         case = manufactured_case(1.8, 0.1, 0.0, 1.0, amp=0.3)
@@ -699,6 +752,44 @@ class TestContinuation:
         convective_identity_diagnostics(inst, res.u)
         assert counterexample_scan(build_family(3, base_n=4), [2, 4, 8, 12])["N0"] is not None
         assert calls == []
+
+    def test_handed_state_matches_a_fresh_warm_start(self, pipeline8):
+        cfg = default_config(pipeline8["s"], levels=4, picard_tol=1e-9)
+        res = continuation_solve(_certified_instance(pipeline8), cfg)
+        inst, space, warm, recs = _certified_instance(pipeline8), pipeline8["space"], None, []
+        for n in cfg.n_schedule:  # each level evaluates its warm start afresh, from a copy
+            recs.append(solve_regularized(inst, cfg, n, warm_start=warm))
+            warm = space.velocity_field(recs[-1].u.coeffs.copy())
+        _assert_same_records(res.records, recs)
+        assert all(r.state is None for r in res.records + recs)  # handed on, not kept; never made for a lone level
+
+    def test_each_run_starts_on_a_fresh_factor(self, pipeline8):
+        cfg = default_config(pipeline8["s"], levels=3, picard_tol=1e-9)
+        fresh = continuation_solve(_certified_instance(pipeline8), cfg)
+        used = _certified_instance(pipeline8)
+        solve_regularized(used, cfg, 1.0)  # another level leaves its LU on the instance
+        assert used.factor.factorizations == 1
+        _assert_same_records(continuation_solve(used, cfg).records, fresh.records)
+
+    def test_symmetric_gradients_once_per_iterate(self, pipeline8, monkeypatch):
+        """Each iterate's Du is evaluated once, for its residual, its linearization, its record and the next level.
+
+        The other evaluations are the first iterate's, one per level difference
+        and one per retaken step, whose iterate's state went for the solve.
+        """
+        inst = _certified_instance(pipeline8)
+        cfg = default_config(pipeline8["s"])
+        sym_gradients, calls = DiscreteSpace.sym_gradients, []
+
+        def counting(space, coeffs):
+            calls.append(1)
+            return sym_gradients(space, coeffs)
+
+        monkeypatch.setattr(DiscreteSpace, "sym_gradients", counting)
+        res = continuation_solve(inst, cfg)
+        steps, retaken = sum(r.iters for r in res.records), sum(r.fallbacks for r in res.records)
+        assert len(calls) == 1 + steps + 2 * retaken + len(res.diffs)
+        assert len(res.diffs) == len(cfg.n_schedule) - 1 == 6
 
     def test_zero_schedule_zero_data(self, space8):
         m = PDeltaModel(p=1.8, delta=0.1)
