@@ -40,7 +40,6 @@ pairs.  The constants are flagged non-rigorous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -238,58 +237,6 @@ def young_gap(a, t, p):
     return gap if gap.ndim else float(gap)
 
 
-def _sym_entries(dim):
-    """(i, j) of each independent entry of a symmetric dim-by-dim matrix, in component order.
-
-    The diagonal comes first, then the upper triangle row by row: for
-    d = 2 the components are (x00, x11, x01).
-    """
-    return [(i, i) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
-@lru_cache(maxsize=None)
-def _entry_rows(dim):
-    """(dim, dim) table of the component row that holds each entry (i, j); read-only, built once per dim."""
-    rows = np.empty((dim, dim), dtype=np.intp)
-    for c, (i, j) in enumerate(_sym_entries(dim)):
-        rows[i, j] = rows[j, i] = c
-    rows.flags.writeable = False
-    return rows
-
-
-def _dim_of(c):
-    """Matrix dimension of component rows c: d(d+1)/2 rows, so d**2 <= 2*rows < (d+1)**2."""
-    return int(np.sqrt(2 * len(c)))
-
-
-def _components(m, out):
-    """Write the components of symmetric (..., d, d) matrices m into the rows of out; returns out."""
-    for c, (i, j) in enumerate(_sym_entries(m.shape[-1])):
-        out[c] = m[..., i, j]
-    return out
-
-
-def _component_norm(c, rows):
-    """Frobenius norms of the matrices of component rows c.
-
-    Each matrix row is summed left to right and then the row sums are
-    added, for d = 2 ``(x00**2 + x01**2) + (x01**2 + x11**2)``: the
-    order, and so every bit, of the einsum in ``frobenius``.
-    """
-    sq = c * c
-    return np.sqrt(reduce(np.add, (reduce(np.add, (sq[k] for k in row)) for row in rows)))
-
-
-def _component_dot(c, e, rows):
-    """A:B of the matrices of component rows c and e.
-
-    The entries are added left to right, row by row, for d = 2 the order
-    (and every bit) of ``np.sum(A * B, axis=(-1, -2))``.
-    """
-    q = c * e
-    return reduce(np.add, (q[k] for k in rows.flat))
-
-
 def _check_integer(name, value, low=None):
     """The rule of an integer argument: an int or numpy integer, not a bool, and at least low if given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (low is not None and value < low):
@@ -325,9 +272,8 @@ def _check_growth(model):
 def _sample_pairs(rng, n_random, dim):
     """Random pairs over magnitude decades plus structured extreme pairs.
 
-    The pairs come as component rows (see ``_sym_entries``): a and b have
-    shape (d(d+1)/2, n), column j holding pair j.  The random pairs are
-    ``random_sym`` draws, each converted to components as it is drawn.
+    a and b are exactly symmetric (n, d, d) arrays, pair j being (a[j], b[j]).
+    The random pairs are ``random_sym`` draws, each scaled by a random decade.
     The structured block adds parallel, antiparallel and orthogonal pairs
     on a log-magnitude grid (and pairs with B = 0 or B ~ A), which pins
     the extremal ratios far more reliably than blind sampling.
@@ -335,38 +281,36 @@ def _sample_pairs(rng, n_random, dim):
     _check_sampling(n_random, dim)
     decades = (-4.0, 4.0)  # the magnitude range, log10
     mags = np.logspace(*decades, 17)
-    ta, tb = (t.ravel() for t in np.meshgrid(mags, mags, indexing="ij"))
-    # filled in place, column by column; at most three legs of ta x tb and two lines per structured direction
-    a = np.empty((dim * (dim + 1) // 2, n_random + 3 * (3 * ta.size + 2 * mags.size)))
+    ta, tb = (t.ravel()[:, None, None] for t in np.meshgrid(mags, mags, indexing="ij"))
+    # filled in place, block by block; at most three legs of ta x tb and two lines per structured direction
+    a = np.empty((n_random + 3 * (3 * ta.size + 2 * mags.size), dim, dim))
     b = np.empty_like(a)
     for x in (a, b):
-        _components(random_sym(rng, n_random, dim), x[:, :n_random])
+        x[:n_random] = random_sym(rng, n_random, dim)
     for x in (a, b):
         scale = rng.uniform(*decades, n_random)
-        x[:, :n_random] *= np.power(10.0, scale, out=scale)
-    cols = n_random
+        x[:n_random] *= np.power(10.0, scale, out=scale)[:, None, None]
+    filled = n_random
 
     def put(pa, pb):
-        nonlocal cols
-        a[:, cols:cols + pa.shape[1]] = pa
-        b[:, cols:cols + pa.shape[1]] = pb
-        cols += pa.shape[1]
+        nonlocal filled
+        a[filled:filled + len(pa)] = pa
+        b[filled:filled + len(pa)] = pb
+        filled += len(pa)
 
     for ui in random_sym(rng, 3, dim):
         v = random_sym(rng, 1, dim)[0]
         v = v - np.sum(v * ui) * ui
         vn = frobenius(v)
         # below 1e-8 a re-draw is not worth it; the orthogonal leg is skipped
-        dirs = np.array([ui, -ui] + ([v / vn] if vn >= 1e-8 else []))
-        c = _components(dirs, np.empty((len(a), len(dirs))))  # column 0 is ui
-        for j in range(len(dirs)):
-            put(c[:, :1] * ta, c[:, j:j + 1] * tb)
+        for leg in [ui, -ui] + ([v / vn] if vn >= 1e-8 else []):
+            put(ui * ta, leg * tb)
         # pairs against zero and near-coincident pairs
-        line = c[:, :1] * mags
+        line = ui * mags[:, None, None]
         put(line, 0.0)
         put(line, line * (1.0 + 1e-4))
 
-    return a[:, :cols], b[:, :cols]
+    return a[:filled], b[:filled]
 
 
 # pairs per evaluation chunk: bounds the temporaries of _growth_ratios
@@ -374,21 +318,20 @@ _CHUNK = 8192
 
 
 def _chunk_ratios(model, a, b):
-    """Pointwise ratios of the three growth inequalities for the pairs (a, b) of component rows.
+    """Pointwise ratios of the three growth inequalities for the pairs (a, b) of (n, d, d) matrices.
 
     ``keep`` marks the pairs that do not coincide; the ratios of the
     others are not meaningful.  The sampled pairs are exactly symmetric,
-    so their stresses are formed without symmetrizing again, and each
-    Frobenius norm is taken once.
+    so their stresses are formed by ``sym_stress`` without symmetrizing
+    again, and each Frobenius norm is taken once.
     """
-    rows = _entry_rows(_dim_of(a))
     diff = a - b
-    dd, na, nb = (_component_norm(x, rows) for x in (diff, a, b))
+    dd, na, nb = (frobenius(x) for x in (diff, a, b))
     keep = dd > 1e-12 * (na + nb + 1.0)
 
-    ds = _stress_factor(model, na) * a - _stress_factor(model, nb) * b
-    ds_norm = _component_norm(ds, rows)
-    mono = _component_dot(ds, diff, rows)
+    ds = sym_stress(model, a, na) - sym_stress(model, b, nb)
+    ds_norm = frobenius(ds)
+    mono = np.sum(ds * diff, axis=(-1, -2))
     base = model.delta + nb
     with np.errstate(divide="ignore", invalid="ignore"):  # only at coincident pairs
         w = (base + dd) ** (model.p - 2.0)
@@ -401,15 +344,14 @@ def _chunk_ratios(model, a, b):
 def _growth_ratios(model, a, b):
     """Pointwise ratios of the three growth inequalities for the non-coincident pairs (a, b).
 
-    The pairs (component rows) are evaluated in chunks of _CHUNK, so the
-    per-pair temporaries stay small, and each chunk's non-coincident
-    pairs are written on into arrays sized for the whole sample, in
-    sample order.
+    The (n, d, d) pairs are evaluated in chunks of _CHUNK, so the per-pair
+    temporaries stay small, and each chunk's non-coincident pairs are
+    written on into arrays sized for the whole sample, in sample order.
     """
-    n = a.shape[1]
+    n = len(a)
     out, kept = {}, 0
     for start in range(0, n, _CHUNK):
-        part = _chunk_ratios(model, a[:, start:start + _CHUNK], b[:, start:start + _CHUNK])
+        part = _chunk_ratios(model, a[start:start + _CHUNK], b[start:start + _CHUNK])
         keep = part.pop("keep")
         size = int(np.count_nonzero(keep))
         if size < keep.size:

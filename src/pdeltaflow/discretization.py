@@ -179,7 +179,7 @@ class Field:
         if self.role == "pressure":
             m = self.space.pressure_mean_vector()
             mean = float(m @ self.coeffs) / self.space.domain.measure
-            object.__setattr__(self, "coeffs", self.coeffs - mean)
+            self.coeffs = self.coeffs - mean
 
 
 # upper bounds of a mesh: grid squares, and quadrature points over its 2 nx ny triangles
@@ -688,7 +688,7 @@ def _bump_velocity(space, center, width):
         z = np.maximum(1.0 - r2(x, y), 0.0)
         return -6.0 * z**2 * (x - cx) / width**2 * np.cos(r2(x, y))
 
-    return space.interpolate_velocity((lambda x, y: psi_y(x, y), lambda x, y: -psi_x(x, y)))
+    return space.interpolate_velocity((psi_y, lambda x, y: -psi_x(x, y)))
 
 
 def _korn_objective(space, p):
